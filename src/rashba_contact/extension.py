@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .greens import (FOUR_PI, INV_4SQRT2PI, _reject_near_pole, _sqrt_minus,
-                     gs_ren_origin)
+from .greens import (FOUR_PI, INV_4SQRT2PI, _check_spin, _reject_near_pole,
+                     _sqrt_minus, gs_ren_origin)
 from .model import SystemParams, threshold_sigma
 
 
@@ -245,6 +245,7 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     Im z != 0: N_s^2 Im(G_s^ren(0;z) - sqrt(-z)/(4 pi)) / Im z, which equals
     Im Q_ss(z)/Im z.  Real z < -Sigma: the explicit algebraic boundary form.
     """
+    _check_spin(s)
     z = complex(z)
     nd = normalization(params)
     n2 = nd.n(s) ** 2

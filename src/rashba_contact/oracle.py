@@ -20,6 +20,7 @@ from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 from .extension import normalization
+from .greens import _check_spin
 from .model import SystemParams, threshold_sigma
 
 _THETA_MAX = math.pi / 2.0
@@ -33,11 +34,6 @@ class QuadratureResult:
     value: complex
     abs_error_estimate: float
     evaluations: int
-
-
-def _check_spin(s: int) -> None:
-    if s not in (1, -1):
-        raise DomainError(f"spin index must be +1 or -1, got {s!r}")
 
 
 def _reject_on_continuum(params: SystemParams, z: complex) -> None:

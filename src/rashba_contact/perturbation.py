@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError, SingularMatrixError
 from .extension import Hermitian2
-from .greens import FOUR_PI, xi
+from .greens import FOUR_PI, _check_spin, xi
 from .model import Regime, SystemParams, classify_regime
 from . import spectrum as _spectrum
 
@@ -114,8 +114,7 @@ def q0(beta: float, omega1_s: float, s: int, e0: float) -> float:
     beta = float(beta)
     if beta <= 0.0:
         raise DomainError("q0 requires beta > 0")
-    if s not in (1, -1):
-        raise DomainError(f"spin index must be +1 or -1, got {s!r}")
+    _check_spin(s)
     e0 = float(e0)
     if e0 > -beta:
         raise DomainError(f"q0 requires E0 <= -beta so that xi is real, got {e0}")
@@ -218,24 +217,8 @@ def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
     grid = np.geomspace(lo, hi, 2001)
     vals = np.array([cnd0(b) for b in grid])
     i = int(np.argmax(vals))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = cnd0(c), cnd0(d)
-    for _ in range(200):
-        if b - a < 1e-12:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = cnd0(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = cnd0(d)
-    bm = 0.5 * (a + b)
+    bm = _spectrum._golden_min(lambda b: -cnd0(b), float(grid[max(i - 1, 0)]),
+                               float(grid[min(i + 1, len(grid) - 1)]))
     return cnd0(bm), bm
 
 

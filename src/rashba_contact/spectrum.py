@@ -24,6 +24,8 @@ from .model import (Regime, RegimeInfo, SystemParams, classify_regime,
 _GRID_NODES = 2048
 _NU_WARN = 1e8
 _EPS = np.finfo(float).eps
+# relative slack within which a level counts as met at a bracket end
+_LEVEL_ROUNDING = 4.0 * _EPS
 
 
 class RootMethod(enum.Enum):
@@ -302,29 +304,33 @@ def e_nu(beta: float, nu: float, x: float) -> float:
     return beta * (nu ** 4 + x ** 4) / (2.0 * (nu * x) ** 2)
 
 
-def _bracket_roots(f, lo: float, hi: float, n: int = 4000) -> list[float]:
-    """All sign-change roots of f on [lo, hi], endpoints included when |f| ~ 0."""
-    grid = np.geomspace(lo, hi, n) if hi / lo > 50.0 else np.linspace(lo, hi, n)
-    vals = np.array([f(x) for x in grid])
-    fscale = float(np.max(np.abs(vals))) + 1e-300
-    roots: list[float] = []
-    if abs(vals[0]) <= 1e-12 * fscale:
-        roots.append(float(grid[0]))
-    for i in range(len(grid) - 1):
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            roots.append(_bisect(f, float(grid[i]), float(grid[i + 1]), float(vals[i]), 1e-13))
-    if abs(vals[-1]) <= 1e-12 * fscale:
-        roots.append(float(grid[-1]))
-    out: list[float] = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-10 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
+    """The x in [lo, hi] with x*arctan(x) = level, or None when there is none.
+
+    x*arctan(x) strictly increases on x > 0, so the root is unique.  A level
+    within rounding of the value at an end returns that end.
+    """
+    f_lo, f_hi = lo * math.atan(lo), hi * math.atan(hi)
+    if not f_lo * (1.0 - _LEVEL_ROUNDING) <= level <= f_hi * (1.0 + _LEVEL_ROUNDING):
+        return None
+    if level <= f_lo:
+        return lo
+    if level >= f_hi:
+        return hi
+    return _bisect(lambda x: x * math.atan(x) - level, lo, hi, f_lo - level, 1e-15)
 
 
 def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
     """x_{nu,1} (zero of U_nu), x_{nu,2} (second zero of V_nu, when <= nu),
-    and their energies."""
+    and their energies.
+
+    x^2 U_nu(x) = ((nu^2+1)/nu^2) x arctan(x) - 1 and x arctan(x) strictly
+    increases, so x_{nu,1} is the level nu^2/(nu^2+1) of x arctan(x) on
+    (0, nu] and x_{nu,2}, the zero of U_nu - 2/((nu^2-1) x^2), is the level
+    nu^2/(nu^2-1).  x_{nu,2} is reported when nu reaches its level and it
+    differs from x_{nu,1} in floating point; near nu = 1e8 the two levels
+    round to the same float and x_{nu,2} becomes None.
+    """
     info = classify_regime(params)
     if info.regime is not Regime.CASE_C:
         raise RegimeError(
@@ -334,18 +340,11 @@ def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
         warnings.warn(f"nu = {nu:.3g} is extreme; V_nu approaches its singular "
                       "nu -> inf limit", stacklevel=2)
     b = params.beta
-
-    # U_nu is negative at x = 0.5 and positive at min(nu, 2) for every nu >= 1
-    hi = min(nu, 2.0)
-    x1 = _bisect(lambda x: u_nu(nu, x), 0.5, hi, u_nu(nu, 0.5), 1e-14)
-
-    x2 = None
-    if nu > 1.0 + 1e-12:
-        g = lambda x: u_nu(nu, x) - 2.0 / ((nu * nu - 1.0) * x * x)
-        candidates = [r for r in _bracket_roots(g, x1, nu, n=2000)
-                      if r > x1 * (1.0 + 1e-9)]
-        if candidates:
-            x2 = candidates[0]
+    n2 = nu * nu
+    x1 = _xatan_inverse(n2 / (n2 + 1.0), 0.0, nu)
+    x2 = _xatan_inverse(n2 / (n2 - 1.0), x1, nu) if n2 > 1.0 else None
+    if x2 == x1:
+        x2 = None
     return LargeCouplingContext(nu=nu, x_nu_1=x1, e_nu_1=e_nu(b, nu, x1),
                                 x_nu_2=x2,
                                 e_nu_2=e_nu(b, nu, x2) if x2 is not None else None)
@@ -355,14 +354,23 @@ def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
                          tol: float = 1e-8) -> tuple[EmbeddedRoot, ...]:
     """Embedded eigenvalues of the large-coupling case (tag "T3").
 
-    Solves the linear constraint 2*omega_- = x^2 U_nu(x) sum_s omega_s (nu^2+s)
-    for x in [x_{nu,1}, nu] by bracketing, then accepts x iff the remaining
-    condition gamma = omega_+ omega_- + (beta/2) V_nu(x) holds within
-    tol*(1+|gamma|).  When both omegas vanish the linear constraint is
-    trivially satisfied and the gamma condition is bracketed directly.
+    Solves the linear constraint 2*omega_- = x^2 U_nu(x) A,
+    A = (nu^2+1) omega_+ + (nu^2-1) omega_-, for x in [x_{nu,1}, nu], then
+    accepts x iff the remaining condition gamma = omega_+ omega_- +
+    (beta/2) V_nu(x) holds within tol*(1+|gamma|).  The constraint is the
+    level (2 omega_-/A + 1) nu^2/(nu^2+1) of the increasing x arctan(x), so
+    it has at most one root, and none for A = 0.
+
+    When both omegas vanish the constraint always holds and the gamma
+    condition is solved directly.  V_nu vanishes at x_{nu,1} and x_{nu,2},
+    has a single peak between them and is negative beyond x_{nu,2}, so the
+    condition has one root on each side of the peak or none.  (dV_nu/dx has
+    the sign of phi = (1 - m s) x s' - s (2 - m s) with s = x^2 U_nu and
+    m = nu^2 - 1; phi falls while s < 1/m, since x s'' < s' follows from
+    arctan(x) > x (1 - x^2)/(1 + x^2)^2, and is negative for s in [1/m, 2/m].)
     """
     ctx = large_coupling_context(params)
-    nu, b = ctx.nu, params.beta
+    nu, b, x1 = ctx.nu, params.beta, ctx.x_nu_1
     wp, wm, g = eff.omega_plus, eff.omega_minus, eff.gamma
     n2 = nu * nu
     acoef = (n2 + 1.0) * wp + (n2 - 1.0) * wm
@@ -371,11 +379,23 @@ def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
     def gamma_gap(x: float) -> float:
         return g - wp * wm - 0.5 * b * v_nu(nu, x)
 
+    xs = []
     if abs(wm) <= 1e-14 * wscale and abs(acoef) <= 1e-14 * wscale * n2:
-        xs = _bracket_roots(gamma_gap, ctx.x_nu_1, nu)
-    else:
-        h = lambda x: 2.0 * wm - x * x * u_nu(nu, x) * acoef
-        xs = _bracket_roots(h, ctx.x_nu_1, nu)
+        hi = nu if ctx.x_nu_2 is None else ctx.x_nu_2
+        xp = _golden_min(gamma_gap, x1, hi)
+        if gamma_gap(hi) <= gamma_gap(xp):
+            xp = hi                      # V_nu still rises at nu
+        slack = _LEVEL_ROUNDING * g
+        if gamma_gap(xp) <= slack:
+            # the gap falls from g - wp*wm >= 0 at x_{nu,1} to the peak and
+            # rises back to that value at x_{nu,2}; at nu it may stay negative
+            xs.append(_bisect(gamma_gap, x1, xp, 1.0, 1e-15))
+            if xp < hi and (ctx.x_nu_2 is not None or gamma_gap(nu) >= -slack):
+                xs.append(_bisect(gamma_gap, xp, hi, -1.0, 1e-15))
+    elif acoef != 0.0:
+        x = _xatan_inverse((2.0 * wm / acoef + 1.0) * n2 / (n2 + 1.0), x1, nu)
+        if x is not None:
+            xs.append(x)
 
     out = []
     for x in xs:

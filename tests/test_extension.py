@@ -264,6 +264,13 @@ class TestPhiNorm:
         with pytest.raises(DomainError):
             phi_norm_sq(p, 1, -0.3)
 
+    def test_rejects_bad_spin(self):
+        p = SystemParams(0.8, 0.4)
+        for s in (0, 2):
+            for z in (-2.0, 1j):
+                with pytest.raises(DomainError):
+                    phi_norm_sq(p, s, z)
+
 
 class TestExtensionKind:
     def test_values(self):

@@ -111,6 +111,11 @@ class TestSeriesValidity:
         # far above it must hold, deep inside the band it must not
         assert series_validity(SystemParams(2.0, 0.5), -3.0).cond_c
         assert not series_validity(SystemParams(2.0, 0.5), -0.1).cond_c
+        # its bound is Sigma, on both sides of the seam alpha^2 = 2*beta
+        for p in (SystemParams(2.0, 0.5), SystemParams(0.8, 0.4)):
+            sigma = threshold_sigma(p)
+            assert series_validity(p, -sigma * (1.0 + 1e-5)).cond_c
+            assert not series_validity(p, -sigma).cond_c
 
     def test_inside_band_invalid(self):
         rep = series_validity(SystemParams(0.4, 0.5), -0.05)

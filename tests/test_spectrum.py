@@ -197,6 +197,10 @@ class TestLargeCouplingContext:
         ctx = large_coupling_context(SystemParams(2.0, beta))
         assert ctx.nu == pytest.approx(1e6, rel=1e-12)
         assert ctx.x_nu_1 == pytest.approx(1.16234, abs=1e-4)
+        # x_{nu,2} sits about 1e-12 above x_{nu,1}
+        x2 = ctx.x_nu_2
+        assert ctx.x_nu_1 < x2 < ctx.x_nu_1 * (1.0 + 1e-11)
+        assert abs(u_nu(ctx.nu, x2) - 2.0 / ((ctx.nu ** 2 - 1.0) * x2 * x2)) <= 1e-15
 
     def test_second_zero_exists_at_nu_two(self):
         ctx = large_coupling_context(SystemParams(2.0, 0.5))
@@ -241,6 +245,24 @@ class TestEmbeddedLargeAlpha:
         eff = EffectiveCouplings(wp, wm, g)
         out = embedded_large_alpha(params, eff)
         assert any(r.energy == pytest.approx(b, abs=1e-8) for r in out)
+
+    def test_zero_omegas_give_both_roots(self):
+        # gamma = (beta/2) V_nu(x) meets the single peak of V_nu twice; at nu = 20
+        # both roots lie within 0.004 of x_{nu,1}
+        b = 0.5
+        for nu in (2.0, 20.0):
+            params = SystemParams(nu * math.sqrt(2.0 * b), b)
+            ctx = large_coupling_context(params)
+            xs = np.linspace(ctx.x_nu_1, ctx.x_nu_2, 201)
+            peak = max(0.5 * b * v_nu(nu, float(x)) for x in xs)
+            out = embedded_large_alpha(params, EffectiveCouplings(0.0, 0.0, 0.5 * peak))
+            assert len(out) == 2
+            assert ctx.e_nu_2 < out[0].energy < out[1].energy < ctx.e_nu_1
+            assert all(r.condition_residual <= 1e-12 * peak for r in out)
+            # at gamma = 0 the roots are x_{nu,1} and x_{nu,2} themselves
+            out = embedded_large_alpha(params, EffectiveCouplings(0.0, 0.0, 0.0))
+            assert [r.energy for r in out] == pytest.approx([ctx.e_nu_2, ctx.e_nu_1],
+                                                            rel=1e-12)
 
     def test_generic_rejection(self):
         rng = np.random.default_rng(41)
