@@ -496,9 +496,9 @@ def solve_spectrum(params: SystemParams, coupling: Hermitian2 | ExtensionKind, *
         embedded = embedded_alpha0(params.beta, eff, tol=max(tol, 1e-12))
     elif info.regime is Regime.CASE_B:
         from . import perturbation
-        asym = perturbation.asymptotic_eigenvalues(params, coupling)
-        if asym.threshold_persists:
-            embedded = (EmbeddedRoot(-params.beta, abs(asym.gamma_circle_residual), "T1"),)
+        persists, residual = perturbation.threshold_persistence(params.beta, coupling)
+        if persists:
+            embedded = (EmbeddedRoot(-params.beta, abs(residual), "T1"),)
     elif info.regime is Regime.CASE_C:
         embedded = embedded_large_alpha(params, eff, tol=max(tol, 1e-8))
     return SpectrumReport(regime=info, continuous_edge=-info.sigma,

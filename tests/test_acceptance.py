@@ -1,250 +1,107 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they go;
-without -s pytest still shows them for failing criteria.
+Each criterion lives once, as a check in ``rashba_contact.verify`` (the
+checks behind ``rashba-contact verify --suite all``); the tests here run
+those checks. Run with ``pytest -s tests/test_acceptance.py`` to see the
+lines as they go; without -s pytest still shows them for failing criteria.
 """
 
-import cmath
 import math
 import time
+from collections import Counter
 
-import numpy as np
-import pytest
+from rashba_contact import verify
 
-from rashba_contact import (EffectiveCouplings, Hermitian2, SystemParams,
-                            cnd0_max, discrete_eigenvalues, e2, e_nu,
-                            effective_couplings, embedded_alpha0,
-                            embedded_large_alpha, forbidden_band_scan,
-                            gamma_for_couplings, gs_ren_origin,
-                            gs_ren_quadrature, krein_q, large_coupling_context,
-                            phi_norm_quadrature, phi_norm_sq,
-                            series_validity, sigma_numeric,
-                            symmetric_small_beta_eigenvalue, threshold_sigma)
+# test number -> (criterion, the verify checks that make it up)
+ACCEPTANCE = {
+    1: ("q-normalization-at-unit-imaginary", (verify.check_q_unit_grid,)),
+    2: ("classical-limit-q", (verify.check_classical_q,)),
+    3: ("oracle-equivalence", (verify.check_oracle_gs,)),
+    4: ("large-coupling-constants", (verify.check_large_coupling_constants,
+                                     verify.check_embedded_074)),
+    5: ("symmetric-reference-values", (verify.check_symmetric_eigenvalue,
+                                       verify.check_r_map_constant)),
+    6: ("two-channel-reference-values", (verify.check_threshold_17_16,
+                                         verify.check_two_channel_pair)),
+    7: ("no-coupling-theorem-suite", (verify.check_theorem1_random,
+                                      verify.check_embedded_alpha0)),
+    8: ("perturbation-order", (verify.check_perturbation_order,)),
+    9: ("obstruction-maximum", (verify.check_cnd0_max,)),
+    10: ("forbidden-band-empty", (verify.check_forbidden_band,)),
+    11: ("norm-identities", (verify.check_norm_identities, verify.check_nevanlinna,
+                             verify.check_oracle_phi_norm)),
+    12: ("threshold-identities", (verify.check_oracle_sigma,
+                                  verify.check_threshold_e_nu)),
+}
 
 
-def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
-    line = f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f" ({detail})"
-    print(line)
-    assert ok, line
+def _accept(num: int, wall_s: float = math.inf) -> None:
+    """Run criterion num's checks, print its line, and assert they all passed."""
+    title, checks = ACCEPTANCE[num]
+    t0 = time.perf_counter()
+    results = verify.run_checks(checks)
+    elapsed = time.perf_counter() - t0
+    ok = all(r.passed for r in results) and elapsed <= wall_s
+    line = f"ACCEPTANCE {num:02d} {title}: {'PASS' if ok else 'FAIL'} ("
+    line += ", ".join(f"{r.name}={r.measured:.6g}{'' if r.passed else ' FAIL'}"
+                      for r in results)
+    print(line + f"; {elapsed:.1f}s)")
+    assert ok, line + "".join(f"\n  {r}" for r in results if not r.passed)
 
 
 def test_01_q_normalization():
-    worst = 0.0
-    pts = [(0.0, 0.0)]
-    for a in np.linspace(0.0, 1.4, 5):
-        for b in np.linspace(0.04, 1.0, 5):
-            pts.append((float(a), float(b)))
-    for a, b in pts:
-        p = SystemParams(a, b)
-        assert threshold_sigma(p) <= 1.0 + 1e-12
-        for z, ref in ((1j, 1j), (-1j, -1j)):
-            q = krein_q(p, z)
-            worst = max(worst, abs(q.q_pp - ref), abs(q.q_mm - ref))
-    _report(1, "q-normalization-at-unit-imaginary", worst <= 1e-10,
-            f"worst |Q(+-i) -+ i| = {worst:.3e} over {len(pts)} points")
+    _accept(1)
 
 
 def test_02_classical_limit():
-    p = SystemParams(0.0, 0.0)
-    rng = np.random.default_rng(2)
-    zs = [complex(x) for x in np.linspace(-10.0, -0.01, 20)]
-    zs += [complex(rng.uniform(-4, 4), (1 if k % 2 else -1) * rng.uniform(0.1, 4))
-           for k in range(10)]
-    worst = 0.0
-    for z in zs:
-        ref = 1.0 - cmath.sqrt(-2.0 * z)
-        q = krein_q(p, z)
-        worst = max(worst, abs(q.q_pp - ref), abs(q.q_mm - ref))
-    _report(2, "classical-limit-q", worst <= 1e-10, f"worst dev = {worst:.3e}")
+    _accept(2)
 
 
 def test_03_oracle_equivalence():
-    t0 = time.time()
-    case_a = [(0.0, b) for b in (0.0, 0.3, 0.6, 1.0)]
-    case_b = [(0.2, 0.4), (0.3, 0.6), (0.5, 0.9)]
-    case_c = [(2.0, 0.5), (1.5, 0.3), (1.2, 0.2)]
-    zs = [complex(-1.5), complex(-3.0), 1j, -1.0 + 0.8j]
-    triples = [(a, b, z) for a, b in case_a + case_b + case_c for z in zs]
-    worst, used = 0.0, 0
-    for a, b, z in triples:
-        p = SystemParams(a, b)
-        if not series_validity(p, z).any:
-            continue
-        used += 1
-        for s in (1, -1):
-            got = gs_ren_quadrature(p, s, z, tol=1e-7).value
-            ref = gs_ren_origin(p, s, complex(z))
-            worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
-    elapsed = time.time() - t0
-    ok = worst <= 1e-6 and used >= 30 and elapsed <= 120.0
-    _report(3, "oracle-equivalence", ok,
-            f"worst rel dev = {worst:.3e} on {used} triples in {elapsed:.1f}s")
+    _accept(3, wall_s=120.0)
 
 
 def test_04_large_coupling_constants():
-    b = 0.5
-    ctx1 = large_coupling_context(SystemParams(math.sqrt(2.0 * b), b))
-    ok1 = abs(ctx1.x_nu_1 - 0.76538) <= 5e-5
-    ok2 = abs(ctx1.e_nu_1 / b - 1.14643) <= 5e-5
-    beta6 = 2.0 ** 2 / (2.0 * 1e6 ** 2)
-    ctx2 = large_coupling_context(SystemParams(2.0, beta6))
-    ok3 = abs(ctx2.x_nu_1 - 1.16234) <= 1e-4
-    params = SystemParams(2.0, 1e-5)
-    gm = gamma_for_couplings(params, 1.0, 0.0, 0.0)     # gamma = omega+ omega- = 0
-    roots = embedded_large_alpha(params, effective_couplings(params, gm))
-    e_val = roots[-1].energy if roots else math.nan
-    ok4 = abs(e_val - 0.74018) <= 1e-3
-    _report(4, "large-coupling-constants", ok1 and ok2 and ok3 and ok4,
-            f"x11={ctx1.x_nu_1:.6f} E11/b={ctx1.e_nu_1 / b:.6f} "
-            f"xinf={ctx2.x_nu_1:.6f} E={e_val:.6f}")
+    _accept(4)
 
 
 def test_05_symmetric_limit_reference():
-    e_val = symmetric_small_beta_eigenvalue(2.0, 0.0)
-    rmap = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
-    ok = abs(e_val + 1.43923) <= 1e-4 and abs(abs(rmap) - 0.17850) <= 1e-5
-    _report(5, "symmetric-reference-values", ok,
-            f"E={e_val:.7f} |rmap|={abs(rmap):.7f}")
+    _accept(5)
 
 
 def test_06_two_channel_reference():
-    p = SystemParams(2.0, 0.5)
-    sigma_ok = threshold_sigma(p) == 1.0625
-    roots = sorted(r.energy for r in discrete_eigenvalues(p, Hermitian2.scalar(0.17850)))
-    ok = (sigma_ok and len(roots) == 2
-          and abs(roots[0] + 1.60313) <= 1e-3 and abs(roots[1] + 1.37956) <= 1e-3)
-    _report(6, "two-channel-reference-values", ok, f"roots={roots}")
+    _accept(6)
 
 
 def test_07_no_coupling_suite():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(20):
-        b = rng.uniform(0.05, 1.0)
-        p = SystemParams(0.0, b)
-        wp, wm = rng.uniform(-2, 1.5), rng.uniform(-2, 1.5)
-        g = rng.uniform(0.0, 2.0)
-        gm = gamma_for_couplings(p, wp, wm, g)
-        for r in discrete_eigenvalues(p, gm):
-            e = r.energy
-            worst = max(worst, abs(g - (wp + math.sqrt(b - e)) * (wm + math.sqrt(-b - e))))
-    closure_ok = worst <= 1e-9
-
-    b = 0.5
-    root2b = math.sqrt(2.0 * b)
-    produced = embedded_alpha0(b, EffectiveCouplings(-0.3, 0.4, (-0.3 + root2b) * 0.4))
-    c1 = any(abs(r.energy + b) < 1e-12 for r in produced)
-    withheld = embedded_alpha0(b, EffectiveCouplings(-0.3, 0.4, (-0.3 + root2b) * 0.4 + 0.1))
-    c1 &= all(abs(r.energy + b) > 1e-12 for r in withheld)
-    c2 = [r.energy for r in embedded_alpha0(b, EffectiveCouplings(-0.6, 0.3, 0.0))] \
-        == [pytest.approx(b - 0.36)]
-    c2 &= embedded_alpha0(b, EffectiveCouplings(0.2, 0.3, 0.0)) == ()        # omega+ > 0
-    c2 &= embedded_alpha0(b, EffectiveCouplings(-0.6, 0.3, 0.5)) == ()       # gamma != 0
-    c3 = any(abs(r.energy - b) < 1e-12
-             for r in embedded_alpha0(b, EffectiveCouplings(0.7, 0.0, 0.0)))
-    c3 &= all(abs(r.energy - b) > 1e-12
-              for r in embedded_alpha0(b, EffectiveCouplings(0.7, 0.2, 0.0)))
-    c4 = embedded_alpha0(0.0, EffectiveCouplings(-0.5, 0.0, 0.0)) == ()
-    ok = closure_ok and c1 and bool(c2) and c3 and c4
-    _report(7, "no-coupling-theorem-suite", ok,
-            f"closure worst = {worst:.2e}, singletons {c1}/{bool(c2)}/{c3}, beta0 {c4}")
+    _accept(7)
 
 
 def test_08_perturbation_order():
-    b = 0.5
-    gm = gamma_for_couplings(SystemParams(0.0, b), 0.8, -0.4, 0.0)
-    gm = Hermitian2(gm.pp, gm.mm, 0j)
-    e0 = -b - 0.4 ** 2
-    att = e2(b, gm, e0)
-    sl = math.sqrt(2.0 * b)
-
-    def solver_root(alpha: float) -> float:
-        roots = discrete_eigenvalues(SystemParams(alpha, b), gm, tol=1e-13)
-        return min((r.energy for r in roots), key=lambda x: abs(x - e0))
-
-    errs = [abs(solver_root(a * sl) - att.predicted_energy(a * sl))
-            for a in (0.2, 0.1, 0.05)]
-    ratios = (errs[0] / errs[1], errs[1] / errs[2])
-    ratio_ok = min(ratios) >= 12.0
-
-    alphas = np.array([0.02 * k * sl for k in range(1, 11)])
-    des = np.array([solver_root(float(a)) - e0 for a in alphas])
-    basis = np.vstack([alphas, alphas ** 2, alphas ** 3, alphas ** 4]).T
-    coef, *_ = np.linalg.lstsq(basis, des, rcond=None)
-    am = float(alphas[-1])
-    quad_contrib = abs(coef[1]) * am * am
-    odd_ok = (abs(coef[0]) * am <= 1e-3 * quad_contrib
-              and abs(coef[2]) * am ** 3 <= 1e-3 * quad_contrib)
-    _report(8, "perturbation-order", ratio_ok and odd_ok,
-            f"halving ratios = {ratios[0]:.1f}/{ratios[1]:.1f}, "
-            f"odd contribs = {abs(coef[0]) * am:.2e}/{abs(coef[2]) * am ** 3:.2e} "
-            f"vs {1e-3 * quad_contrib:.2e}")
+    _accept(8)
 
 
 def test_09_threshold_obstruction_landscape():
-    val, arg = cnd0_max()
-    ok = abs(val + 0.14874) <= 1e-4 and abs(arg - 1.00553) <= 1e-3
-    _report(9, "obstruction-maximum", ok, f"max={val:.6f} at beta={arg:.6f}")
+    _accept(9)
 
 
 def test_10_forbidden_band():
-    rng = np.random.default_rng(10)
-    params = SystemParams(2.0, 0.5)
-    worst = -math.inf
-    for _ in range(10):
-        eff = EffectiveCouplings(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                                 rng.uniform(0.0, 2.0))
-        rep = forbidden_band_scan(params, eff, grid_size=1000)
-        worst = max(worst, rep.max_gamma_required)
-    _report(10, "forbidden-band-empty", worst < 0.0,
-            f"max required gamma = {worst:.6f}")
+    _accept(10)
 
 
 def test_11_norm_identities():
-    p = SystemParams(0.8, 0.4)
-    dev_i = max(abs(phi_norm_sq(p, s, 1j) - 1.0) for s in (1, -1))
-    ortho_ok = dev_i <= 1e-8
-
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(10):
-        z = complex(rng.uniform(-4, 2), rng.uniform(0.2, 3))
-        q = krein_q(p, z)
-        for s in (1, -1):
-            worst = max(worst, abs(q.entry(s).imag / z.imag - phi_norm_sq(p, s, z)))
-    imq_ok = worst <= 1e-8
-
-    pc = SystemParams(2.0, 0.5)
-    sigma = threshold_sigma(pc)
-    quad_worst = 0.0
-    for e in np.linspace(-sigma - 0.3, -sigma - 2.5, 5):
-        s = 1 if e > -sigma - 1.0 else -1
-        got = phi_norm_quadrature(pc, s, complex(float(e)), tol=1e-6).value.real
-        ref = phi_norm_sq(pc, s, complex(float(e)))
-        quad_worst = max(quad_worst, abs(got - ref) / (1.0 + abs(ref)))
-    quad_ok = quad_worst <= 1e-5
-    _report(11, "norm-identities", ortho_ok and imq_ok and quad_ok,
-            f"|norm(i)-1|={dev_i:.2e}, ImQ dev={worst:.2e}, quad dev={quad_worst:.2e}")
+    _accept(11)
 
 
 def test_12_threshold_identities():
-    worst = 0.0
-    for a in np.linspace(0.0, 2.2, 10):
-        for b in np.linspace(0.0, 1.1, 10):
-            p = SystemParams(float(a), float(b))
-            worst = max(worst, abs(threshold_sigma(p) - sigma_numeric(p)))
-    numeric_ok = worst <= 1e-10
+    _accept(12)
 
-    ident_worst = 0.0
-    for b in np.linspace(0.05, 1.0, 6):
-        for fac in np.linspace(1.0, 2.0, 5):
-            a = fac * math.sqrt(2.0 * b)
-            p = SystemParams(float(a), float(b))
-            nu = a / math.sqrt(2.0 * b)
-            ident_worst = max(ident_worst, abs(threshold_sigma(p) - e_nu(float(b), nu, 1.0))
-                              / threshold_sigma(p))
-    ident_ok = ident_worst <= 1e-12
-    _report(12, "threshold-identities", numeric_ok and ident_ok,
-            f"dispersion dev={worst:.2e}, E_nu(1) rel dev={ident_worst:.2e}")
+
+def test_table_runs_every_check_once():
+    listed = [fn for _, checks in ACCEPTANCE.values() for fn in checks]
+    assert Counter(listed) == Counter(verify.PAPER_CHECKS + verify.INVARIANT_CHECKS)
+
+
+def test_check_names_are_unique():
+    names = [r.name for r in verify.run_suite("all")]
+    assert len(names) == len(set(names))

@@ -194,6 +194,17 @@ class TestCnd0:
         assert val == pytest.approx(-0.14874, abs=1e-4)
         assert arg == pytest.approx(1.00553, abs=1e-3)
 
+    def test_single_slope_sign_change(self):
+        # cnd0 is unimodal, so one golden-section search finds its maximum
+        grid = np.geomspace(1e-4, 1e4, 20001)
+        slope = np.diff([cnd0(float(b)) for b in grid])
+        flips = np.flatnonzero(np.signbit(slope[1:]) != np.signbit(slope[:-1]))
+        assert len(flips) == 1
+        assert grid[flips[0]] < cnd0_max()[1] < grid[flips[0] + 2]
+        # on a window off the peak the maximum is the end nearer to it
+        assert cnd0_max(0.05, 0.5)[1] == pytest.approx(0.5, rel=1e-12)
+        assert cnd0_max(2.0, 10.0)[1] == pytest.approx(2.0, rel=1e-12)
+
     def test_divergence_at_zero(self):
         assert cnd0(1e-6) < -100.0
 

@@ -394,6 +394,19 @@ class TestSolveSpectrum:
         assert any(r.theorem == "T1" and r.energy == pytest.approx(-b)
                    for r in rep.embedded)
 
+    def test_case_b_zeroth_order_root_at_threshold(self):
+        # the zeroth-order root lies within 1e-8 of -beta, where the
+        # second-order shift is undefined; a solve needs only the persistence
+        # criterion, so it must not raise
+        b = 0.5
+        gm = gamma_for_couplings(SystemParams(0.0, b), 0.5, -math.sqrt(5e-9), 0.0)
+        gm = Hermitian2(gm.pp, gm.mm, 0j)
+        p = SystemParams(0.3, b)
+        rep = solve_spectrum(p, gm)
+        assert [r.energy for r in rep.discrete] == [r.energy for r in discrete_eigenvalues(p, gm)]
+        assert rep.discrete[0].energy == pytest.approx(-0.5011964725143627, abs=1e-10)
+        assert rep.embedded == ()
+
     def test_json_schema(self):
         p = SystemParams(0.0, 0.5)
         rep = solve_spectrum(p, gamma_for_couplings(p, -0.6, 0.3, 0.0))
