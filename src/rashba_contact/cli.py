@@ -35,7 +35,6 @@ EXIT_NONCONVERGED = 3
 class RunConfig:
     params: SystemParams
     coupling: Hermitian2 | ExtensionKind | None
-    tol: float
     output: str
     out_path: str | None
 
@@ -96,8 +95,15 @@ def _add_params(p: argparse.ArgumentParser) -> None:
                    help="Zeeman field strength (>= 0)")
 
 
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not 1e-14 <= tol <= 1e-2:
+        raise argparse.ArgumentTypeError(f"must lie in [1e-14, 1e-2], got {tol}")
+    return tol
+
+
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=tolerance, default=1e-10,
                    help="solver tolerance in [1e-14, 1e-2] (default 1e-10)")
 
 
@@ -149,14 +155,12 @@ def _parse_coupling(parser, args, *, required: bool):
 
 
 def _config(parser, args, *, coupling_required: bool) -> RunConfig:
-    if not (1e-14 <= args.tol <= 1e-2):
-        parser.error(f"--tol must lie in [1e-14, 1e-2], got {args.tol}")
     try:
         params = SystemParams(args.alpha, args.beta)
     except DomainError as exc:
         parser.error(str(exc))
     coupling = _parse_coupling(parser, args, required=coupling_required)
-    return RunConfig(params=params, coupling=coupling, tol=args.tol,
+    return RunConfig(params=params, coupling=coupling,
                      output=getattr(args, "format", "json"),
                      out_path=getattr(args, "out", None))
 
@@ -180,7 +184,7 @@ def cmd_qfunc(parser, args) -> int:
 
 def cmd_solve(parser, args) -> int:
     cfg = _config(parser, args, coupling_required=True)
-    report = solve_spectrum(cfg.params, cfg.coupling, tol=cfg.tol, e_min=args.e_min)
+    report = solve_spectrum(cfg.params, cfg.coupling, tol=args.tol, e_min=args.e_min)
     if cfg.output == "csv":
         _emit(_report_csv(report), cfg.out_path)
     else:
@@ -191,8 +195,6 @@ def cmd_solve(parser, args) -> int:
 def cmd_sweep(parser, args) -> int:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
-    if not (1e-14 <= args.tol <= 1e-2):
-        parser.error(f"--tol must lie in [1e-14, 1e-2], got {args.tol}")
     beta = args.beta if args.beta is not None else args.beta_epsilon
     try:
         params = SystemParams(args.alpha, beta)
@@ -288,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qfunc", help="evaluate the Q-matrix at one energy")
     _add_params(q)
-    _add_tol(q)
     q.add_argument("--z-re", type=float, required=True)
     q.add_argument("--z-im", type=float, default=0.0)
     _add_coupling(q, allow_extensions=False)
@@ -325,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("expand", help="small-coupling expansion data")
     _add_params(e)
-    _add_tol(e)
     _add_coupling(e, allow_extensions=False)
     e.add_argument("--out", type=str, default=None)
     e.set_defaults(func=cmd_expand)

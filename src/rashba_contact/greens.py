@@ -164,10 +164,15 @@ def _big_branch(beta: float, z: complex) -> complex:
     return complex(0.0, math.sqrt((e + math.sqrt(e * e - beta * beta)) / 2.0))
 
 
+def _has_pole(params: SystemParams) -> bool:
+    """artanh(alpha*xi) diverges at -Sigma: alpha*xi(-Sigma) = 1 exactly when
+    alpha > 0 and alpha^2 >= 2*beta."""
+    a = params.alpha
+    return a > 0.0 and a * a >= 2.0 * params.beta
+
+
 def _reject_near_pole(params: SystemParams, z: complex) -> None:
-    # alpha*xi(-Sigma) = 1 exactly when alpha^2 >= 2*beta, so artanh blows up
-    a, b = params.alpha, params.beta
-    if a == 0.0 or a * a < 2.0 * b or z.imag != 0.0:
+    if z.imag != 0.0 or not _has_pole(params):
         return
     sigma = threshold_sigma(params)
     if abs(z.real + sigma) < _POLE_GUARD * max(1.0, sigma):

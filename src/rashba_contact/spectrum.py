@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import _reject_near_pole, artanh_branch, xi
+from .greens import (_POLE_GUARD, _has_pole, _reject_near_pole,
+                     artanh_branch, xi)
 from .model import (Regime, RegimeInfo, SystemParams, classify_regime,
                     series_validity, threshold_sigma)
 
@@ -158,55 +159,26 @@ def _golden_min(g, lo: float, hi: float, iters: int = 100) -> float:
     return 0.5 * (a + b)
 
 
-def _root_scan(f, grid: np.ndarray, tol: float, *, det_scale=None):
-    """Sign-change bracketing plus |f|-minimum refinement over a prepared grid.
-
-    A local minimum of |f| with no sign change is refined; if the refined value
-    crosses zero the cell is split into two simple brackets, otherwise a value
-    at the noise floor is reported as a single even-order root.
-    """
-    vals = np.array([f(e) for e in grid])
-    simple: list[float] = []
-    double: list[float] = []
-
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            simple.append(float(grid[i]))
-        elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            simple.append(_bisect(f, grid[i], grid[i + 1], vals[i], tol))
-    if vals[-1] == 0.0:
-        simple.append(float(grid[-1]))
-
-    absvals = np.abs(vals)
-    for i in range(1, len(grid) - 1):
-        if not (absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]):
-            continue
-        same_sign = (vals[i - 1] < 0.0) == (vals[i] < 0.0) == (vals[i + 1] < 0.0)
-        if not same_sign:
-            continue   # already handled by a sign-change bracket
-        lo, hi = float(grid[i - 1]), float(grid[i + 1])
-        e_star = _golden_min(lambda e: abs(f(e)), lo, hi)
-        f_star = f(e_star)
-        if (f_star < 0.0) != (vals[i - 1] < 0.0):
-            # dipped through zero: a close pair of simple roots
-            simple.append(_bisect(f, lo, e_star, vals[i - 1], tol))
-            simple.append(_bisect(f, e_star, hi, f_star, tol))
-            continue
-        scale = det_scale(e_star) if det_scale is not None else max(
-            1.0, abs(vals[i - 1]), abs(vals[i + 1]))
-        if abs(f_star) <= max(tol * tol, (1e3 * _EPS) ** 2) * scale:
-            double.append(e_star)
-    return simple, double
-
-
 def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
-                         e_min: float | None = None, tol: float = 1e-10,
-                         grid_nodes: int = _GRID_NODES) -> tuple[DiscreteRoot, ...]:
+                         e_min: float | None = None,
+                         tol: float = 1e-10) -> tuple[DiscreteRoot, ...]:
     """All real zeros of det(Gamma - Q(E)) on [e_min, -Sigma).
 
-    Bracketing runs on a grid log-spaced in the distance to the band edge
-    (roots accumulate there), refined by bisection to |dE| <= tol*max(1,|E|).
-    Even-order roots are recovered from local minima of |det|.
+    Q is Herglotz and real below -Sigma, so Gamma - Q(E) strictly decreases
+    there, and so does each of its eigenvalue branches
+    lambda_-/+ = h -/+ sqrt(d^2 + |Gamma_pm|^2) (h, d the half sum and half
+    difference of the diagonal).  Each branch has at most one root, and det is
+    their product.  Each branch is bracketed at its sign change on a grid
+    log-spaced in the distance to the band edge (roots accumulate there) and
+    bisected to |dE| <= tol*max(1,|E|).  Branch roots closer than
+    10*tol*max(1,|E|) are reported once, as an EVEN_ORDER root.
+
+    The grid ends 2*_POLE_GUARD*max(1, Sigma) below -Sigma where artanh has
+    its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and 1e-14*max(1, Sigma)
+    below it elsewhere.  Next to the pole lambda_- (and lambda_+, off the seam
+    alpha^2 = 2 beta) tends to -inf, so a branch still positive at the last
+    node has a root inside the pole guard; that root is not reported, and a
+    UserWarning says so.
     """
     sigma = threshold_sigma(params)
     eff = effective_couplings(params, gamma_matrix)
@@ -216,37 +188,47 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     if e_min >= -sigma:
         raise DomainError(f"e_min = {e_min} must lie below the band edge {-sigma}")
 
-    def f(e: float) -> float:
-        return secular_det(params, gamma_matrix, complex(e)).real
+    pole = _has_pole(params)
+    seam = params.alpha * params.alpha == 2.0 * params.beta
+    pm = abs(gamma_matrix.pm)
 
-    def local_scale(e: float) -> float:
-        # magnitude of the entries whose rounding sets the |det| noise floor
+    def branches(e: float) -> tuple[float, float]:
         q = krein_q(params, complex(e))
-        mag = max(1.0, abs(gamma_matrix.pp), abs(gamma_matrix.mm),
-                  abs(gamma_matrix.pm), abs(q.q_pp), abs(q.q_mm))
-        return mag * mag
+        m11, m22 = gamma_matrix.pp - q.q_pp.real, gamma_matrix.mm - q.q_mm.real
+        h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), pm)
+        return h - r, h + r
 
-    guard = 1e-9 * max(1.0, sigma)
-    u = np.geomspace(guard, -e_min - sigma, grid_nodes)
-    grid = (-sigma - u)[::-1]
-    simple, double = _root_scan(f, grid, tol, det_scale=local_scale)
-
-    roots = [DiscreteRoot(e, abs(f(e)), RootMethod.SIGN_CHANGE) for e in simple]
-    roots += [DiscreteRoot(e, abs(f(e)), RootMethod.EVEN_ORDER) for e in double]
-    roots.sort(key=lambda r: r.energy)
-
-    merged: list[DiscreteRoot] = []
-    for r in roots:
-        if merged and abs(r.energy - merged[-1].energy) <= 10.0 * tol * max(1.0, abs(r.energy)):
+    edge = (2.0 * _POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
+    grid = (-sigma - np.geomspace(edge, -e_min - sigma, _GRID_NODES))[::-1]
+    vals = np.array([branches(float(e)) for e in grid])
+    found = []
+    for k, name in enumerate(("lambda_-", "lambda_+")):
+        below = np.flatnonzero(vals[:, k] <= 0.0)
+        if below.size == 0:
+            if pole and (k == 0 or not seam):
+                warnings.warn(f"{name} has a root within {edge:.3g} of the band edge "
+                              f"{-sigma}, inside the pole guard; it is not reported",
+                              stacklevel=2)
             continue
-        merged.append(r)
+        i = int(below[0])
+        if vals[i, k] == 0.0:
+            found.append(float(grid[i]))
+        elif i > 0:       # i = 0: the root lies below e_min, outside the window
+            found.append(_bisect(lambda e, k=k: branches(e)[k], float(grid[i - 1]),
+                                 float(grid[i]), vals[i - 1, k], tol))
 
-    for r in merged:
+    method = RootMethod.SIGN_CHANGE
+    if len(found) == 2 and abs(found[0] - found[1]) <= 10.0 * tol * max(1.0, abs(found[0])):
+        found, method = [0.5 * (found[0] + found[1])], RootMethod.EVEN_ORDER
+    roots = tuple(DiscreteRoot(e, abs(secular_det(params, gamma_matrix, complex(e)).real),
+                               method) for e in sorted(found))
+
+    for r in roots:
         sf = abs(secular_function(params, eff, r.energy))
         if sf > 1e-5 * (1.0 + abs(eff.gamma)):
             warnings.warn(f"root {r.energy} has secular residual {sf:.3e}; "
                           "formulations disagree", stacklevel=2)
-    return tuple(merged)
+    return roots
 
 
 def embedded_alpha0(beta: float, eff: EffectiveCouplings, *,

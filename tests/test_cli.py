@@ -94,6 +94,12 @@ class TestSolve:
             main(["solve", "--alpha", "0", "--beta", "0"])
         assert exc.value.code == 2
 
+    def test_tol_out_of_range_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "0", "--beta", "0", "--trivial", "--tol", "1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_csv_round_trip(self, capsys, tmp_path):
         gf = tmp_path / "g.json"
         gf.write_text('{"pp": 0.17850, "mm": 0.17850, "pm_re": 0.0, "pm_im": 0.0}')
@@ -158,6 +164,13 @@ class TestSweep:
             main(["sweep", "--alpha", "0", "--beta", "0", "--r", "0.0",
                   "--c-from", "-1", "--c-to", "1", "--steps", "3", "--log"])
         assert exc.value.code == 2
+
+    def test_tol_out_of_range_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--alpha", "0", "--beta", "0", "--r", "0.0",
+                  "--c-from", "0.5", "--c-to", "1.0", "--steps", "2", "--tol", "1"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 class TestExpand:

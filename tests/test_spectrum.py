@@ -9,7 +9,7 @@ from rashba_contact import (ConvergenceError, DomainError, EffectiveCouplings,
                             artanh_branch, discrete_eigenvalues, e_nu,
                             effective_couplings, embedded_alpha0,
                             embedded_large_alpha, forbidden_band_scan,
-                            gamma_for_couplings, large_coupling_context,
+                            gamma_for_couplings, krein_q, large_coupling_context,
                             normalization, secular_function, solve_spectrum,
                             symmetric_small_beta_eigenvalue, threshold_sigma,
                             u_nu, v_nu, xi)
@@ -119,6 +119,64 @@ class TestDiscrete:
                 assert e < -b
                 closure = g - (wp + math.sqrt(b - e)) * (wm + math.sqrt(-b - e))
                 assert abs(closure) <= 1e-10
+
+    def test_close_pair(self):
+        # gamma = 0 at alpha = 0: the channel roots beta - w^2 and -beta - w^2
+        # lie 2*beta apart, well inside one cell of the grid at |E| ~ 2500
+        p = SystemParams(0.0, 0.5)
+        roots = discrete_eigenvalues(p, gamma_for_couplings(p, -50.0, -50.0, 0.0))
+        assert [r.energy for r in roots] == pytest.approx([-2500.5, -2499.5], rel=1e-12)
+        assert all(r.method is RootMethod.SIGN_CHANGE for r in roots)
+
+    def test_equal_omega_sweep(self):
+        b = 0.5
+        p = SystemParams(0.0, b)
+        for w in np.geomspace(1.0, 1000.0, 60):
+            roots = discrete_eigenvalues(p, gamma_for_couplings(p, -w, -w, 0.0))
+            want = sorted(e for e in (b - w * w, -b - w * w) if e < -b)
+            assert [r.energy for r in roots] == pytest.approx(want, rel=1e-12), w
+
+    def test_edge_root(self):
+        # the minus-channel root sits 1e-10 below the threshold -beta
+        p = SystemParams(0.0, 0.5)
+        roots = discrete_eigenvalues(p, gamma_for_couplings(p, 1.0, -1e-5, 0.0))
+        assert [r.energy for r in roots] == pytest.approx([-0.5 - 1e-10], rel=1e-12)
+
+    def test_constructed_roots(self):
+        # Gamma = diag(Re Q_pp(e1), Re Q_mm(e2)) has its roots exactly at e1, e2
+        rng = np.random.default_rng(41)
+        for k in range(40):
+            b = rng.uniform(0.05, 1.0)
+            a = (0.0, rng.uniform(0.05, 0.95), rng.uniform(1.0, 4.0))[k % 3] \
+                * math.sqrt(2.0 * b)
+            p = SystemParams(a, b)
+            sigma = threshold_sigma(p)
+            e1 = -sigma - 10.0 ** rng.uniform(-8.0, 2.0) * max(1.0, sigma)
+            if rng.uniform() < 0.5:
+                e2 = -sigma - 10.0 ** rng.uniform(-8.0, 2.0) * max(1.0, sigma)
+            else:
+                e2 = e1 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -1.0) * abs(e1)
+                if e2 >= -sigma:
+                    e2 = 2.0 * e1 - e2
+            gm = Hermitian2(krein_q(p, e1).q_pp.real, krein_q(p, e2).q_mm.real)
+            got = [r.energy for r in discrete_eigenvalues(p, gm)]
+            want = sorted((e1, e2))
+            if want[1] - want[0] > 1e-8 * abs(want[0]):
+                assert got == pytest.approx(want, rel=1e-8), (a, b, e1, e2)
+            else:
+                assert len(got) in (1, 2), (a, b, e1, e2)
+                for e in got:
+                    assert e == pytest.approx(want[0], rel=1e-8)
+                    assert e == pytest.approx(want[1], rel=1e-8)
+
+    def test_root_inside_pole_guard_warns(self):
+        p = SystemParams(2.0, 0.5)
+        sigma = threshold_sigma(p)
+        q_edge = krein_q(p, -sigma - 1.5e-10 * sigma).q_pp.real
+        gm = Hermitian2(q_edge, krein_q(p, -sigma - 1.0).q_mm.real)
+        with pytest.warns(UserWarning, match="pole guard"):
+            roots = discrete_eigenvalues(p, gm)
+        assert [r.energy for r in roots] == pytest.approx([-2.0625], rel=1e-12)
 
 
 class TestEmbeddedAlpha0:
