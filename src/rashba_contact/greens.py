@@ -20,6 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError
 from .model import SystemParams, threshold_sigma
 
@@ -79,6 +81,16 @@ def artanh_branch(w: complex) -> complex:
     return 0.5 * (cmath.log(1.0 + w) - cmath.log(1.0 - w))
 
 
+def _artanh_branch_array(w: np.ndarray) -> np.ndarray:
+    """``artanh_branch`` over a complex array whose real entries lie on the
+    cut w > 1: those take r - i*pi/2, the rest the principal value."""
+    out = 0.5 * (np.log(1.0 + w) - np.log(1.0 - w))
+    cut = w.imag == 0.0
+    x = w.real[cut]
+    out[cut] = 0.5 * np.log((x + 1.0) / (x - 1.0)) - 0.5j * np.pi
+    return out
+
+
 def _xi_real(beta: float, e: float) -> XiValue:
     if beta == 0.0:
         if e >= 0.0:
@@ -103,6 +115,17 @@ def _xi_real(beta: float, e: float) -> XiValue:
     big = e + math.sqrt(e * e - beta * beta)
     return XiValue(complex(0.0, 1.0 / math.sqrt(2.0 * big)),
                    BranchNote.PURE_IMAG_ABOVE_BETA)
+
+
+def _xi_real_array(beta: float, e: np.ndarray) -> np.ndarray:
+    """``_xi_real`` over an array of energies E < beta, for beta > 0: real on
+    E <= -beta, exp(i*theta/2)/sqrt(2*beta) on (-beta, beta)."""
+    below = e <= -beta
+    eb = e[below]
+    out = np.exp(0.5j * np.where(e < 0.0, -1.0, 1.0)
+                 * np.arccos(np.clip(-e / beta, -1.0, 1.0))) / math.sqrt(2.0 * beta)
+    out[below] = 1.0 / np.sqrt(2.0 * (-eb + np.sqrt(eb * eb - beta * beta)))
+    return out
 
 
 def xi(params: SystemParams, z: complex) -> XiValue:

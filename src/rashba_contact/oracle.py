@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from .errors import ConvergenceError, DomainError
 from .extension import normalization
 from .greens import _check_spin
@@ -78,6 +76,8 @@ def _iterated_quad(f2, tol: float, *, complex_valued: bool):
     Returns (value, error_estimate, evaluations).  Inner results are cached by
     theta so the two outer passes (real and imaginary) share work.
     """
+    from scipy import integrate        # imported here: it dominates import time
+
     evals = [0]
     inner_eps = max(tol / 8.0, 1e-13)
     cache: dict[float, tuple[complex, float]] = {}

@@ -9,6 +9,7 @@ E(alpha) = E(0) + alpha^2 E2 + O(alpha^4).  Odd orders vanish.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ from .extension import Hermitian2
 from .greens import FOUR_PI, _check_spin, xi
 from .model import Regime, SystemParams, classify_regime
 from . import spectrum as _spectrum
+
+# zeroth-order roots closer than this to -beta get no second-order shift
+_THRESHOLD_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,20 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class AsymptoticEigenvalue:
-    """Zeroth-order root and its second-order shift (a pair when twofold)."""
+    """Zeroth-order root and its second-order shift (a pair when twofold).
+
+    e2 is None for a root within _THRESHOLD_GAP of -beta, where the shift's
+    quotient degenerates; the prediction is then e0 itself.
+    """
 
     e0: float
-    e2: float | tuple[float, float]
+    e2: float | tuple[float, float] | None
     branch: Branch
 
     def predicted_energy(self, alpha: float):
         a2 = alpha * alpha
+        if self.e2 is None:
+            return self.e0
         if isinstance(self.e2, tuple):
             return tuple(self.e0 + a2 * v for v in self.e2)
         return self.e0 + a2 * self.e2
@@ -120,6 +130,24 @@ def q0(beta: float, omega1_s: float, s: int, e0: float) -> float:
     return omega1_s - x * (0.5 - s * beta * x * x / 3.0)
 
 
+def _zeroth_order_branch(co: PerturbationCoefficients, rp: float, rm: float) -> Branch:
+    """The branch of the shift formula at a zeroth-order root, where
+    r_+/- = sqrt(beta - E0), sqrt(-beta - E0): with gamma0 = 0, the channels
+    whose factor omega0_s + r_s vanishes there."""
+    (w0p, w0m), g0 = co.omega0, co.gamma0
+    if g0 > 1e-12 * (1.0 + abs(g0)):
+        return Branch.GENERIC_GAMMA
+    plus_match = abs(w0p + rp) <= 1e-7 * (1.0 + abs(w0p) + rp)
+    minus_match = abs(w0m + rm) <= 1e-7 * (1.0 + abs(w0m) + rm)
+    if plus_match and minus_match:
+        return Branch.TWOFOLD
+    if minus_match:
+        return Branch.DIAGONAL_MINUS
+    if plus_match:
+        return Branch.DIAGONAL_PLUS
+    return Branch.GENERIC_GAMMA
+
+
 def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue:
     """Second-order eigenvalue shift for a zeroth-order root e0 < -beta.
 
@@ -132,7 +160,7 @@ def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue
     co = expansion_coefficients(beta, gamma_matrix)
     if e0 >= -beta:
         raise DomainError(f"e2 requires E0 < -beta, got {e0}")
-    if abs(e0 + beta) < 1e-8:
+    if abs(e0 + beta) < _THRESHOLD_GAP:
         raise DomainError("E0 at the threshold -beta: the quotient degenerates; "
                           "use the persistence condition instead")
     w0p, w0m = co.omega0
@@ -148,15 +176,13 @@ def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue
 
     qp = q0(beta, w1p, 1, e0)
     qm = q0(beta, w1m, -1, e0)
-    tiny = 1e-12 * (1.0 + abs(g0))
-    plus_match = abs(w0p + rp) <= 1e-7 * (1.0 + abs(w0p) + rp)
-    minus_match = abs(w0m + rm) <= 1e-7 * (1.0 + abs(w0m) + rm)
-    if g0 <= tiny and plus_match and minus_match:
-        return AsymptoticEigenvalue(e0, (-2.0 * w0p * qp, -2.0 * w0m * qm), Branch.TWOFOLD)
-    if g0 <= tiny and minus_match:
-        return AsymptoticEigenvalue(e0, -2.0 * w0m * qm, Branch.DIAGONAL_MINUS)
-    if g0 <= tiny and plus_match:
-        return AsymptoticEigenvalue(e0, -2.0 * w0p * qp, Branch.DIAGONAL_PLUS)
+    branch = _zeroth_order_branch(co, rp, rm)
+    if branch is Branch.TWOFOLD:
+        return AsymptoticEigenvalue(e0, (-2.0 * w0p * qp, -2.0 * w0m * qm), branch)
+    if branch is Branch.DIAGONAL_MINUS:
+        return AsymptoticEigenvalue(e0, -2.0 * w0m * qm, branch)
+    if branch is Branch.DIAGONAL_PLUS:
+        return AsymptoticEigenvalue(e0, -2.0 * w0p * qp, branch)
 
     w = math.sqrt(e0 * e0 - beta * beta)
     big = -e0 + w
@@ -210,15 +236,26 @@ def cnd0(beta: float) -> float:
     return FOUR_PI * (l1[1] - eta_pp * l0[1]) - 1.0 / (3.0 * root2b) - eta_pp * root2b
 
 
-def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
-    """(max value, argmax) of cnd0 over [lo, hi], by one golden-section search.
+@functools.cache
+def _cnd0_peak() -> float:
+    """The argmax of cnd0 on (0, inf), by one golden-section search of [1e-4, 1e4]."""
+    return _spectrum._golden_min(lambda b: -cnd0(b), 1e-4, 1e4)
 
-    One search is enough on any window because cnd0 is unimodal: its slope
-    changes sign once on (0, inf), at beta ~ 1.00553 (a 4e5-point log scan of
-    [1e-4, 1e4] finds no other change). So on [lo, hi] cnd0 either peaks
-    inside, or is monotone and the search closes in on the end nearer the peak.
+
+def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
+    """(max value, argmax) of cnd0 over [lo, hi]: cnd0 at its peak clamped to
+    [lo, hi].
+
+    cnd0 depends on beta alone and is unimodal: its slope changes sign once on
+    (0, inf), at beta ~ 1.00553 (a 4e5-point log scan of [1e-4, 1e4] finds no
+    other change).  So one search for the peak serves every window, and the
+    process keeps its result.  The clamp is exact: on a window that holds the
+    peak the maximum is the peak, and on any other window cnd0 is monotone,
+    so the maximum is the end nearer the peak.
     """
-    bm = _spectrum._golden_min(lambda b: -cnd0(b), lo, hi)
+    if not 0.0 < lo <= hi:
+        raise DomainError(f"cnd0_max requires 0 < lo <= hi, got [{lo}, {hi}]")
+    bm = min(max(_cnd0_peak(), float(lo)), float(hi))
     return cnd0(bm), bm
 
 
@@ -243,7 +280,8 @@ def asymptotic_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2) -> As
 
     Enumerates the zeroth-order roots below -beta, attaches the second-order
     shift to each, and evaluates the persistence criterion
-    (``threshold_persistence``).
+    (``threshold_persistence``).  A root within _THRESHOLD_GAP of -beta,
+    where the shift's quotient degenerates, is reported with e2 = None.
     """
     info = classify_regime(params)
     if params.beta <= 0.0 or info.regime not in (Regime.CASE_A, Regime.CASE_B):
@@ -252,8 +290,16 @@ def asymptotic_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2) -> As
     beta = params.beta
     base = SystemParams(0.0, beta)
     roots0 = _spectrum.discrete_eigenvalues(base, gamma_matrix, tol=1e-12)
-    entries = tuple(e2(beta, gamma_matrix, r.energy) for r in roots0)
+    co = expansion_coefficients(beta, gamma_matrix)
+    entries = []
+    for r in roots0:
+        e0 = r.energy
+        if abs(e0 + beta) < _THRESHOLD_GAP:
+            branch = _zeroth_order_branch(co, math.sqrt(beta - e0), math.sqrt(-beta - e0))
+            entries.append(AsymptoticEigenvalue(e0, None, branch))
+        else:
+            entries.append(e2(beta, gamma_matrix, e0))
     persists, residual = threshold_persistence(beta, gamma_matrix)
-    return AsymptoticSpectrum(entries=entries, alpha=params.alpha,
+    return AsymptoticSpectrum(entries=tuple(entries), alpha=params.alpha,
                               gamma_circle_residual=residual,
                               threshold_persists=persists)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -17,8 +19,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import (_POLE_GUARD, _has_pole, _reject_near_pole,
-                     artanh_branch, xi)
+from .greens import (_POLE_GUARD, _artanh_branch_array, _has_pole,
+                     _reject_near_pole, _xi_real_array, artanh_branch, xi)
 from .model import (Regime, RegimeInfo, SystemParams, classify_regime,
                     series_validity, threshold_sigma)
 
@@ -27,6 +29,7 @@ _NU_WARN = 1e8
 _EPS = np.finfo(float).eps
 # relative slack within which a level counts as met at a bracket end
 _LEVEL_ROUNDING = 4.0 * _EPS
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 class RootMethod(enum.Enum):
@@ -108,6 +111,15 @@ def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) ->
             tail = (a / 2.0 - s * b / a) * ar
         prod *= eff.omega(s) + sgn / (2.0 * x) - tail
     return eff.gamma - prod
+
+
+def _warn(message: str) -> None:
+    """UserWarning attributed to the first caller outside this package, so that
+    it points at the caller's code however deep in the package it was raised."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
@@ -206,9 +218,8 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
         below = np.flatnonzero(vals[:, k] <= 0.0)
         if below.size == 0:
             if pole and (k == 0 or not seam):
-                warnings.warn(f"{name} has a root within {edge:.3g} of the band edge "
-                              f"{-sigma}, inside the pole guard; it is not reported",
-                              stacklevel=2)
+                _warn(f"{name} has a root within {edge:.3g} of the band edge "
+                      f"{-sigma}, inside the pole guard; it is not reported")
             continue
         i = int(below[0])
         if vals[i, k] == 0.0:
@@ -226,8 +237,8 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     for r in roots:
         sf = abs(secular_function(params, eff, r.energy))
         if sf > 1e-5 * (1.0 + abs(eff.gamma)):
-            warnings.warn(f"root {r.energy} has secular residual {sf:.3e}; "
-                          "formulations disagree", stacklevel=2)
+            _warn(f"root {r.energy} has secular residual {sf:.3e}; "
+                  "formulations disagree")
     return roots
 
 
@@ -319,8 +330,8 @@ def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
             "large-coupling context requires sqrt(2*beta) <= alpha with beta > 0")
     nu = info.nu
     if nu > _NU_WARN:
-        warnings.warn(f"nu = {nu:.3g} is extreme; V_nu approaches its singular "
-                      "nu -> inf limit", stacklevel=2)
+        _warn(f"nu = {nu:.3g} is extreme; V_nu approaches its singular "
+              "nu -> inf limit")
     b = params.beta
     n2 = nu * nu
     x1 = _xatan_inverse(n2 / (n2 + 1.0), 0.0, nu)
@@ -389,24 +400,23 @@ def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
     return tuple(sorted(out, key=lambda r: r.energy))
 
 
-def _gamma_required(params: SystemParams, wp: float, wm: float, e: float) -> float:
-    """The gamma value the two-channel phase constraint would force at energy E.
+def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarray:
+    """The gamma value the two-channel phase constraint would force at each
+    energy of ``e`` in (-Sigma, beta), in one numpy pass.
 
     Built from the in-band decomposition into a_s (real parts) and b_s
     (imaginary parts) of the channel factors; both b_s share a sign inside
-    (-Sigma, beta), so the result is strictly negative there.
+    (-Sigma, beta), so the result is strictly negative there.  The constraint
+    fixes a_-, so omega_- drops out.
     """
     a, b = params.alpha, params.beta
-    x = xi(params, complex(e)).value
+    x = _xi_real_array(b, e)
     inv2 = 1.0 / (2.0 * x)
-    ar = artanh_branch(a * x)
+    ar = _artanh_branch_array(a * x)
     r, t = ar.real, ar.imag
-    ab = {}
-    for s, w in ((1, wp), (-1, wm)):
-        a_s = w + inv2.real - r * (a / 2.0 - s * b / a)
-        b_s = -inv2.imag + t * (a / 2.0 + s * b / a)
-        ab[s] = (a_s, b_s)
-    (ap, bp), (_, bm) = ab[1], ab[-1]
+    ap = wp + inv2.real - r * (a / 2.0 - b / a)
+    bp = -inv2.imag + t * (a / 2.0 + b / a)
+    bm = -inv2.imag + t * (a / 2.0 - b / a)
     return -(bp / bm) * (ap * ap + bp * bp)
 
 
@@ -414,7 +424,11 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,
                         grid_size: int = 1000) -> ForbiddenBandReport:
     """Scan (-Sigma, beta) and report the largest gamma the constraints would
     require; a negative maximum certifies the band holds no eigenvalue for
-    any admissible gamma >= 0."""
+    any admissible gamma >= 0.
+
+    The grid linspace(-Sigma + delta, beta - delta, grid_size),
+    delta = 1e-6*max(1, Sigma + beta), is evaluated in one numpy pass.
+    """
     info = classify_regime(params)
     if info.regime is not Regime.CASE_C:
         raise RegimeError("the forbidden-band argument applies to the "
@@ -422,10 +436,7 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,
     sigma, b = info.sigma, params.beta
     delta = 1e-6 * max(1.0, sigma + b)
     grid = np.linspace(-sigma + delta, b - delta, grid_size)
-    worst = -math.inf
-    for e in grid:
-        worst = max(worst, _gamma_required(params, eff.omega_plus,
-                                           eff.omega_minus, float(e)))
+    worst = float(np.max(_gamma_required(params, eff.omega_plus, grid)))
     return ForbiddenBandReport(max_gamma_required=worst, band=(-sigma, b),
                                grid_size=grid_size)
 

@@ -188,6 +188,21 @@ class TestExpand:
         assert not data["threshold_persists"]
         assert "gamma0" in data["coefficients"]
 
+    def test_zeroth_order_root_at_threshold(self, capsys, tmp_path):
+        # omega0 = (0.5, -sqrt(5e-9)): the zeroth-order root lies 5e-9 below
+        # -beta, where the second-order quotient degenerates
+        gf = tmp_path / "g.json"
+        gf.write_text('{"pp": 2.517487708723827, "mm": 0.617955373612119, '
+                      '"pm_re": 0.0, "pm_im": 0.0}')
+        code, out, _ = run(capsys, "expand", "--alpha", "0.3", "--beta", "0.5",
+                           "--gamma-file", str(gf))
+        assert code == 0
+        (root,) = json.loads(out)["roots"]
+        assert abs(root["e0"] + 0.5) < 1e-8
+        assert root["e2"] is None and '"e2":null' in out
+        assert root["energy"] == root["e0"]
+        assert root["branch"] == "DiagonalMinus"
+
     def test_regime_gate(self, capsys, tmp_path):
         gf = tmp_path / "g.json"
         gf.write_text('{"pp": 0.1, "mm": 0.1, "pm_re": 0.0, "pm_im": 0.0}')

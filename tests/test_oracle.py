@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,15 @@ class TestPhiNormQuadrature:
     def test_continuum_rejected(self):
         with pytest.raises(DomainError):
             phi_norm_quadrature(SystemParams(0.5, 0.5), 1, -0.2)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # scipy.integrate is imported by the first quadrature, not by the package
+    import rashba_contact
+    src = str(Path(rashba_contact.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, rashba_contact; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

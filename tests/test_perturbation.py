@@ -10,6 +10,7 @@ from rashba_contact import (Branch, DomainError, Hermitian2, RegimeError,
                             gamma_circle_residual, gamma_for_couplings,
                             normalization, q0)
 from rashba_contact.perturbation import _circle_coefficients
+from rashba_contact.spectrum import _golden_min
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)
 
@@ -204,6 +205,20 @@ class TestCnd0:
         # on a window off the peak the maximum is the end nearer to it
         assert cnd0_max(0.05, 0.5)[1] == pytest.approx(0.5, rel=1e-12)
         assert cnd0_max(2.0, 10.0)[1] == pytest.approx(2.0, rel=1e-12)
+        # so the peak clamped to a window is at least as high as a search over
+        # that window (which can stop a few ulps short of an end where cnd0 is
+        # flat to rounding)
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            lo, hi = (float(v) for v in np.sort(10.0 ** rng.uniform(-2.0, 2.0, 2)))
+            val, arg = cnd0_max(lo, hi)
+            assert val >= cnd0(_golden_min(lambda b: -cnd0(b), lo, hi)) - 1e-15
+            assert lo <= arg <= hi and val == cnd0(arg)
+            assert cnd0_max(lo, hi) == (val, arg)
+        with pytest.raises(DomainError):
+            cnd0_max(0.0, 1.0)
+        with pytest.raises(DomainError):
+            cnd0_max(2.0, 1.0)
 
     def test_divergence_at_zero(self):
         assert cnd0(1e-6) < -100.0

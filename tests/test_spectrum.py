@@ -13,6 +13,7 @@ from rashba_contact import (ConvergenceError, DomainError, EffectiveCouplings,
                             normalization, secular_function, solve_spectrum,
                             symmetric_small_beta_eigenvalue, threshold_sigma,
                             u_nu, v_nu, xi)
+from rashba_contact.greens import _artanh_branch_array, _xi_real_array
 
 RMAP = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
 
@@ -174,9 +175,14 @@ class TestDiscrete:
         sigma = threshold_sigma(p)
         q_edge = krein_q(p, -sigma - 1.5e-10 * sigma).q_pp.real
         gm = Hermitian2(q_edge, krein_q(p, -sigma - 1.0).q_mm.real)
-        with pytest.warns(UserWarning, match="pole guard"):
+        with pytest.warns(UserWarning, match="pole guard") as direct:
             roots = discrete_eigenvalues(p, gm)
         assert [r.energy for r in roots] == pytest.approx([-2.0625], rel=1e-12)
+        # the warning points at the caller's line, also through solve_spectrum
+        with pytest.warns(UserWarning, match="pole guard") as nested:
+            solve_spectrum(p, gm)
+        for rec in (direct, nested):
+            assert {w.filename for w in rec if "pole guard" in str(w.message)} == {__file__}
 
 
 class TestEmbeddedAlpha0:
@@ -277,8 +283,13 @@ class TestLargeCouplingContext:
 
     def test_extreme_nu_warns(self):
         beta = 2.0 ** 2 / (2.0 * 1e9 ** 2)
-        with pytest.warns(UserWarning, match="extreme"):
-            large_coupling_context(SystemParams(2.0, beta))
+        p = SystemParams(2.0, beta)
+        with pytest.warns(UserWarning, match="extreme") as direct:
+            large_coupling_context(p)
+        with pytest.warns(UserWarning, match="extreme") as nested:
+            embedded_large_alpha(p, EffectiveCouplings(1.0, 0.0, 0.0))
+        for rec in (direct, nested):
+            assert {w.filename for w in rec if "extreme" in str(w.message)} == {__file__}
 
 
 class TestEmbeddedLargeAlpha:
@@ -370,6 +381,23 @@ class TestForbiddenBand:
             for s in (1, -1):
                 b_s = -(1.0 / (2.0 * x)).imag + ar.imag * (a / 2.0 + s * b / a)
                 assert (b_s < 0.0) is expect_neg
+        # the scan's array xi and artanh agree node by node with the scalar
+        # forms; nu near 1 gives Sigma = beta and no node below -beta
+        rng = np.random.default_rng(47)
+        for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4)):
+            b = float(rng.uniform(0.05, 1.0))
+            p = SystemParams(nu * math.sqrt(2.0 * b), b)
+            sigma = threshold_sigma(p)
+            delta = 1e-6 * max(1.0, sigma + b)
+            for n in (1000, 10000):
+                grid = np.linspace(-sigma + delta, b - delta, n)
+                assert np.any(grid <= -b) == (nu >= 1.2)
+                x_arr = _xi_real_array(b, grid)
+                ar_arr = _artanh_branch_array(p.alpha * x_arr)
+                x_sc = np.array([xi(p, complex(e)).value for e in grid])
+                ar_sc = np.array([artanh_branch(p.alpha * x) for x in x_sc])
+                assert np.all(np.abs(x_arr - x_sc) <= 1e-12 * np.abs(x_sc))
+                assert np.all(np.abs(ar_arr - ar_sc) <= 1e-12 * np.abs(ar_sc))
 
     def test_grid_refinement_stable(self):
         params = SystemParams(2.0, 0.5)
