@@ -13,8 +13,7 @@ from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2, KreinQ,
                         gamma_for_couplings, gamma_from_cr, krein_q,
                         normalization, phi_norm_sq, resolvent_correction,
                         secular_det)
-from .greens import (BranchNote, GreenValues, XiValue, artanh_branch,
-                     g1_origin, g2ren_origin, grad_g1_limit, green_values,
+from .greens import (artanh_branch, g1_origin, g2ren_origin, grad_g1_limit,
                      gs_ren_origin, t_of_e, xi)
 from .model import (Regime, RegimeInfo, SystemParams, ValidityReport,
                     classify_regime, series_validity, threshold_sigma)
@@ -35,22 +34,21 @@ from .spectrum import (DiscreteRoot, EmbeddedRoot, ForbiddenBandReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticEigenvalue", "AsymptoticSpectrum", "Branch", "BranchNote",
-    "ConvergenceError", "DiscreteRoot", "DomainError", "EffectiveCouplings",
-    "EmbeddedRoot", "ExtensionKind", "ForbiddenBandReport", "GreenValues",
-    "Hermitian2", "KreinQ", "LargeCouplingContext", "NormalizationData",
-    "PerturbationCoefficients", "PoleError", "QuadratureResult", "Regime",
-    "RegimeInfo", "RegimeError", "RootMethod", "SingularMatrixError",
-    "SpectrumReport", "SystemParams", "ValidityReport", "XiValue",
-    "artanh_branch", "asymptotic_eigenvalues", "classify_regime", "cnd0",
-    "cnd0_max", "discrete_eigenvalues", "e2", "e_nu", "effective_couplings",
-    "embedded_alpha0", "embedded_large_alpha", "expansion_coefficients",
-    "forbidden_band_scan", "g1_origin", "g2ren_origin", "gamma_circle_residual",
-    "gamma_for_couplings", "gamma_from_cr", "grad_g1_limit", "green_values",
-    "gs_ren_origin", "gs_ren_quadrature", "krein_q", "large_coupling_context",
-    "normalization", "phi_norm_quadrature", "phi_norm_sq", "q0",
-    "resolvent_correction", "secular_det", "secular_function",
-    "series_validity", "sigma_numeric", "solve_spectrum",
+    "AsymptoticEigenvalue", "AsymptoticSpectrum", "Branch", "ConvergenceError",
+    "DiscreteRoot", "DomainError", "EffectiveCouplings", "EmbeddedRoot",
+    "ExtensionKind", "ForbiddenBandReport", "Hermitian2", "KreinQ",
+    "LargeCouplingContext", "NormalizationData", "PerturbationCoefficients",
+    "PoleError", "QuadratureResult", "Regime", "RegimeInfo", "RegimeError",
+    "RootMethod", "SingularMatrixError", "SpectrumReport", "SystemParams",
+    "ValidityReport", "artanh_branch", "asymptotic_eigenvalues",
+    "classify_regime", "cnd0", "cnd0_max", "discrete_eigenvalues", "e2", "e_nu",
+    "effective_couplings", "embedded_alpha0", "embedded_large_alpha",
+    "expansion_coefficients", "forbidden_band_scan", "g1_origin", "g2ren_origin",
+    "gamma_circle_residual", "gamma_for_couplings", "gamma_from_cr",
+    "grad_g1_limit", "gs_ren_origin", "gs_ren_quadrature", "krein_q",
+    "large_coupling_context", "normalization", "phi_norm_quadrature",
+    "phi_norm_sq", "q0", "resolvent_correction", "secular_det",
+    "secular_function", "series_validity", "sigma_numeric", "solve_spectrum",
     "symmetric_small_beta_eigenvalue", "t_of_e", "threshold_sigma", "u_nu",
     "v_nu", "xi",
 ]

@@ -46,13 +46,15 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """Compact JSON with sorted keys and 17-significant-digit floats."""
+    """Compact JSON with sorted keys and 17-significant-digit floats; a float
+    that equals an integer keeps a decimal point, so it reads back as a float."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        text = _fmt_float(obj)
+        return text if any(c in text for c in ".en") else text + ".0"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):

@@ -16,9 +16,7 @@ and artanh on its real cut w > 1 continued from below, r - i*pi/2.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,28 +31,6 @@ INV_4SQRT2PI = 1.0 / (4.0 * math.sqrt(2.0) * math.pi)
 _POLE_GUARD = 1e-10
 # below this |alpha*xi| the artanh(alpha*xi)/alpha form switches to its series
 _SMALL_ARG = 1e-4
-
-
-class BranchNote(enum.Enum):
-    REAL_BELOW_MINUS_BETA = "RealBelowMinusBeta"
-    COMPLEX_MID_BAND = "ComplexMidBand"
-    PURE_IMAG_ABOVE_BETA = "PureImagAboveBeta"
-
-
-@dataclass(frozen=True)
-class XiValue:
-    """xi(E) together with its real-axis band tag (None off the real axis)."""
-
-    value: complex
-    branch_note: BranchNote | None
-
-
-@dataclass(frozen=True)
-class GreenValues:
-    """The two independent Green values at the origin."""
-
-    g1_origin: complex
-    g2ren_origin: complex
 
 
 def _check_spin(s: int) -> None:
@@ -91,30 +67,25 @@ def _artanh_branch_array(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _xi_real(beta: float, e: float) -> XiValue:
+def _xi_real(beta: float, e: float) -> complex:
     if beta == 0.0:
         if e >= 0.0:
             raise DomainError("xi with beta = 0 requires E < 0")
-        return XiValue(complex(1.0 / (2.0 * math.sqrt(-e))),
-                       BranchNote.REAL_BELOW_MINUS_BETA)
+        return complex(1.0 / (2.0 * math.sqrt(-e)))
     if e == 0.0:
         # mid-band formula from the 0 <= E side
-        return XiValue(cmath.exp(0.25j * math.pi) / math.sqrt(2.0 * beta),
-                       BranchNote.COMPLEX_MID_BAND)
+        return cmath.exp(0.25j * math.pi) / math.sqrt(2.0 * beta)
     if e <= -beta:
         big = -e + math.sqrt(e * e - beta * beta)
-        return XiValue(complex(1.0 / math.sqrt(2.0 * big)),
-                       BranchNote.REAL_BELOW_MINUS_BETA)
+        return complex(1.0 / math.sqrt(2.0 * big))
     if e < beta:
         # |xi| = 1/sqrt(2*beta) throughout the band; only the phase moves
         theta = math.acos(max(-1.0, min(1.0, -e / beta)))
         if e < 0.0:
             theta = -theta
-        return XiValue(cmath.exp(0.5j * theta) / math.sqrt(2.0 * beta),
-                       BranchNote.COMPLEX_MID_BAND)
+        return cmath.exp(0.5j * theta) / math.sqrt(2.0 * beta)
     big = e + math.sqrt(e * e - beta * beta)
-    return XiValue(complex(0.0, 1.0 / math.sqrt(2.0 * big)),
-                   BranchNote.PURE_IMAG_ABOVE_BETA)
+    return complex(0.0, 1.0 / math.sqrt(2.0 * big))
 
 
 def _xi_real_array(beta: float, e: np.ndarray) -> np.ndarray:
@@ -128,7 +99,7 @@ def _xi_real_array(beta: float, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def xi(params: SystemParams, z: complex) -> XiValue:
+def xi(params: SystemParams, z: complex) -> complex:
     """xi(z) = sqrt((-z/2)(1 - sqrt(1 - (beta/z)^2)))/beta, branch-corrected.
 
     Evaluated through the exact rearrangement
@@ -140,11 +111,11 @@ def xi(params: SystemParams, z: complex) -> XiValue:
         return _xi_real(params.beta, z.real)
     b = params.beta
     if b == 0.0:
-        return XiValue(1.0 / (2.0 * cmath.sqrt(-z)), None)
+        return 1.0 / (2.0 * cmath.sqrt(-z))
     if z == 0.0:
         raise DomainError("xi is undefined at z = 0 for beta > 0")
     u = cmath.sqrt(1.0 - (b / z) ** 2)
-    return XiValue(cmath.sqrt(-1.0 / (2.0 * z * (1.0 + u))), None)
+    return cmath.sqrt(-1.0 / (2.0 * z * (1.0 + u)))
 
 
 def t_of_e(params: SystemParams, e: float) -> float:
@@ -155,7 +126,7 @@ def t_of_e(params: SystemParams, e: float) -> float:
     e = float(e)
     if e < b:
         raise DomainError(f"T(E) requires E >= beta, got E = {e}")
-    return 1.0 / math.sqrt(2.0 * (e + math.sqrt(e * e - b * b)))
+    return xi(params, e).imag
 
 
 def _sqrt_minus(z: complex) -> complex:
@@ -163,28 +134,6 @@ def _sqrt_minus(z: complex) -> complex:
     if z.imag == 0.0 and z.real > 0.0:
         return complex(0.0, -math.sqrt(z.real))
     return cmath.sqrt(-z)
-
-
-def _big_branch(beta: float, z: complex) -> complex:
-    """sqrt((-z/2)(1 + sqrt(1 - (beta/z)^2))), the partner factor of beta*xi.
-
-    Their product is beta/2, so on the real axis this equals +1/(2 xi) for
-    E < beta and -1/(2 xi) for E >= beta, which is exactly the sign seam of
-    the secular equation.
-    """
-    if beta == 0.0:
-        return _sqrt_minus(z)
-    if z.imag != 0.0:
-        return cmath.sqrt((-z / 2.0) * (1.0 + cmath.sqrt(1.0 - (beta / z) ** 2)))
-    e = z.real
-    if e <= -beta:
-        return complex(math.sqrt((-e + math.sqrt(e * e - beta * beta)) / 2.0))
-    if e < beta:
-        theta = math.acos(max(-1.0, min(1.0, -e / beta)))
-        if e < 0.0:
-            theta = -theta
-        return math.sqrt(beta / 2.0) * cmath.exp(-0.5j * theta)
-    return complex(0.0, math.sqrt((e + math.sqrt(e * e - beta * beta)) / 2.0))
 
 
 def _has_pole(params: SystemParams) -> bool:
@@ -210,7 +159,7 @@ def g1_origin(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     _reject_near_pole(params, z)
-    x = xi(params, z).value
+    x = xi(params, z)
     a = params.alpha
     w = a * x
     if abs(w) < _SMALL_ARG:
@@ -222,16 +171,22 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex:
     """Renormalized second Green value at the origin.
 
     sqrt(-z)/(4 pi) - B(z)/(4 pi) + (alpha/(8 pi)) artanh(alpha xi(z)),
-    with B the partner square root of xi.  Identically zero for
-    alpha = beta = 0.
+    with B = sgn/(2 xi(z)) the partner square root of xi, sgn = -1 on real
+    E >= beta and +1 elsewhere.  At beta = 0, B = sqrt(-z), so the value is
+    identically zero for alpha = beta = 0.
     """
     z = complex(z)
     _reject_near_pole(params, z)
-    out = (_sqrt_minus(z) - _big_branch(params.beta, z)) / FOUR_PI
-    a = params.alpha
+    a, b = params.alpha, params.beta
+    if a == 0.0 and b == 0.0:
+        return 0j
+    x = xi(params, z)
+    out = 0j
+    if b != 0.0:
+        sgn = -1.0 if z.imag == 0.0 and z.real >= b else 1.0
+        out = (_sqrt_minus(z) - sgn / (2.0 * x)) / FOUR_PI
     if a != 0.0:
-        w = a * xi(params, z).value
-        out += a * artanh_branch(w) / EIGHT_PI
+        out += a * artanh_branch(a * x) / EIGHT_PI
     return out
 
 
@@ -242,11 +197,6 @@ def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex:
     if params.beta == 0.0:
         return g2
     return g2 - s * params.beta * g1_origin(params, z)
-
-
-def green_values(params: SystemParams, z: complex) -> GreenValues:
-    return GreenValues(g1_origin=g1_origin(params, z),
-                       g2ren_origin=g2ren_origin(params, z))
 
 
 def grad_g1_limit(direction) -> tuple[float, float]:

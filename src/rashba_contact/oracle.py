@@ -20,6 +20,7 @@ from .errors import ConvergenceError, DomainError
 from .extension import normalization
 from .greens import _check_spin
 from .model import SystemParams, threshold_sigma
+from .spectrum import _golden_min
 
 _THETA_MAX = math.pi / 2.0
 # (2 pi)^-3 * (azimuthal 2 pi) * (p_z reflection symmetry factor 2)
@@ -176,30 +177,13 @@ def sigma_numeric(params: SystemParams) -> float:
     """Band-edge Sigma from the dispersion itself.
 
     Minimizes the lower branch q^2 - sqrt(alpha^2 q^2 + beta^2) over the
-    in-plane momentum q >= 0 by golden-section search and returns the negated
-    minimum.  The branch is unimodal in q, so the search is exact up to the
-    bracket tolerance.
+    in-plane momentum q >= 0 by the golden-section search of ``spectrum`` and
+    returns the negated minimum.  The branch is unimodal in q, so the search
+    is exact up to the bracket tolerance.
     """
     a, b = params.alpha, params.beta
 
     def f(q: float) -> float:
         return q * q - math.sqrt(a * a * q * q + b * b)
 
-    lo, hi = 0.0, max(1.0, a) + math.sqrt(b) + 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(300):
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    q = 0.5 * (lo + hi)
-    return -min(f(q), f(0.0))
+    return -f(_golden_min(f, 0.0, max(1.0, a) + math.sqrt(b) + 1.0))

@@ -126,7 +126,7 @@ def q0(beta: float, omega1_s: float, s: int, e0: float) -> float:
     e0 = float(e0)
     if e0 > -beta:
         raise DomainError(f"q0 requires E0 <= -beta so that xi is real, got {e0}")
-    x = xi(SystemParams(0.0, beta), complex(e0)).value.real
+    x = xi(SystemParams(0.0, beta), complex(e0)).real
     return omega1_s - x * (0.5 - s * beta * x * x / 3.0)
 
 

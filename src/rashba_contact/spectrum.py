@@ -89,28 +89,35 @@ class SpectrumReport:
         }
 
 
+def _channel_factors(params: SystemParams, x, sgn: float, omega_plus: float,
+                     omega_minus: float):
+    """The channel factors (c_+, c_-) at xi = x, a scalar or a numpy array.
+
+    c_s = omega_s + sgn/(2 x) - (alpha/2 - s*beta/alpha) artanh(alpha*x), and
+    at alpha = 0 the artanh term is replaced by its limit -s*beta*x; sgn is
+    the sign of the partner root 1/(2 xi), -1 on real E >= beta.
+    """
+    a, b = params.alpha, params.beta
+    inv = sgn / (2.0 * x)
+    if a == 0.0:
+        tail_p, tail_m = -b * x, b * x
+    else:
+        ar = _artanh_branch_array(a * x) if isinstance(x, np.ndarray) else artanh_branch(a * x)
+        tail_p, tail_m = (a / 2.0 - b / a) * ar, (a / 2.0 + b / a) * ar
+    return omega_plus + inv - tail_p, omega_minus + inv - tail_m
+
+
 def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) -> complex:
     """gamma minus the product of the two channel factors at real energy E.
 
-    Channel factor: omega_s +- 1/(2 xi(E)) - (alpha/2 - s*beta/alpha) *
-    artanh(alpha*xi(E)), upper sign for E < beta, lower for E >= beta; at
-    alpha = 0 the artanh term is replaced by its limit -s*beta*xi(E).
     Zeros coincide with those of det(Gamma - Q(E)).
     """
-    a, b = params.alpha, params.beta
     e = float(e)
     _reject_near_pole(params, complex(e))
-    x = xi(params, complex(e)).value
-    sgn = 1.0 if e < b else -1.0
-    ar = artanh_branch(a * x) if a != 0.0 else 0j
-    prod = complex(1.0)
-    for s in (1, -1):
-        if a == 0.0:
-            tail = -s * b * x
-        else:
-            tail = (a / 2.0 - s * b / a) * ar
-        prod *= eff.omega(s) + sgn / (2.0 * x) - tail
-    return eff.gamma - prod
+    sgn = 1.0 if e < params.beta else -1.0
+    cp, cm = _channel_factors(params, xi(params, complex(e)), sgn,
+                              eff.omega_plus, eff.omega_minus)
+    return eff.gamma - cp * cm
 
 
 def _warn(message: str) -> None:
@@ -151,7 +158,11 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
 
 
 def _golden_min(g, lo: float, hi: float, iters: int = 100) -> float:
-    """Fixed-iteration golden-section minimizer of g on [lo, hi]."""
+    """Fixed-iteration golden-section minimizer of g on [lo, hi].
+
+    An end where g is no worse than at the final interior point is returned
+    itself: where g is flat to rounding the search can stop short of it.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -168,7 +179,7 @@ def _golden_min(g, lo: float, hi: float, iters: int = 100) -> float:
             gd = g(d)
         if b - a <= abs(0.5 * (a + b)) * 1e-16:
             break
-    return 0.5 * (a + b)
+    return min((lo, hi, 0.5 * (a + b)), key=g)
 
 
 def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
@@ -375,9 +386,7 @@ def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
     xs = []
     if abs(wm) <= 1e-14 * wscale and abs(acoef) <= 1e-14 * wscale * n2:
         hi = nu if ctx.x_nu_2 is None else ctx.x_nu_2
-        xp = _golden_min(gamma_gap, x1, hi)
-        if gamma_gap(hi) <= gamma_gap(xp):
-            xp = hi                      # V_nu still rises at nu
+        xp = _golden_min(gamma_gap, x1, hi)     # hi when V_nu still rises at nu
         slack = _LEVEL_ROUNDING * g
         if gamma_gap(xp) <= slack:
             # the gap falls from g - wp*wm >= 0 at x_{nu,1} to the peak and
@@ -404,20 +413,13 @@ def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarra
     """The gamma value the two-channel phase constraint would force at each
     energy of ``e`` in (-Sigma, beta), in one numpy pass.
 
-    Built from the in-band decomposition into a_s (real parts) and b_s
-    (imaginary parts) of the channel factors; both b_s share a sign inside
+    With channel factors c_+ at omega_+ and c_- at omega_- = 0, the result is
+    -(Im c_- / Im c_+)(Re c_+^2 + Im c_-^2).  Both Im c_s share a sign inside
     (-Sigma, beta), so the result is strictly negative there.  The constraint
-    fixes a_-, so omega_- drops out.
+    fixes Re c_-, so omega_- drops out.
     """
-    a, b = params.alpha, params.beta
-    x = _xi_real_array(b, e)
-    inv2 = 1.0 / (2.0 * x)
-    ar = _artanh_branch_array(a * x)
-    r, t = ar.real, ar.imag
-    ap = wp + inv2.real - r * (a / 2.0 - b / a)
-    bp = -inv2.imag + t * (a / 2.0 + b / a)
-    bm = -inv2.imag + t * (a / 2.0 - b / a)
-    return -(bp / bm) * (ap * ap + bp * bp)
+    cp, cm = _channel_factors(params, _xi_real_array(params.beta, e), 1.0, wp, 0.0)
+    return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
 
 
 def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from rashba_contact.cli import main
+from rashba_contact.cli import dumps, main
 
 
 def run(capsys, *argv):
@@ -202,6 +202,20 @@ class TestExpand:
         assert root["e2"] is None and '"e2":null' in out
         assert root["energy"] == root["e0"]
         assert root["branch"] == "DiagonalMinus"
+
+    def test_integer_valued_float_stays_float(self, capsys, tmp_path):
+        # a diagonal coupling has gamma0 = 0 exactly
+        gf = tmp_path / "g.json"
+        gf.write_text('{"pp": 2.517487708723827, "mm": 0.617955373612119, '
+                      '"pm_re": 0.0, "pm_im": 0.0}')
+        code, out, _ = run(capsys, "expand", "--alpha", "0.3", "--beta", "0.5",
+                           "--gamma-file", str(gf))
+        assert code == 0
+        gamma0 = json.loads(out)["coefficients"]["gamma0"]
+        assert isinstance(gamma0, float) and gamma0 == 0.0
+        assert '"gamma0":0.0' in out
+        assert ([dumps(v) for v in (0.0, -2.0, 1e20, 3, 0.5)]
+                == ["0.0", "-2.0", "1e+20", "3", "0.5"])
 
     def test_regime_gate(self, capsys, tmp_path):
         gf = tmp_path / "g.json"

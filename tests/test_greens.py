@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from rashba_contact import (BranchNote, DomainError, PoleError, SystemParams,
-                            artanh_branch, g1_origin, g2ren_origin,
-                            grad_g1_limit, green_values, gs_ren_origin,
-                            normalization, t_of_e, threshold_sigma, xi)
-from rashba_contact.greens import INV_4SQRT2PI, _big_branch
+from rashba_contact import (DomainError, PoleError, SystemParams, artanh_branch,
+                            g1_origin, g2ren_origin, grad_g1_limit,
+                            gs_ren_origin, normalization, t_of_e,
+                            threshold_sigma, xi)
+from rashba_contact.greens import INV_4SQRT2PI, _sqrt_minus
 
 
 class TestArtanh:
@@ -46,16 +46,16 @@ class TestArtanh:
 
 class TestXi:
     def test_beta_zero(self):
-        assert xi(SystemParams(0.0, 0.0), -1.0).value == pytest.approx(0.5, rel=1e-15)
+        assert xi(SystemParams(0.0, 0.0), -1.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_at_minus_beta(self):
         # xi(-beta) = 1/sqrt(2*beta)
         v = xi(SystemParams(0.0, 0.5), -0.5)
-        assert v.value == pytest.approx(1.0, rel=1e-14)
-        assert v.branch_note is BranchNote.REAL_BELOW_MINUS_BETA
+        assert v == pytest.approx(1.0, rel=1e-14)
+        assert v.imag == 0.0 and v.real > 0.0
 
     def test_below_band_value(self):
-        v = xi(SystemParams(0.0, 1.0), -2.0).value
+        v = xi(SystemParams(0.0, 1.0), -2.0)
         assert v == pytest.approx(math.sqrt(1.0 - math.sqrt(3.0) / 2.0), rel=1e-12)
         # algebraic cross-check (1/(2 xi) + s*beta*xi)^2 = s*beta - E
         for s in (1, -1):
@@ -67,7 +67,7 @@ class TestXi:
         for _ in range(40):
             b = rng.uniform(0.05, 1.5)
             e = -b - rng.uniform(1e-3, 8.0)
-            v = xi(SystemParams(0.0, b), e).value
+            v = xi(SystemParams(0.0, b), e)
             assert v.imag == 0.0 and v.real > 0.0
             for s in (1, -1):
                 lhs = (1.0 / (2.0 * v) + s * b * v) ** 2
@@ -76,21 +76,19 @@ class TestXi:
     def test_mid_band_signs(self):
         b = 0.5
         below = xi(SystemParams(0.0, b), -0.2)
-        assert below.branch_note is BranchNote.COMPLEX_MID_BAND
-        assert below.value.real > 0.0 and below.value.imag < 0.0
+        assert below.real > 0.0 and below.imag < 0.0
         above = xi(SystemParams(0.0, b), 0.2)
-        assert above.value.real > 0.0 and above.value.imag > 0.0
+        assert above.real > 0.0 and above.imag > 0.0
         # constant modulus 1/sqrt(2*beta) across the band
         for e in (-0.45, -0.1, 0.0, 0.3, 0.49):
-            assert abs(xi(SystemParams(0.0, b), e).value) == pytest.approx(
+            assert abs(xi(SystemParams(0.0, b), e)) == pytest.approx(
                 1.0 / math.sqrt(2.0 * b), rel=1e-13)
 
     def test_above_band(self):
         b, e = 1.0, 1.25
         v = xi(SystemParams(0.0, b), e)
-        assert v.branch_note is BranchNote.PURE_IMAG_ABOVE_BETA
-        assert v.value.real == 0.0
-        assert v.value.imag == pytest.approx(t_of_e(SystemParams(0.0, b), e), rel=1e-14)
+        assert v.real == 0.0 and v.imag > 0.0
+        assert v.imag == pytest.approx(t_of_e(SystemParams(0.0, b), e), rel=1e-14)
 
     def test_beta_zero_domain(self):
         with pytest.raises(DomainError):
@@ -101,8 +99,8 @@ class TestXi:
         for _ in range(30):
             b = rng.uniform(0.0, 1.5)
             z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 4))
-            a = xi(SystemParams(0.0, b), z).value
-            c = xi(SystemParams(0.0, b), z.conjugate()).value
+            a = xi(SystemParams(0.0, b), z)
+            c = xi(SystemParams(0.0, b), z.conjugate())
             assert c == pytest.approx(a.conjugate(), rel=1e-13)
 
     def test_product_identity(self):
@@ -116,10 +114,30 @@ class TestXi:
             u = np.sqrt(1.0 - (b / z) ** 2)
             prod = ((-z / 2.0) * (1.0 - u)) * ((-z / 2.0) * (1.0 + u))
             assert prod == pytest.approx(b * b / 4.0, rel=1e-12)
-            # package-level version: (beta*xi) * B = beta/2 off the real axis
+            # package-level version: (beta*xi) * B = beta/2 off the real axis,
+            # with B the principal partner root, which G_2^ren carries at alpha = 0
             if z.imag != 0.0:
-                lhs = b * xi(SystemParams(0.0, b), z).value * _big_branch(b, z)
-                assert lhs == pytest.approx(b / 2.0, rel=1e-12)
+                big = cmath.sqrt((-z / 2.0) * (1.0 + cmath.sqrt(1.0 - (b / z) ** 2)))
+                p = SystemParams(0.0, b)
+                assert b * xi(p, z) * big == pytest.approx(b / 2.0, rel=1e-12)
+                got = cmath.sqrt(-z) - 4.0 * math.pi * g2ren_origin(p, z)
+                assert got == pytest.approx(big, rel=1e-12)
+
+    @pytest.mark.parametrize("b", [0.5, 1.3])
+    def test_partner_root_on_the_real_axis(self, b):
+        # at alpha = 0, sqrt(-E) - 4 pi G_2^ren(0;E) is the partner root B(E):
+        # the principal sqrt((-z/2)(1 + sqrt(1 - (beta/z)^2))) at z = E -/+ i0,
+        # from below on (-beta, 0) and [beta, inf), from above on [0, beta);
+        # at the branch point E = beta the 1e-13 offset moves B by ~3e-7
+        p = SystemParams(0.0, b)
+        below = [-b - 3.0, -1.4 * b, -0.6 * b, -0.1 * b, b, 1.2 * b, 4.0 * b, 20.0 * b]
+        above = [-b - 3.0, -1.4 * b, 0.0, 0.4 * b, 0.9 * b]
+        for side, energies in ((-1e-13j, below), (1e-13j, above)):
+            for e in energies:
+                z = e + side
+                big = cmath.sqrt((-z / 2.0) * (1.0 + cmath.sqrt(1.0 - (b / z) ** 2)))
+                got = _sqrt_minus(complex(e)) - 4.0 * math.pi * g2ren_origin(p, e)
+                assert got == pytest.approx(big, rel=1e-6 if e == b else 1e-10), (e, side)
 
 
 class TestTofE:
@@ -152,7 +170,7 @@ class TestGreenValues:
         # series branch vs direct artanh on either side of the switch
         p_small = SystemParams(1e-3, 0.5)
         z = -50.0
-        x = xi(p_small, z).value
+        x = xi(p_small, z)
         direct = artanh_branch(p_small.alpha * x) / (4.0 * math.pi * p_small.alpha)
         assert g1_origin(p_small, z) == pytest.approx(direct, rel=1e-13)
 
@@ -210,12 +228,6 @@ class TestGreenValues:
         p = SystemParams(0.4, 0.5)
         v = g1_origin(p, -0.5)
         assert np.isfinite(v.real) and v.imag == 0.0
-
-    def test_green_values_bundle(self):
-        p = SystemParams(0.7, 0.3)
-        gv = green_values(p, -2.0)
-        assert gv.g1_origin == g1_origin(p, -2.0)
-        assert gv.g2ren_origin == g2ren_origin(p, -2.0)
 
 
 class TestGradLimit:

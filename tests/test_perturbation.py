@@ -205,14 +205,18 @@ class TestCnd0:
         # on a window off the peak the maximum is the end nearer to it
         assert cnd0_max(0.05, 0.5)[1] == pytest.approx(0.5, rel=1e-12)
         assert cnd0_max(2.0, 10.0)[1] == pytest.approx(2.0, rel=1e-12)
-        # so the peak clamped to a window is at least as high as a search over
-        # that window (which can stop a few ulps short of an end where cnd0 is
-        # flat to rounding)
+        # so the peak clamped to a window is what a search over that window
+        # finds: the same end off the peak, the same value up to rounding on it
         rng = np.random.default_rng(59)
+        peak = cnd0_max()[1]
         for _ in range(50):
             lo, hi = (float(v) for v in np.sort(10.0 ** rng.uniform(-2.0, 2.0, 2)))
             val, arg = cnd0_max(lo, hi)
-            assert val >= cnd0(_golden_min(lambda b: -cnd0(b), lo, hi)) - 1e-15
+            found = _golden_min(lambda b: -cnd0(b), lo, hi)
+            if lo < peak < hi:
+                assert val == pytest.approx(cnd0(found), rel=0.0, abs=1e-15)
+            else:
+                assert arg == found
             assert lo <= arg <= hi and val == cnd0(arg)
             assert cnd0_max(lo, hi) == (val, arg)
         with pytest.raises(DomainError):

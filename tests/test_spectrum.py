@@ -61,7 +61,7 @@ class TestSecularFunction:
             for s in (1, -1):
                 vals = []
                 for e in es:
-                    x = xi(p, complex(float(e))).value
+                    x = xi(p, complex(float(e)))
                     if a == 0.0:
                         tail = -s * b * x
                     else:
@@ -376,7 +376,7 @@ class TestForbiddenBand:
         a, b = 2.0, 0.5
         p = SystemParams(a, b)
         for e, expect_neg in ((-0.3, True), (-0.01, True), (0.2, False), (0.45, False)):
-            x = xi(p, complex(e)).value
+            x = xi(p, complex(e))
             ar = artanh_branch(a * x)
             for s in (1, -1):
                 b_s = -(1.0 / (2.0 * x)).imag + ar.imag * (a / 2.0 + s * b / a)
@@ -394,7 +394,7 @@ class TestForbiddenBand:
                 assert np.any(grid <= -b) == (nu >= 1.2)
                 x_arr = _xi_real_array(b, grid)
                 ar_arr = _artanh_branch_array(p.alpha * x_arr)
-                x_sc = np.array([xi(p, complex(e)).value for e in grid])
+                x_sc = np.array([xi(p, complex(e)) for e in grid])
                 ar_sc = np.array([artanh_branch(p.alpha * x) for x in x_sc])
                 assert np.all(np.abs(x_arr - x_sc) <= 1e-12 * np.abs(x_sc))
                 assert np.all(np.abs(ar_arr - ar_sc) <= 1e-12 * np.abs(ar_sc))
