@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extension import normalization
@@ -26,10 +29,40 @@ _THETA_MAX = math.pi / 2.0
 # (2 pi)^-3 * (azimuthal 2 pi) * (p_z reflection symmetry factor 2)
 _PREFACTOR = 1.0 / (2.0 * math.pi ** 2)
 _QUAD_LIMIT = 200
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+# The 21-point Gauss-Kronrod rule on [-1, 1] of QUADPACK's qk21 (Piessens et
+# al., 1983).  qk21 lists the abscissae x >= 0 in descending order; the rule
+# below is that half negated, then mirrored.  The 10-point Gauss rule uses the
+# second, fourth, ..., tenth of them.
+_XGK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                 0.0])
+_WGK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821])
+_WG = np.zeros(11)
+_WG[1:10:2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+               0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+               0.295524224714752870173892994651338)
+_X21 = np.concatenate((-_XGK, _XGK[-2::-1]))
+_WK21 = np.concatenate((_WGK, _WGK[-2::-1]))
+_WG21 = np.concatenate((_WG, _WG[-2::-1]))
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """A quadrature value with its error estimate.
+
+    ``evaluations`` counts integrand values; a complex value counts once.
+    """
     value: complex
     abs_error_estimate: float
     evaluations: int
@@ -70,73 +103,130 @@ def _phi_integrand(params: SystemParams, s: int, z: complex,
     return (abs(w - s * b) ** 2 + a * a * pperp2) / dd2
 
 
-def _iterated_quad(f2, tol: float, *, complex_valued: bool):
-    """Iterated adaptive quadrature of f2(rho, theta) * rho^2 * sin(theta)
+def _sum_by(owner, x, n: int):
+    """Sum x over the intervals of each of n integrals."""
+    total = np.bincount(owner, x.real, n)
+    return total + 1j * np.bincount(owner, x.imag, n) if np.iscomplexobj(x) else total
+
+
+def _qk21_error(fx, resk, resg, half):
+    """QUADPACK's qk21 error estimate for each row of the real array fx."""
+    resabs = np.abs(fx) @ _WK21 * half
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK21 * half
+    err = np.abs(resk - resg) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+
+
+def _qk21(f, owner, a, b):
+    """K21 value and error estimate on each interval (a[k], b[k]) of owner[k].
+
+    The error of a complex integrand is the sum of the estimates of its real
+    and imaginary parts.
+    """
+    half = 0.5 * (b - a)
+    fx = f(owner[:, None], (0.5 * (a + b))[:, None] + half[:, None] * _X21)
+    resk, resg = fx @ _WK21, fx @ _WG21
+    err = _qk21_error(fx.real, resk.real, resg.real, half)
+    if np.iscomplexobj(fx):
+        err = err + _qk21_error(fx.imag, resk.imag, resg.imag, half)
+    return resk * half, err
+
+
+def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
+    """Adaptive G10/K21 quadrature of n integrals at once.
+
+    Interval k, (a[k], b[k]), of the numpy arrays owner, a and b belongs to
+    integral owner[k].  f(owner, x) takes an (m, 1) array of owners and an
+    (m, 21) array of nodes and returns the integrand there, real or complex.
+    Each round evaluates all new intervals in one call of f.  Then, in each integral whose summed error is above
+    max(epsabs, epsrel |I|), it bisects every interval whose error per unit
+    length is above that target over the integral's length (by pigeonhole at
+    least one is), worst first, up to _QUAD_LIMIT intervals per integral.
+    Returns the values, the error estimates and the number of evaluations.
+    """
+    length = np.bincount(owner, b - a, n)
+    val, err = _qk21(f, owner, a, b)
+    evals = _X21.size * owner.size
+    while True:
+        total = _sum_by(owner, val, n)
+        errsum = np.bincount(owner, err, n)
+        target = np.maximum(epsabs, epsrel * np.abs(total))
+        density = err / (b - a)
+        cand = np.flatnonzero((errsum > target)[owner]
+                              & (density > (target / length)[owner]))
+        cand = cand[np.lexsort((-density[cand], owner[cand]))]
+        group = owner[cand]
+        rank = np.arange(group.size) - np.searchsorted(group, group)
+        split = cand[rank < _QUAD_LIMIT - np.bincount(owner, minlength=n)[group]]
+        if split.size == 0:
+            return total, errsum, evals
+        mid = 0.5 * (a[split] + b[split])
+        kids = (np.concatenate((owner[split], owner[split])),
+                np.concatenate((a[split], mid)), np.concatenate((mid, b[split])))
+        kids += _qk21(f, *kids)
+        evals += _X21.size * kids[0].size
+        keep = np.ones(owner.size, dtype=bool)
+        keep[split] = False
+        owner, a, b, val, err = (np.concatenate((old[keep], kid)) for old, kid
+                                 in zip((owner, a, b, val, err), kids))
+
+
+def _iterated_quad(f2, tol: float):
+    """Iterated adaptive quadrature of f2(rho, sin^2 theta) * rho^2 * sin(theta)
     over theta in [0, pi/2], rho in [0, inf), without the overall prefactor.
 
-    Returns (value, error_estimate, evaluations).  Inner results are cached by
-    theta so the two outer passes (real and imaginary) share work.
+    The theta integral is one adaptive integral; each of its rounds integrates
+    over rho at all of its new theta nodes as one batch.  Returns (value,
+    error_estimate, evaluations).
     """
-    from scipy import integrate        # imported here: it dominates import time
-
-    evals = [0]
     inner_eps = max(tol / 8.0, 1e-13)
-    cache: dict[float, tuple[complex, float]] = {}
-    worst_inner = [0.0]
+    outer_eps = max(tol / 4.0, 1e-13)
+    evals = 0
+    worst_inner = 0.0
 
-    def inner(theta: float) -> complex:
-        got = cache.get(theta)
-        if got is not None:
-            return got[0]
-        sin_t = math.sin(theta)
+    def inner(_, theta):
+        nonlocal evals, worst_inner
+        sin_t = np.sin(theta).ravel()
         sin2 = sin_t * sin_t
 
-        def mapped(t: float, part: int) -> float:
-            evals[0] += 1
+        def mapped(k, t):
             rho = t / (1.0 - t)
-            v = f2(rho, sin2) * rho * rho * sin_t / (1.0 - t) ** 2
-            return v.real if part == 0 else v.imag
+            return f2(rho, sin2[k]) * rho * rho * sin_t[k] / (1.0 - t) ** 2
 
-        re, er = integrate.quad(mapped, 0.0, 1.0, args=(0,), epsabs=inner_eps,
-                                epsrel=1e-10, limit=_QUAD_LIMIT)
-        if complex_valued:
-            im, ei = integrate.quad(mapped, 0.0, 1.0, args=(1,), epsabs=inner_eps,
-                                    epsrel=1e-10, limit=_QUAD_LIMIT)
-        else:
-            im, ei = 0.0, 0.0
-        val = complex(re, im)
-        err = er + ei
-        worst_inner[0] = max(worst_inner[0], err)
-        cache[theta] = (val, err)
-        return val
+        m = sin_t.size
+        val, err, n = _gk21_batch(mapped, np.arange(m), np.zeros(m), np.ones(m), m,
+                                  inner_eps, 1e-10)
+        evals += n
+        worst_inner = max(worst_inner, float(err.max()))
+        return val.reshape(theta.shape)
 
-    outer_eps = max(tol / 4.0, 1e-13)
-    vr, er = integrate.quad(lambda th: inner(th).real, 0.0, _THETA_MAX,
-                            epsabs=outer_eps, epsrel=1e-10, limit=_QUAD_LIMIT)
-    if complex_valued:
-        vi, ei = integrate.quad(lambda th: inner(th).imag, 0.0, _THETA_MAX,
-                                epsabs=outer_eps, epsrel=1e-10, limit=_QUAD_LIMIT)
-    else:
-        vi, ei = 0.0, 0.0
-    err = er + ei + _THETA_MAX * worst_inner[0]
-    return complex(vr, vi), err, evals[0]
+    val, err, _ = _gk21_batch(inner, np.zeros(1, dtype=int), np.zeros(1),
+                              np.full(1, _THETA_MAX), 1, outer_eps, 1e-10)
+    return complex(val[0]), float(err[0]) + _THETA_MAX * worst_inner, evals
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol = {tol} must be finite and positive")
 
 
 def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
                       tol: float = 1e-8) -> QuadratureResult:
     """Quadrature estimate of the renormalized channel Green value at the origin."""
     _check_spin(s)
+    _check_tol(tol)
     z = complex(z)
     _reject_on_continuum(params, z)
     if params.alpha == 0.0 and params.beta == 0.0:
         return QuadratureResult(0j, 0.0, 0)
 
-    def f2(rho: float, sin2: float) -> complex:
-        return _gs_integrand(params, s, z, rho, sin2)
-
+    f2 = partial(_gs_integrand, params, s, z)
     total_evals = 0
     for attempt_tol in (tol, tol / 20.0):
-        val, err, n = _iterated_quad(f2, attempt_tol, complex_valued=True)
+        val, err, n = _iterated_quad(f2, attempt_tol)
         total_evals += n
         val = _PREFACTOR * val
         err = _PREFACTOR * err
@@ -151,18 +241,17 @@ def phi_norm_quadrature(params: SystemParams, s: int, z: complex,
                         tol: float = 1e-6) -> QuadratureResult:
     """Quadrature estimate of the squared deficiency-element norm at energy z."""
     _check_spin(s)
+    _check_tol(tol)
     z = complex(z)
     _reject_on_continuum(params, z)
     n2 = normalization(params).n(s) ** 2
 
-    def f2(rho: float, sin2: float) -> complex:
-        return complex(_phi_integrand(params, s, z, rho, sin2))
-
+    f2 = partial(_phi_integrand, params, s, z)
     total_evals = 0
     # the N^2 prefactor scales the raw tolerance target
     raw_tol_base = tol / (n2 * _PREFACTOR)
     for attempt_tol in (raw_tol_base, raw_tol_base / 20.0):
-        val, err, n = _iterated_quad(f2, attempt_tol, complex_valued=False)
+        val, err, n = _iterated_quad(f2, attempt_tol)
         total_evals += n
         value = n2 * _PREFACTOR * val.real
         error = n2 * _PREFACTOR * err

@@ -1,3 +1,5 @@
+import cmath
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from rashba_contact import (DomainError, SystemParams, gs_ren_origin,
                             phi_norm_quadrature, phi_norm_sq, sigma_numeric,
                             threshold_sigma)
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI, _sqrt_minus
-from rashba_contact.oracle import _gs_integrand
+from rashba_contact.oracle import _WG21, _WK21, _X21, _gk21_batch, _gs_integrand
 
 
 class TestIntegrand:
@@ -28,6 +30,42 @@ class TestIntegrand:
         p = SystemParams(0.0, 0.0)
         for rho in (0.3, 2.0, 50.0):
             assert _gs_integrand(p, 1, complex(-1.0), rho, 0.7) == 0
+
+
+class TestGK21:
+    def test_weights_sum_to_two(self):
+        assert _WK21.sum() == pytest.approx(2.0, abs=1e-15)
+        assert _WG21.sum() == pytest.approx(2.0, abs=1e-15)
+
+    def test_exact_degrees_on_one_interval(self):
+        assert _WG21 @ _X21 ** 18 == pytest.approx(2.0 / 19.0, rel=1e-14)
+        assert _WK21 @ _X21 ** 30 == pytest.approx(2.0 / 31.0, rel=1e-14)
+        val, err, evals = _gk21_batch(lambda k, x: x ** 30, np.zeros(1, dtype=int),
+                                      -np.ones(1), np.ones(1), 1, 1.0, 0.0)
+        assert evals == 21
+        assert val[0] == pytest.approx(2.0 / 31.0, rel=1e-14) and err[0] <= 1.0
+
+    def test_each_integral_of_a_batch_adapts_on_its_own(self):
+        eps = 1e-3
+        evals = np.zeros(2, dtype=int)
+
+        def f(k, x):
+            evals[:] += np.bincount(k.ravel(), minlength=2) * x.shape[1]
+            return np.where(k == 0, np.cos(x), 1j / ((x - 0.3) ** 2 + eps * eps))
+
+        val, err, total = _gk21_batch(f, np.arange(2), np.zeros(2), np.ones(2), 2,
+                                      1e-12, 1e-10)
+        exact = (math.sin(1.0), 1j * (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps)
+        for v, e, ref in zip(val, err, exact):
+            assert abs(v - ref) <= e <= max(1e-12, 1e-10 * abs(v))
+        assert evals[0] == 21 and total == evals.sum()
+
+    def test_unreachable_target_stops_at_interval_cap(self):
+        val, err, evals = _gk21_batch(lambda k, x: (x > 1.0 / 3.0) * 1.0,
+                                      np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
+                                      1, 1e-16, 0.0)
+        assert evals == 21 * (2 * 200 - 1)
+        assert err[0] > 1e-16 and abs(val[0] - 2.0 / 3.0) <= err[0]
 
 
 class TestGreenQuadrature:
@@ -62,6 +100,25 @@ class TestGreenQuadrature:
         d1 = abs(gs_ren_quadrature(p, 1, -2.0, tol=1e-6).value - ref)
         d2 = abs(gs_ren_quadrature(p, 1, -2.0, tol=5e-7).value - ref)
         assert d2 <= d1 + 1e-13 * (1.0 + abs(ref))
+
+    def test_error_estimate_holds_near_the_real_axis(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            p = SystemParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 1.0)))
+            arg = float(rng.uniform(0.02, 0.3)) * (1 if rng.uniform() < 0.5 else -1)
+            if rng.uniform() < 0.5:
+                arg = math.copysign(math.pi, arg) - arg
+            z = cmath.rect(float(rng.uniform(0.2, 3.0)), arg)
+            for s in (1, -1):
+                res = gs_ren_quadrature(p, s, z, tol=1e-7)
+                assert abs(res.value - gs_ren_origin(p, s, z)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        p = SystemParams(1.0, 0.5)
+        for quad in (gs_ren_quadrature, phi_norm_quadrature):
+            with pytest.raises(DomainError):
+                quad(p, 1, -1.0 + 1j, tol=tol)
 
     def test_continuum_rejected(self):
         p = SystemParams(2.0, 0.5)
@@ -135,12 +192,16 @@ class TestPhiNormQuadrature:
 
 
 def test_import_leaves_scipy_integrate_out():
-    # scipy.integrate is imported by the first quadrature, not by the package
+    # neither the package nor its quadratures load any part of scipy
     import rashba_contact
     src = str(Path(rashba_contact.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, rashba_contact; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, rashba_contact as rc\n"
+            "p = rc.SystemParams(1.0, 0.5)\n"
+            "rc.gs_ren_quadrature(p, 1, -1.0 + 1j)\n"
+            "rc.phi_norm_quadrature(p, 1, -1.0 + 1j)\n"
+            "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
