@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import verify as _verify
 from .errors import ConvergenceError, DomainError, SingularMatrixError
@@ -29,14 +31,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    params: SystemParams
-    coupling: Hermitian2 | ExtensionKind | None
-    output: str
-    out_path: str | None
 
 
 # ------------------------------------------------------- deterministic output
@@ -90,11 +84,12 @@ def _report_csv(report: SpectrumReport) -> str:
 
 # ------------------------------------------------------------ argument wiring
 
-def _add_params(p: argparse.ArgumentParser) -> None:
+def _add_params(p: argparse.ArgumentParser, beta: float | None = None) -> None:
     p.add_argument("--alpha", type=float, required=True,
                    help="spin-orbit-coupling strength (>= 0)")
-    p.add_argument("--beta", type=float, required=True,
-                   help="Zeeman field strength (>= 0)")
+    p.add_argument("--beta", type=float, required=beta is None, default=beta,
+                   help="Zeeman field strength (>= 0)" if beta is None else
+                   f"Zeeman field strength (default {beta:g}, a stand-in for 0)")
 
 
 def tolerance(text: str) -> float:
@@ -104,106 +99,88 @@ def tolerance(text: str) -> float:
     return tol
 
 
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=tolerance, default=1e-10,
                    help="solver tolerance in [1e-14, 1e-2] (default 1e-10)")
 
 
-def _add_coupling(p: argparse.ArgumentParser, *, allow_extensions: bool) -> None:
-    p.add_argument("--gamma-file", type=str, default=None,
+def _add_coupling(p: argparse.ArgumentParser, *, required: bool,
+                  extensions: bool = False) -> None:
+    """One exclusive group of coupling flags; --r goes only beside --c."""
+    g = p.add_mutually_exclusive_group(required=required)
+    g.add_argument("--gamma-file", type=str, default=None,
                    help='coupling matrix JSON {"pp","mm","pm_re","pm_im"}')
-    p.add_argument("--c", type=float, default=None,
-                   help="scalar contact strength, C = c*I")
-    p.add_argument("--r", type=float, default=None,
-                   help="scalar admissible matrix, R = r*I")
-    if allow_extensions:
-        p.add_argument("--trivial", action="store_true",
-                       help="the uncoupled operator (C = 0)")
-        p.add_argument("--friedrichs", action="store_true",
+    g.add_argument("--c", type=float, default=None,
+                   help="scalar contact strength, C = c*I (with --r)")
+    if extensions:
+        g.add_argument("--trivial", dest="extension", action="store_const",
+                       const=ExtensionKind.TRIVIAL, help="the uncoupled operator (C = 0)")
+        g.add_argument("--friedrichs", dest="extension", action="store_const",
+                       const=ExtensionKind.FRIEDRICHS,
                        help="the Friedrichs extension (C^{-1} = 0)")
+    p.add_argument("--r", type=float, default=None,
+                   help="scalar admissible matrix, R = r*I (only with --c)")
 
 
-def _parse_coupling(parser, args, *, required: bool):
-    variants = 0
-    coupling = None
-    if args.gamma_file is not None:
-        variants += 1
-        try:
-            data = json.loads(Path(args.gamma_file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            parser.error(f"cannot read --gamma-file: {exc}")
-        coupling = Hermitian2.from_json_dict(data)
-    if args.c is not None:
-        variants += 1
-        if args.r is None:
-            parser.error("--c requires --r (the admissible scalar)")
-        coupling = gamma_from_cr(Hermitian2.scalar(args.c), Hermitian2.scalar(args.r))
-    elif args.r is not None and args.gamma_file is None and not getattr(args, "trivial", False) \
-            and not getattr(args, "friedrichs", False):
-        parser.error("--r requires --c")
-    if getattr(args, "trivial", False):
-        variants += 1
-        coupling = ExtensionKind.TRIVIAL
-    if getattr(args, "friedrichs", False):
-        variants += 1
-        coupling = ExtensionKind.FRIEDRICHS
-    if variants > 1:
-        parser.error("give exactly one coupling: --gamma-file, --c with --r, "
-                     "--trivial, or --friedrichs")
-    if required and variants == 0:
-        parser.error("a coupling is required: --gamma-file, --c with --r, "
-                     "--trivial, or --friedrichs")
-    return coupling
-
-
-def _config(parser, args, *, coupling_required: bool) -> RunConfig:
+def _params(parser, alpha: float, beta: float) -> SystemParams:
     try:
-        params = SystemParams(args.alpha, args.beta)
+        return SystemParams(alpha, beta)
     except DomainError as exc:
         parser.error(str(exc))
-    coupling = _parse_coupling(parser, args, required=coupling_required)
-    return RunConfig(params=params, coupling=coupling,
-                     output=getattr(args, "format", "json"),
-                     out_path=getattr(args, "out", None))
+
+
+def _coupling(parser, args) -> Hermitian2 | ExtensionKind | None:
+    """The coupling named on the command line; None when none was given."""
+    if (args.c is None) != (args.r is None):
+        parser.error("--c and --r go together (C = c*I, R = r*I)")
+    if args.c is not None:
+        return gamma_from_cr(Hermitian2.scalar(args.c), Hermitian2.scalar(args.r))
+    if args.gamma_file is not None:
+        try:
+            data = json.loads(Path(args.gamma_file).read_text(encoding="utf-8"))
+            return Hermitian2.from_json_dict(data)
+        except (OSError, ValueError, TypeError, DomainError) as exc:
+            parser.error(f"cannot read --gamma-file: {exc}")
+    return getattr(args, "extension", None)
 
 
 # ----------------------------------------------------------------- commands
 
 def cmd_qfunc(parser, args) -> int:
-    cfg = _config(parser, args, coupling_required=False)
+    params = _params(parser, args.alpha, args.beta)
+    coupling = _coupling(parser, args)
     z = complex(args.z_re, args.z_im)
-    q = krein_q(cfg.params, z)
+    q = krein_q(params, z)
     out = {"z_re": z.real, "z_im": z.imag,
            "q_pp_re": q.q_pp.real, "q_pp_im": q.q_pp.imag,
            "q_mm_re": q.q_mm.real, "q_mm_im": q.q_mm.imag}
-    if isinstance(cfg.coupling, Hermitian2):
-        det = secular_det(cfg.params, cfg.coupling, z)
-        out["det_re"] = det.real
-        out["det_im"] = det.imag
-    _emit(dumps(out), cfg.out_path)
+    if coupling is not None:
+        det = secular_det(params, coupling, z)
+        out.update(det_re=det.real, det_im=det.imag)
+    _emit(dumps(out), args.out)
     return EXIT_OK
 
 
 def cmd_solve(parser, args) -> int:
-    cfg = _config(parser, args, coupling_required=True)
-    report = solve_spectrum(cfg.params, cfg.coupling, tol=args.tol, e_min=args.e_min)
-    if cfg.output == "csv":
-        _emit(_report_csv(report), cfg.out_path)
-    else:
-        _emit(dumps(report.to_json_dict()), cfg.out_path)
+    params = _params(parser, args.alpha, args.beta)
+    report = solve_spectrum(params, _coupling(parser, args), tol=args.tol,
+                            e_min=args.e_min)
+    _emit(_report_csv(report) if args.format == "csv" else dumps(report.to_json_dict()),
+          args.out)
     return EXIT_OK
 
 
 def cmd_sweep(parser, args) -> int:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
-    beta = args.beta if args.beta is not None else args.beta_epsilon
-    try:
-        params = SystemParams(args.alpha, beta)
-    except DomainError as exc:
-        parser.error(str(exc))
-
-    import numpy as np
+    params = _params(parser, args.alpha, args.beta)
     if args.log:
         if args.c_from * args.c_to <= 0.0:
             parser.error("--log requires c-from and c-to nonzero with equal signs")
@@ -236,42 +213,29 @@ def cmd_sweep(parser, args) -> int:
 
 
 def cmd_expand(parser, args) -> int:
-    cfg = _config(parser, args, coupling_required=True)
-    if not isinstance(cfg.coupling, Hermitian2):
-        parser.error("expand requires a finite coupling matrix")
-    asym = asymptotic_eigenvalues(cfg.params, cfg.coupling)   # RegimeError -> exit 2
-    co = expansion_coefficients(cfg.params.beta, cfg.coupling)
-    roots = []
-    for entry in asym.entries:
-        e2v = list(entry.e2) if isinstance(entry.e2, tuple) else entry.e2
-        pred = entry.predicted_energy(cfg.params.alpha)
-        roots.append({"e0": entry.e0, "e2": e2v, "branch": entry.branch.value,
-                      "energy": list(pred) if isinstance(pred, tuple) else pred})
-    out = {
-        "coefficients": {
-            "n0_plus": co.n0[0], "n0_minus": co.n0[1],
-            "n1_plus": co.n1[0], "n1_minus": co.n1[1],
-            "l0_plus": co.l0[0], "l0_minus": co.l0[1],
-            "l1_plus": co.l1[0], "l1_minus": co.l1[1],
-            "eta_pp": co.eta[0], "eta_mm": co.eta[1], "eta_pm": co.eta[2],
-            "omega0_plus": co.omega0[0], "omega0_minus": co.omega0[1],
-            "omega1_plus": co.omega1[0], "omega1_minus": co.omega1[1],
-            "gamma0": co.gamma0,
-        },
-        "roots": roots,
-        "gamma_circle_residual": asym.gamma_circle_residual,
-        "threshold_persists": asym.threshold_persists,
-    }
-    _emit(dumps(out), cfg.out_path)
+    params = _params(parser, args.alpha, args.beta)
+    coupling = _coupling(parser, args)
+    asym = asymptotic_eigenvalues(params, coupling)   # RegimeError -> exit 2
+    co = expansion_coefficients(params.beta, coupling)
+    # dumps writes the tuples of a twofold root as JSON lists
+    roots = [{"e0": r.e0, "e2": r.e2, "branch": r.branch.value,
+              "energy": r.predicted_energy(params.alpha)} for r in asym.entries]
+    coefficients = {"gamma0": co.gamma0,
+                    **dict(zip(("eta_pp", "eta_mm", "eta_pm"), co.eta))}
+    for name in ("n0", "n1", "l0", "l1", "omega0", "omega1"):
+        coefficients[f"{name}_plus"], coefficients[f"{name}_minus"] = getattr(co, name)
+    out = {"coefficients": coefficients, "roots": roots,
+           "gamma_circle_residual": asym.gamma_circle_residual,
+           "threshold_persists": asym.threshold_persists}
+    _emit(dumps(out), args.out)
     return EXIT_OK
 
 
 def cmd_verify(parser, args) -> int:
     results = _verify.run_suite(args.suite)
-    failures = 0
+    failures = sum(not r.passed for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        failures += 0 if r.passed else 1
         line = (f"{status} {r.name}: measured={r.measured:.10g} "
                 f"expected={r.expected:.10g} tol={r.tol:.3g}")
         if r.detail:
@@ -292,29 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qfunc", help="evaluate the Q-matrix at one energy")
     _add_params(q)
-    q.add_argument("--z-re", type=float, required=True)
-    q.add_argument("--z-im", type=float, default=0.0)
-    _add_coupling(q, allow_extensions=False)
-    q.add_argument("--out", type=str, default=None)
+    q.add_argument("--z-re", type=finite, required=True)
+    q.add_argument("--z-im", type=finite, default=0.0)
+    _add_coupling(q, required=False)
     q.set_defaults(func=cmd_qfunc)
 
     s = sub.add_parser("solve", help="classified point spectrum for one coupling")
     _add_params(s)
     _add_tol(s)
-    _add_coupling(s, allow_extensions=True)
-    s.add_argument("--e-min", type=float, default=None,
+    _add_coupling(s, required=True, extensions=True)
+    s.add_argument("--e-min", type=finite, default=None,
                    help="lower end of the discrete search window")
     s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.add_argument("--out", type=str, default=None)
     s.set_defaults(func=cmd_solve)
 
     w = sub.add_parser("sweep", help="eigenvalues against the scalar contact "
                                      "strength c with C = c*I, R = r*I")
-    w.add_argument("--alpha", type=float, required=True)
-    w.add_argument("--beta", type=float, default=None,
-                   help="Zeeman strength; omit to use --beta-epsilon")
-    w.add_argument("--beta-epsilon", type=float, default=1e-6,
-                   help="stand-in for 'beta arbitrarily close to 0' (default 1e-6)")
+    _add_params(w, beta=1e-6)
     _add_tol(w)
     w.add_argument("--r", type=float, required=True)
     w.add_argument("--c-from", type=float, required=True)
@@ -323,14 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--log", action="store_true", help="logarithmic c grid")
     w.add_argument("--allow-free", action="store_true",
                    help="emit an empty row at c = 0 instead of failing")
-    w.add_argument("--out", type=str, default=None)
-    w.set_defaults(func=cmd_sweep, gamma_file=None, c=None)
+    w.set_defaults(func=cmd_sweep)
 
     e = sub.add_parser("expand", help="small-coupling expansion data")
     _add_params(e)
-    _add_coupling(e, allow_extensions=False)
-    e.add_argument("--out", type=str, default=None)
+    _add_coupling(e, required=True)
     e.set_defaults(func=cmd_expand)
+
+    for p in (q, s, w, e):
+        p.add_argument("--out", type=str, default=None, help="write to this file")
 
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("--suite", choices=_verify.SUITES, default="all")

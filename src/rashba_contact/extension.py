@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .greens import (FOUR_PI, INV_4SQRT2PI, _check_spin, _reject_near_pole,
-                     _sqrt_minus, gs_ren_origin)
+                     _sqrt_minus, gs_ren_origin, xi)
 from .model import SystemParams, threshold_sigma
 
 
@@ -96,9 +96,6 @@ class EffectiveCouplings:
     omega_plus: float
     omega_minus: float
     gamma: float
-
-    def omega(self, s: int) -> float:
-        return self.omega_plus if s == 1 else self.omega_minus
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,9 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     """Squared norm of the deficiency element of channel s at energy z.
 
     Im z != 0: N_s^2 Im(G_s^ren(0;z) - sqrt(-z)/(4 pi)) / Im z, which equals
-    Im Q_ss(z)/Im z.  Real z < -Sigma: the explicit algebraic boundary form.
+    Im Q_ss(z)/Im z.  Real E < -Sigma: its limit dQ_ss/dE, the derivative of
+    the channel factor -1/(8 pi x) + (alpha^2 - 2 s beta) artanh(alpha x)/(8 pi alpha)
+    at x = xi(E) with dx/dE = x/(2 w), w = sqrt(E^2 - beta^2).
     """
     _check_spin(s)
     z = complex(z)
@@ -259,11 +258,8 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     if e >= -sigma:
         raise DomainError(
             f"closed-form norm requires real z < -Sigma = {-sigma} (or Im z != 0)")
-    if b == 0.0:
-        return n2 * math.sqrt(-2.0 * e) / (8.0 * math.sqrt(2.0) * math.pi * (-e))
+    _reject_near_pole(params, z)
+    x = xi(params, z).real
     w = math.sqrt(e * e - b * b)
-    big = -e + w
-    small = b * b / big          # equals -e - w without cancellation
-    denom = 2.0 * b * b - a * a * small   # 2 b^2 + a^2 (e + w)
-    return n2 / (8.0 * math.sqrt(2.0) * math.pi * w) * (
-        math.sqrt(big) + b * (a * a - 2.0 * s * b) * math.sqrt(small) / denom)
+    return n2 / (16.0 * math.pi * w) * (
+        1.0 / x + (a * a - 2.0 * s * b) * x / (1.0 - a * a * x * x))

@@ -72,9 +72,6 @@ def _xi_real(beta: float, e: float) -> complex:
         if e >= 0.0:
             raise DomainError("xi with beta = 0 requires E < 0")
         return complex(1.0 / (2.0 * math.sqrt(-e)))
-    if e == 0.0:
-        # mid-band formula from the 0 <= E side
-        return cmath.exp(0.25j * math.pi) / math.sqrt(2.0 * beta)
     if e <= -beta:
         big = -e + math.sqrt(e * e - beta * beta)
         return complex(1.0 / math.sqrt(2.0 * big))

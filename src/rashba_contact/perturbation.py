@@ -36,12 +36,6 @@ class PerturbationCoefficients:
     omega1: tuple[float, float]
     gamma0: float
 
-    def omega0_s(self, s: int) -> float:
-        return self.omega0[0] if s == 1 else self.omega0[1]
-
-    def omega1_s(self, s: int) -> float:
-        return self.omega1[0] if s == 1 else self.omega1[1]
-
 
 class Branch(enum.Enum):
     GENERIC_GAMMA = "GenericGamma"

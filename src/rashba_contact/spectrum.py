@@ -26,6 +26,8 @@ from .model import (Regime, RegimeInfo, SystemParams, classify_regime,
 
 _GRID_NODES = 2048
 _NU_WARN = 1e8
+# golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
+_GOLDEN_ITERS = 100
 _EPS = np.finfo(float).eps
 # relative slack within which a level counts as met at a bracket end
 _LEVEL_ROUNDING = 4.0 * _EPS
@@ -157,7 +159,7 @@ def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     return m
 
 
-def _golden_min(g, lo: float, hi: float, iters: int = 100) -> float:
+def _golden_min(g, lo: float, hi: float) -> float:
     """Fixed-iteration golden-section minimizer of g on [lo, hi].
 
     An end where g is no worse than at the final interior point is returned
@@ -168,7 +170,7 @@ def _golden_min(g, lo: float, hi: float, iters: int = 100) -> float:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if gc < gd:
             b, d, gd = d, c, gc
             c = b - invphi * (b - a)
@@ -208,8 +210,8 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     if e_min is None:
         wscale = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
         e_min = -max(100.0, 10.0 * (1.0 + sigma + wscale * wscale))
-    if e_min >= -sigma:
-        raise DomainError(f"e_min = {e_min} must lie below the band edge {-sigma}")
+    if not (math.isfinite(e_min) and e_min < -sigma):
+        raise DomainError(f"e_min = {e_min} must be finite and below the band edge {-sigma}")
 
     pole = _has_pole(params)
     seam = params.alpha * params.alpha == 2.0 * params.beta

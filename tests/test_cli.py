@@ -1,9 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from rashba_contact.cli import dumps, main
+from rashba_contact.cli import build_parser, dumps, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -41,6 +45,13 @@ class TestQfunc:
         with pytest.raises(SystemExit) as exc:
             main(["qfunc", "--beta", "0", "--z-re", "-2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("z", [["--z-re", "nan"], ["--z-re", "-3", "--z-im", "inf"]])
+    def test_non_finite_z_exits_2(self, capsys, z):
+        with pytest.raises(SystemExit) as exc:
+            main(["qfunc", "--alpha", "1", "--beta", "0.5", *z])
+        assert exc.value.code == 2
+        assert f"argument {z[-2]}: must be finite" in capsys.readouterr().err
 
     def test_band_point_exits_2(self, capsys):
         code, _, err = run(capsys, "qfunc", "--alpha", "0", "--beta", "0.5",
@@ -99,6 +110,39 @@ class TestSolve:
             main(["solve", "--alpha", "0", "--beta", "0", "--trivial", "--tol", "1"])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["not json", "[0.5, 0.5, 0.0, 0.0]",
+                                      '{"pp": 0.5, "mm": 0.5, "pm_re": "x", "pm_im": 0.0}'])
+    def test_malformed_gamma_file_exits_2(self, capsys, tmp_path, text):
+        gf = tmp_path / "g.json"
+        gf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "0", "--beta", "0", "--gamma-file", str(gf)])
+        assert exc.value.code == 2
+        assert "cannot read --gamma-file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coupling", [["--trivial", "--r", "0.1"],
+                                          ["--gamma-file", "g.json", "--r", "0.1"],
+                                          ["--c", "1"]])
+    def test_r_goes_only_with_c(self, capsys, coupling):
+        # --gamma-file is never read: the flags are checked first
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "0", "--beta", "0", *coupling])
+        assert exc.value.code == 2
+        assert "--c and --r" in capsys.readouterr().err
+
+    def test_one_coupling_at_a_time(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "0", "--beta", "0", "--trivial", "--friedrichs"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("e_min", [["--e-min", "nan"], ["--e-min=-inf"]])
+    def test_non_finite_e_min_exits_2(self, capsys, e_min):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "0", "--beta", "0", "--c", "1", "--r", "0", *e_min])
+        assert exc.value.code == 2
+        assert "--e-min" in capsys.readouterr().err
 
     def test_csv_round_trip(self, capsys, tmp_path):
         gf = tmp_path / "g.json"
@@ -224,6 +268,17 @@ class TestExpand:
                            "--gamma-file", str(gf))
         assert code == 2
         assert "regime" in err or "requires" in err
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        block = block.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        lines = [line for line in block.splitlines() if line.startswith("rashba-contact ")]
+        assert len(lines) >= 6
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
 
 class TestVerify:

@@ -249,7 +249,7 @@ class TestPhiNorm:
 
     def test_boundary_limit_continuity(self):
         # closed real-line form vs the Im z -> 0 limit of the complex route
-        for a, b in ((0.0, 0.5), (1.0, 0.6), (2.0, 0.5)):
+        for a, b in ((0.0, 0.5), (1.0, 0.6), (2.0, 0.5), (1.0, 0.0), (2.0, 0.0)):
             p = SystemParams(a, b)
             sigma = threshold_sigma(p)
             for off in (0.3, 1.7):

@@ -104,8 +104,9 @@ class TestDiscrete:
 
     def test_emin_validation(self):
         p = SystemParams(0.0, 0.5)
-        with pytest.raises(DomainError):
-            discrete_eigenvalues(p, Hermitian2.scalar(0.1), e_min=-0.1)
+        for e_min in (-0.1, math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                discrete_eigenvalues(p, Hermitian2.scalar(0.1), e_min=e_min)
 
     def test_theorem1_closure(self):
         rng = np.random.default_rng(31)
