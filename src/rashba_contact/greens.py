@@ -58,12 +58,25 @@ def artanh_branch(w: complex) -> complex:
 
 
 def _artanh_branch_array(w: np.ndarray) -> np.ndarray:
-    """``artanh_branch`` over a complex array whose real entries lie on the
-    cut w > 1: those take r - i*pi/2, the rest the principal value."""
-    out = 0.5 * (np.log(1.0 + w) - np.log(1.0 - w))
-    cut = w.imag == 0.0
-    x = w.real[cut]
-    out[cut] = 0.5 * np.log((x + 1.0) / (x - 1.0)) - 0.5j * np.pi
+    """``artanh_branch`` over a complex array, in real arithmetic.
+
+    With w = u + iv, Re = log1p(4|u|/((1-|u|)^2 + v^2))/4 with the sign of u
+    (artanh is odd, and |u| keeps the log1p argument nonnegative, so w near
+    -1 loses no accuracy) and Im = arctan2(2v, (1-|u|)(1+|u|) - v^2)/2.
+    Real entries (v == 0) take the scalar's imaginary parts: 0 on |u| < 1,
+    -pi/2 on the cut u > 1 and +pi/2 on u < -1, where arctan2 alone would
+    follow the sign of the zero.
+    """
+    u, v = w.real, w.imag
+    au = np.abs(u)
+    d = 1.0 - au
+    vv = v * v
+    out = np.empty(w.shape, dtype=complex)
+    out.real = np.copysign(0.25 * np.log1p(4.0 * au / (d * d + vv)), u)
+    out.imag = 0.5 * np.arctan2(2.0 * v, d * (1.0 + au) - vv)
+    cut = (v == 0.0) & (au > 1.0)
+    if cut.any():
+        out.imag[cut] = -0.5 * np.pi * np.sign(u[cut])
     return out
 
 
@@ -87,11 +100,20 @@ def _xi_real(beta: float, e: float) -> complex:
 
 def _xi_real_array(beta: float, e: np.ndarray) -> np.ndarray:
     """``_xi_real`` over an array of energies E < beta, for beta > 0: real on
-    E <= -beta, exp(i*theta/2)/sqrt(2*beta) on (-beta, beta)."""
+    E <= -beta, exp(i*theta/2)/sqrt(2*beta) on (-beta, beta).
+
+    With cos(theta) = -E/beta the half-angle forms give
+    Re xi = sqrt((1 - E/beta)/2)/sqrt(2*beta) and
+    |Im xi| = sqrt((1 + E/beta)/2)/sqrt(2*beta), negative for E < 0.
+    """
     below = e <= -beta
     eb = e[below]
-    out = np.exp(0.5j * np.where(e < 0.0, -1.0, 1.0)
-                 * np.arccos(np.clip(-e / beta, -1.0, 1.0))) / math.sqrt(2.0 * beta)
+    r = e / beta
+    scale = 1.0 / math.sqrt(2.0 * beta)
+    out = np.empty(e.shape, dtype=complex)
+    out.real = np.sqrt(0.5 * (1.0 - r)) * scale
+    # -0.0 + 0.0 is +0.0, so E = -0.0 takes the E >= 0 sign, as in _xi_real
+    out.imag = np.copysign(np.sqrt(np.maximum(0.5 * (1.0 + r), 0.0)) * scale, e + 0.0)
     out[below] = 1.0 / np.sqrt(2.0 * (-eb + np.sqrt(eb * eb - beta * beta)))
     return out
 

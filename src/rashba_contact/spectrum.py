@@ -314,7 +314,12 @@ def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
     """The x in [lo, hi] with x*arctan(x) = level, or None when there is none.
 
     x*arctan(x) strictly increases on x > 0, so the root is unique.  A level
-    within rounding of the value at an end returns that end.
+    within rounding of the value at an end returns that end.  The function
+    is also convex, so Newton's method started at hi falls monotonically to
+    the root and stays above it; an iterate that would not decrease means
+    rounding has been reached.  An iterate at or below lo can only come from
+    rounding too (f(lo) < level puts the root above lo), so the root lies
+    within rounding of lo and lo is returned, as a level met at lo would be.
     """
     f_lo, f_hi = lo * math.atan(lo), hi * math.atan(hi)
     if not f_lo * (1.0 - _LEVEL_ROUNDING) <= level <= f_hi * (1.0 + _LEVEL_ROUNDING):
@@ -323,7 +328,15 @@ def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
         return lo
     if level >= f_hi:
         return hi
-    return _bisect(lambda x: x * math.atan(x) - level, lo, hi, f_lo - level, 1e-15)
+    x = hi
+    while True:
+        t = math.atan(x)
+        nxt = x - (x * t - level) / (t + x / (1.0 + x * x))
+        if nxt <= lo:
+            return lo
+        if nxt >= x:
+            return x
+        x = nxt
 
 
 def large_coupling_context(params: SystemParams) -> LargeCouplingContext:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,51 @@ class TestLargeCouplingContext:
         ctx = large_coupling_context(SystemParams(1.6 * math.sqrt(2.0 * b), b))
         assert ctx.x_nu_2 is None     # the would-be zero 1.61471 exceeds nu = 1.6
 
+    def test_levels_match_mpmath(self):
+        # x_{nu,1} and x_{nu,2} are the roots of x arctan(x) at the float
+        # levels nu^2/(nu^2 +- 1); each is pinned to 2 ulps of a 50-digit
+        # Newton root.  x_{nu,2} is None exactly where its root exceeds nu,
+        # or where the two levels are the same float: that happens once
+        # nu^2 >= 2^53 (nu >= 9.49e7), where nu^2 +- 1 rounds back to nu^2
+        # and both levels are 1.0.  beta = 0.5 makes nu = alpha exactly.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(61)
+        seeded = np.exp(rng.uniform(math.log1p(1e-9), math.log(1e8), 80))
+        merged = np.linspace(9.0e7, 1.5e8, 13)          # 9.0e7 and 9.5e7 straddle it
+        nus = [1.0 + 1e-9, 1.6, 1.62, 9.4906265e7, 9.4906266e7, 1e8,
+               *seeded, *merged]
+
+        def newton_root(level: float) -> float:
+            lvl = mpmath.mpf(level)
+            return float(mpmath.findroot(lambda t: t * mpmath.atan(t) - lvl, lvl + 1,
+                                         solver="newton",
+                                         df=lambda t: mpmath.atan(t) + t / (1 + t * t)))
+
+        merged_seen = present_seen = absent_seen = 0
+        with mpmath.workdps(50):
+            for nu in map(float, nus):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore" if nu > 1e8 else "error", UserWarning)
+                    ctx = large_coupling_context(SystemParams(nu, 0.5))
+                assert ctx.nu == nu
+                n2 = nu * nu
+                lvl1, lvl2 = n2 / (n2 + 1.0), n2 / (n2 - 1.0)
+                r1 = newton_root(lvl1)
+                assert abs(ctx.x_nu_1 - r1) <= 2.0 * math.ulp(r1)
+                assert (lvl1 == lvl2) == (n2 >= 2.0 ** 53)
+                if lvl1 == lvl2:
+                    assert ctx.x_nu_2 is None
+                    merged_seen += 1
+                elif mpmath.mpf(nu) * mpmath.atan(nu) < lvl2:
+                    assert ctx.x_nu_2 is None
+                    absent_seen += 1
+                else:
+                    r2 = newton_root(lvl2)
+                    assert ctx.x_nu_2 is not None and r2 <= nu
+                    assert abs(ctx.x_nu_2 - r2) <= 2.0 * math.ulp(r2)
+                    present_seen += 1
+        assert merged_seen >= 10 and present_seen >= 50 and absent_seen >= 5
+
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
             large_coupling_context(SystemParams(0.1, 0.5))
@@ -383,7 +429,8 @@ class TestForbiddenBand:
                 b_s = -(1.0 / (2.0 * x)).imag + ar.imag * (a / 2.0 + s * b / a)
                 assert (b_s < 0.0) is expect_neg
         # the scan's array xi and artanh agree node by node with the scalar
-        # forms; nu near 1 gives Sigma = beta and no node below -beta
+        # forms on the same inputs; nu near 1 gives Sigma = beta and no node
+        # below -beta
         rng = np.random.default_rng(47)
         for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4)):
             b = float(rng.uniform(0.05, 1.0))
@@ -396,9 +443,39 @@ class TestForbiddenBand:
                 x_arr = _xi_real_array(b, grid)
                 ar_arr = _artanh_branch_array(p.alpha * x_arr)
                 x_sc = np.array([xi(p, complex(e)) for e in grid])
-                ar_sc = np.array([artanh_branch(p.alpha * x) for x in x_sc])
-                assert np.all(np.abs(x_arr - x_sc) <= 1e-12 * np.abs(x_sc))
-                assert np.all(np.abs(ar_arr - ar_sc) <= 1e-12 * np.abs(ar_sc))
+                ar_sc = np.array([artanh_branch(p.alpha * x) for x in x_arr])
+                assert np.all(np.abs(x_arr - x_sc) <= 1e-14 * np.abs(x_sc))
+                assert np.all(np.abs(ar_arr - ar_sc) <= 1e-14 * np.abs(ar_sc))
+        # the array artanh mirrors the scalar on every entry: all four
+        # quadrants with |w| below, above and next to 1, points next to both
+        # poles, and real entries on both cuts and between them, with +0.0
+        # and -0.0 imaginary parts (arctan2 would read the sign of -0.0)
+        rng = np.random.default_rng(59)
+        r = np.concatenate([rng.uniform(0.05, 0.95, 40), rng.uniform(1.05, 20.0, 40),
+                            1.0 + rng.uniform(-1e-6, 1e-6, 40)])
+        w = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+        poles = np.concatenate([s + 1e-7 * np.exp(1j * rng.uniform(-np.pi, np.pi, 20))
+                                for s in (1.0, -1.0)])
+        reals = np.concatenate([rng.uniform(1.0001, 30.0, 10), -rng.uniform(1.0001, 30.0, 10),
+                                rng.uniform(-0.999, 0.999, 10),
+                                [0.0, -0.0, 1.0 + 1e-12, -1.0 - 1e-12, 1.0 - 1e-12, -1.0 + 1e-12]])
+        w = np.concatenate([w, poles, [complex(x, 0.0) for x in reals],
+                            [complex(x, -0.0) for x in reals]])
+        assert {(q.real > 0, q.imag > 0) for q in w[:120]} == {(True, True), (True, False),
+                                                             (False, True), (False, False)}
+        ar_arr = _artanh_branch_array(w)
+        ar_sc = np.array([artanh_branch(q) for q in w])
+        assert np.all(np.abs(ar_arr - ar_sc) <= 1e-14 * np.abs(ar_sc))
+        real = w.imag == 0.0
+        assert np.array_equal(ar_arr.imag[real], ar_sc.imag[real])
+        assert set(ar_arr.imag[real]) == {-0.5 * np.pi, 0.0, 0.5 * np.pi}
+        # xi at the band ends and at both zeros: -0.0 takes the E >= 0 sign
+        for b in (0.05, 0.5, 1.0, 3.7):
+            e = np.array([-b, -0.0, 0.0, b - 1e-12])
+            x_arr = _xi_real_array(b, e)
+            x_sc = np.array([xi(SystemParams(2.0 * math.sqrt(b), b), complex(q)) for q in e])
+            assert np.all(np.abs(x_arr - x_sc) <= 1e-14 * np.abs(x_sc))
+            assert x_arr[0].imag == 0.0 and x_arr[1].imag > 0.0
 
     def test_grid_refinement_stable(self):
         params = SystemParams(2.0, 0.5)
