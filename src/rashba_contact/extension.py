@@ -196,14 +196,11 @@ def krein_q(params: SystemParams, z: complex, *, boundary: bool = False) -> Krei
         raise DomainError(
             f"z = {z.real} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}; "
             "pass boundary=True for the boundary value")
-    _reject_near_pole(params, z)
+    # the pole guard runs in g2ren_origin, and in g1_origin when beta != 0
     nd = normalization(params)
     sq = _sqrt_minus(z) / FOUR_PI
-    ents = {}
-    for s in (1, -1):
-        g = gs_ren_origin(params, s, z)
-        ents[s] = nd.n(s) ** 2 * (g - sq - nd.lam(s))
-    return KreinQ(q_pp=ents[1], q_mm=ents[-1])
+    return KreinQ(q_pp=nd.n_plus ** 2 * (gs_ren_origin(params, 1, z) - sq - nd.lambda_plus),
+                  q_mm=nd.n_minus ** 2 * (gs_ren_origin(params, -1, z) - sq - nd.lambda_minus))
 
 
 def secular_det(params: SystemParams, gamma_matrix: Hermitian2, z: complex,

@@ -21,14 +21,12 @@ import math
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .model import SystemParams, threshold_sigma
+from .model import SystemParams
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
 INV_4SQRT2PI = 1.0 / (4.0 * math.sqrt(2.0) * math.pi)
 
-# relative half-width of the rejected band around the artanh pole at z = -Sigma
-_POLE_GUARD = 1e-10
 # below this |alpha*xi| the artanh(alpha*xi)/alpha form switches to its series
 _SMALL_ARG = 1e-4
 
@@ -89,11 +87,11 @@ def _xi_real(beta: float, e: float) -> complex:
         big = -e + math.sqrt(e * e - beta * beta)
         return complex(1.0 / math.sqrt(2.0 * big))
     if e < beta:
-        # |xi| = 1/sqrt(2*beta) throughout the band; only the phase moves
-        theta = math.acos(max(-1.0, min(1.0, -e / beta)))
-        if e < 0.0:
-            theta = -theta
-        return cmath.exp(0.5j * theta) / math.sqrt(2.0 * beta)
+        # half-angle forms of exp(i*theta/2)/sqrt(2*beta), cos(theta) = -E/beta;
+        # beta -+ E lose no digits next to either band end
+        two_b = 2.0 * beta
+        return complex(math.sqrt(beta - e) / two_b,
+                       math.copysign(math.sqrt(beta + e) / two_b, e + 0.0))
     big = e + math.sqrt(e * e - beta * beta)
     return complex(0.0, 1.0 / math.sqrt(2.0 * big))
 
@@ -103,17 +101,16 @@ def _xi_real_array(beta: float, e: np.ndarray) -> np.ndarray:
     E <= -beta, exp(i*theta/2)/sqrt(2*beta) on (-beta, beta).
 
     With cos(theta) = -E/beta the half-angle forms give
-    Re xi = sqrt((1 - E/beta)/2)/sqrt(2*beta) and
-    |Im xi| = sqrt((1 + E/beta)/2)/sqrt(2*beta), negative for E < 0.
+    Re xi = sqrt(beta - E)/(2*beta) and |Im xi| = sqrt(beta + E)/(2*beta),
+    negative for E < 0; the same operations as the scalar, entry by entry.
     """
     below = e <= -beta
     eb = e[below]
-    r = e / beta
-    scale = 1.0 / math.sqrt(2.0 * beta)
+    two_b = 2.0 * beta
     out = np.empty(e.shape, dtype=complex)
-    out.real = np.sqrt(0.5 * (1.0 - r)) * scale
+    out.real = np.sqrt(beta - e) / two_b
     # -0.0 + 0.0 is +0.0, so E = -0.0 takes the E >= 0 sign, as in _xi_real
-    out.imag = np.copysign(np.sqrt(np.maximum(0.5 * (1.0 + r), 0.0)) * scale, e + 0.0)
+    out.imag = np.copysign(np.sqrt(np.maximum(beta + e, 0.0)) / two_b, e + 0.0)
     out[below] = 1.0 / np.sqrt(2.0 * (-eb + np.sqrt(eb * eb - beta * beta)))
     return out
 
@@ -156,18 +153,14 @@ def _sqrt_minus(z: complex) -> complex:
 
 
 def _has_pole(params: SystemParams) -> bool:
-    """artanh(alpha*xi) diverges at -Sigma: alpha*xi(-Sigma) = 1 exactly when
-    alpha > 0 and alpha^2 >= 2*beta."""
-    a = params.alpha
-    return a > 0.0 and a * a >= 2.0 * params.beta
+    """artanh(alpha*xi) diverges at -Sigma (alpha > 0, alpha^2 >= 2*beta),
+    exactly where the stored pole guard is nonzero."""
+    return params._pole_guard > 0.0
 
 
 def _reject_near_pole(params: SystemParams, z: complex) -> None:
-    if z.imag != 0.0 or not _has_pole(params):
-        return
-    sigma = threshold_sigma(params)
-    if abs(z.real + sigma) < _POLE_GUARD * max(1.0, sigma):
-        raise PoleError(f"artanh(alpha*xi) diverges at z = -Sigma = {-sigma}")
+    if z.imag == 0.0 and abs(z.real + params._sigma) < params._pole_guard:
+        raise PoleError(f"artanh(alpha*xi) diverges at z = -Sigma = {-params._sigma}")
 
 
 def g1_origin(params: SystemParams, z: complex) -> complex:

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+# relative half-width of the rejected band around the artanh pole at z = -Sigma
+_POLE_GUARD = 1e-10
+
 
 class Regime(enum.Enum):
     CASE_A = "CaseA"          # no spin-orbit coupling (alpha = 0)
@@ -24,7 +27,12 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Spin-orbit-coupling strength alpha and Zeeman field strength beta."""
+    """Spin-orbit-coupling strength alpha and Zeeman field strength beta.
+
+    The threshold Sigma and the half-width of the pole guard around -Sigma
+    (zero where artanh(alpha*xi) has no pole there) are computed once, at
+    construction, and kept as private attributes outside the dataclass fields.
+    """
 
     alpha: float
     beta: float
@@ -39,6 +47,13 @@ class SystemParams:
                 raise DomainError(f"{name} must be nonnegative, got {value!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        sigma = _threshold(alpha, beta)
+        # artanh(alpha*xi) diverges at -Sigma: alpha*xi(-Sigma) = 1 exactly
+        # when alpha > 0 and alpha^2 >= 2*beta
+        pole = alpha > 0.0 and alpha * alpha >= 2.0 * beta
+        object.__setattr__(self, "_sigma", sigma)
+        object.__setattr__(self, "_pole_guard",
+                           _POLE_GUARD * max(1.0, sigma) if pole else 0.0)
 
 
 @dataclass(frozen=True)
@@ -61,16 +76,17 @@ class ValidityReport:
     any: bool
 
 
-def threshold_sigma(params: SystemParams) -> float:
-    """Sigma such that the continuous band is [-Sigma, inf).
-
-    Both branches of the definition equal alpha^2/2 on the seam
-    beta = alpha^2/2, so Sigma is continuous there.  alpha = 0 gives beta.
-    """
-    a, b = params.alpha, params.beta
+def _threshold(a: float, b: float) -> float:
+    """Both branches of the definition equal alpha^2/2 on the seam
+    beta = alpha^2/2, so Sigma is continuous there.  alpha = 0 gives beta."""
     if a == 0.0 or b > a * a / 2.0:
         return b
     return (b / a) ** 2 + (a / 2.0) ** 2
+
+
+def threshold_sigma(params: SystemParams) -> float:
+    """Sigma such that the continuous band is [-Sigma, inf)."""
+    return params._sigma
 
 
 def classify_regime(params: SystemParams) -> RegimeInfo:

@@ -13,15 +13,16 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import (_POLE_GUARD, _artanh_branch_array, _has_pole,
-                     _reject_near_pole, _xi_real_array, artanh_branch, xi)
-from .model import (Regime, RegimeInfo, SystemParams, classify_regime,
+from .greens import (_artanh_branch_array, _has_pole, _reject_near_pole,
+                     _xi_real_array, artanh_branch, xi)
+from .model import (_POLE_GUARD, Regime, RegimeInfo, SystemParams, classify_regime,
                     series_validity, threshold_sigma)
 
 _GRID_NODES = 2048
@@ -349,24 +350,32 @@ def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
     nu^2/(nu^2-1).  x_{nu,2} is reported when nu reaches its level and it
     differs from x_{nu,1} in floating point; near nu = 1e8 the two levels
     round to the same float and x_{nu,2} becomes None.
+
+    Results are memoized per (alpha, beta); the warning for an extreme nu is
+    raised on every call.
     """
-    info = classify_regime(params)
+    ctx = _large_coupling_cached(params.alpha, params.beta)
+    if ctx.nu > _NU_WARN:
+        _warn(f"nu = {ctx.nu:.3g} is extreme; V_nu approaches its singular "
+              "nu -> inf limit")
+    return ctx
+
+
+@lru_cache(maxsize=512)
+def _large_coupling_cached(alpha: float, beta: float) -> LargeCouplingContext:
+    info = classify_regime(SystemParams(alpha, beta))
     if info.regime is not Regime.CASE_C:
         raise RegimeError(
             "large-coupling context requires sqrt(2*beta) <= alpha with beta > 0")
     nu = info.nu
-    if nu > _NU_WARN:
-        _warn(f"nu = {nu:.3g} is extreme; V_nu approaches its singular "
-              "nu -> inf limit")
-    b = params.beta
     n2 = nu * nu
     x1 = _xatan_inverse(n2 / (n2 + 1.0), 0.0, nu)
     x2 = _xatan_inverse(n2 / (n2 - 1.0), x1, nu) if n2 > 1.0 else None
     if x2 == x1:
         x2 = None
-    return LargeCouplingContext(nu=nu, x_nu_1=x1, e_nu_1=e_nu(b, nu, x1),
+    return LargeCouplingContext(nu=nu, x_nu_1=x1, e_nu_1=e_nu(beta, nu, x1),
                                 x_nu_2=x2,
-                                e_nu_2=e_nu(b, nu, x2) if x2 is not None else None)
+                                e_nu_2=e_nu(beta, nu, x2) if x2 is not None else None)
 
 
 def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rashba_contact import (DomainError, ExtensionKind, Hermitian2,
-                            SingularMatrixError, SystemParams,
-                            effective_couplings, gamma_for_couplings,
-                            gamma_from_cr, gs_ren_origin, krein_q,
-                            normalization, phi_norm_sq, resolvent_correction,
-                            secular_det, threshold_sigma)
+from rashba_contact import (DomainError, EffectiveCouplings, ExtensionKind,
+                            Hermitian2, PoleError, SingularMatrixError,
+                            SystemParams, effective_couplings, g1_origin,
+                            g2ren_origin, gamma_for_couplings, gamma_from_cr,
+                            gs_ren_origin, krein_q, normalization,
+                            phi_norm_sq, resolvent_correction, secular_det,
+                            secular_function, threshold_sigma)
+from rashba_contact import model
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI, _sqrt_minus
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)      # normalization at alpha = beta = 0
@@ -182,6 +184,62 @@ class TestKreinQ:
                 lhs = FOUR_PI * (gss / n ** 2 - q.entry(s) / n ** 2)
                 rhs = w + _sqrt_minus(z) - FOUR_PI * gs_ren_origin(p, s, z)
                 assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
+
+
+class TestPoleGuard:
+    """Every real-axis entry rejects energies within the stored guard of -Sigma."""
+
+    # CaseC with Sigma > 1 and < 1, the seam, and beta = 0
+    POLES = [SystemParams(2.0, 0.5), SystemParams(0.8, 0.3),
+             SystemParams(1.0, 0.5), SystemParams(1.0, 0.0)]
+
+    @staticmethod
+    def entries(p: SystemParams, e: float):
+        z = complex(e)
+        eff = EffectiveCouplings(0.5, -0.25, 0.1)
+        return {
+            "krein_q": lambda: krein_q(p, z, boundary=True),
+            "g1_origin": lambda: g1_origin(p, z),
+            "g2ren_origin": lambda: g2ren_origin(p, z),
+            "gs_ren_origin+": lambda: gs_ren_origin(p, 1, z),
+            "gs_ren_origin-": lambda: gs_ren_origin(p, -1, z),
+            "secular_function": lambda: secular_function(p, eff, e),
+            "phi_norm_sq+": lambda: phi_norm_sq(p, 1, z),
+            "phi_norm_sq-": lambda: phi_norm_sq(p, -1, z),
+        }
+
+    @pytest.mark.parametrize("p", POLES, ids=repr)
+    def test_inside_the_guard_raises(self, p):
+        sigma, guard = threshold_sigma(p), p._pole_guard
+        assert guard > 0.0
+        for side in (-0.5, 0.5):
+            for name, call in self.entries(p, -sigma + side * guard).items():
+                if side > 0.0 and name.startswith("phi_norm_sq"):
+                    # on the band side the band check comes first, as it always has
+                    with pytest.raises(DomainError, match="closed-form norm requires"):
+                        call()
+                    continue
+                with pytest.raises(PoleError, match="diverges at z = -Sigma"):
+                    call()
+
+    @pytest.mark.parametrize("p", POLES, ids=repr)
+    def test_outside_the_guard_evaluates(self, p):
+        e = -threshold_sigma(p) - 2.0 * p._pole_guard
+        for call in self.entries(p, e).values():
+            call()
+
+    def test_real_axis_q_reads_the_stored_threshold(self, monkeypatch):
+        calls = []
+        closed_form = model._threshold
+        monkeypatch.setattr(model, "_threshold",
+                            lambda a, b: calls.append((a, b)) or closed_form(a, b))
+        p = SystemParams(2.0, 0.5)
+        assert calls == [(2.0, 0.5)]
+        normalization(p)                    # may build its own SystemParams once
+        calls.clear()
+        for e in np.linspace(-9.0, -1.1, 100):
+            krein_q(p, complex(e))
+        assert calls == []
 
 
 class TestSecularDet:

@@ -140,6 +140,29 @@ class TestXi:
                 assert got == pytest.approx(big, rel=1e-6 if e == b else 1e-10), (e, side)
 
 
+    def test_band_ends_match_mpmath(self):
+        # inside the band xi = exp(i*theta/2)/sqrt(2*beta), cos(theta) = -E/beta,
+        # taken here at 40 digits from the float E; the half-angle forms keep
+        # full precision next to both band ends, where acos(-E/beta) in float
+        # arithmetic lost digits (4.4e-10 relative at beta = 3.7, k = 15)
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for b in (3.7, 0.5, 1e-3):
+                p = SystemParams(0.0, b)
+                for k in range(1, 16):
+                    for sign in (1.0, -1.0):
+                        e = sign * b * (1.0 - 10.0 ** -k)
+                        theta = mpmath.acos(-mpmath.mpf(e) / b)
+                        if e < 0.0:
+                            theta = -theta
+                        ref = mpmath.exp(0.5j * theta) / mpmath.sqrt(2 * mpmath.mpf(b))
+                        got = xi(p, complex(e))
+                        err = abs(mpmath.mpc(got) - ref) / abs(ref)
+                        worst = max(worst, float(err))
+        assert worst <= 4.4e-16
+
+
 class TestTofE:
     def test_at_beta(self):
         assert t_of_e(SystemParams(0.0, 0.5), 0.5) == pytest.approx(1.0, rel=1e-14)

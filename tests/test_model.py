@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +41,50 @@ class TestThreshold:
             lo = threshold_sigma(SystemParams(a, seam - eps))
             hi = threshold_sigma(SystemParams(a, seam + eps))
             assert abs(hi - lo) < 4.0 * eps
+
+
+class TestStoredConstants:
+    """Sigma and the pole-guard half-width are computed once per SystemParams."""
+
+    @pytest.mark.parametrize("alpha,beta,sigma", [
+        (0.0, 0.7, 0.7),                                        # alpha = 0
+        (3.0, 0.0, 2.25),                                       # beta = 0
+        (2.0, 2.0, 2.0),                                        # exact seam
+        (0.9, 0.405, (0.405 / 0.9) ** 2 + (0.9 / 2.0) ** 2),    # seam, inexact
+        (0.3, 0.5, 0.5),                                        # CaseB
+        (2.0, 0.5, 17.0 / 16.0),                                # CaseC
+        (1.7, 0.3, (0.3 / 1.7) ** 2 + (1.7 / 2.0) ** 2),        # CaseC, inexact
+    ])
+    def test_threshold_is_the_closed_form(self, alpha, beta, sigma):
+        assert threshold_sigma(SystemParams(alpha, beta)) == sigma
+
+    def test_guard_nonzero_exactly_where_the_pole_is(self):
+        alphas = (0.0, 1e-8, 0.3, 0.9, 1.0, 2.0, 40.0)
+        for a in alphas:
+            for b in (0.0, 1e-12, 0.1, a * a / 2.0, 0.5, 0.81, 3.0):
+                p = SystemParams(a, b)
+                pole = a > 0.0 and a * a >= 2.0 * b
+                assert (p._pole_guard > 0.0) is pole
+                if pole:
+                    assert p._pole_guard == 1e-10 * max(1.0, threshold_sigma(p))
+
+    def test_fields_repr_eq_hash_unchanged(self):
+        p = SystemParams(2.0, 0.5)
+        assert [f.name for f in dataclasses.fields(p)] == ["alpha", "beta"]
+        assert repr(p) == "SystemParams(alpha=2.0, beta=0.5)"
+        assert p == SystemParams(2, 0.5) and hash(p) == hash(SystemParams(2, 0.5))
+        assert p != SystemParams(2.0, 0.25)
+
+    def test_copies_keep_the_constants_consistent(self):
+        p = SystemParams(2.0, 0.5)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p
+            assert (q._sigma, q._pole_guard) == (p._sigma, p._pole_guard)
+        r = dataclasses.replace(p, beta=3.0)          # past the seam: no pole
+        assert r._sigma == 3.0 and r._pole_guard == 0.0
+        r = dataclasses.replace(p, alpha=4.0)
+        assert r._sigma == threshold_sigma(SystemParams(4.0, 0.5)) == 4.015625
+        assert r._pole_guard == 1e-10 * 4.015625
 
 
 class TestRegime:

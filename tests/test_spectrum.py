@@ -14,6 +14,7 @@ from rashba_contact import (ConvergenceError, DomainError, EffectiveCouplings,
                             normalization, secular_function, solve_spectrum,
                             symmetric_small_beta_eigenvalue, threshold_sigma,
                             u_nu, v_nu, xi)
+from rashba_contact import spectrum
 from rashba_contact.greens import _artanh_branch_array, _xi_real_array
 
 RMAP = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
@@ -337,6 +338,17 @@ class TestLargeCouplingContext:
             embedded_large_alpha(p, EffectiveCouplings(1.0, 0.0, 0.0))
         for rec in (direct, nested):
             assert {w.filename for w in rec if "extreme" in str(w.message)} == {__file__}
+
+    def test_memoized_and_warns_on_every_call(self):
+        spectrum._large_coupling_cached.cache_clear()
+        p = SystemParams(2.0, 2.0 ** 2 / (2.0 * 1e9 ** 2))
+        with pytest.warns(UserWarning, match="extreme") as rec:
+            first = large_coupling_context(p)
+            second = large_coupling_context(SystemParams(p.alpha, p.beta))
+        assert second is first
+        info = spectrum._large_coupling_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len([w for w in rec if "extreme" in str(w.message)]) == 2
 
 
 class TestEmbeddedLargeAlpha:
