@@ -55,6 +55,7 @@ _WG[1:10:2] = (0.066671344308688137593568809893332, 0.14945134915058059314577633
 _X21 = np.concatenate((-_XGK, _XGK[-2::-1]))
 _WK21 = np.concatenate((_WGK, _WGK[-2::-1]))
 _WG21 = np.concatenate((_WG, _WG[-2::-1]))
+_W21 = np.stack((_WK21, _WG21), axis=1)     # K21 and G10 sums in one matmul
 
 
 @dataclass(frozen=True)
@@ -109,30 +110,28 @@ def _sum_by(owner, x, n: int):
     return total + 1j * np.bincount(owner, x.imag, n) if np.iscomplexobj(x) else total
 
 
-def _qk21_error(fx, resk, resg, half):
-    """QUADPACK's qk21 error estimate for each row of the real array fx."""
-    resabs = np.abs(fx) @ _WK21 * half
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK21 * half
-    err = np.abs(resk - resg) * half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-
-
 def _qk21(f, owner, a, b):
     """K21 value and error estimate on each interval (a[k], b[k]) of owner[k].
 
     The error of a complex integrand is the sum of the estimates of its real
-    and imaginary parts.
+    and imaginary parts; the two parts are stacked and go through QUADPACK's
+    qk21 estimate in one pass.
     """
     half = 0.5 * (b - a)
     fx = f(owner[:, None], (0.5 * (a + b))[:, None] + half[:, None] * _X21)
-    resk, resg = fx @ _WK21, fx @ _WG21
-    err = _qk21_error(fx.real, resk.real, resg.real, half)
-    if np.iscomplexobj(fx):
-        err = err + _qk21_error(fx.imag, resk.imag, resg.imag, half)
-    return resk * half, err
+    parts = np.stack((fx.real, fx.imag)) if fx.dtype.kind == "c" else fx[None]
+    kg = parts @ _W21
+    resk, resg = kg[..., 0], kg[..., 1]
+    resabs = np.abs(parts) @ _WK21 * half
+    resasc = np.abs(parts - 0.5 * resk[..., None]) @ _WK21 * half
+    err = np.abs(resk - resg) * half
+    both = (resasc != 0.0) & (err != 0.0)
+    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=both)
+    err = np.where(both, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    if len(parts) == 2:
+        return (resk[0] + 1j * resk[1]) * half, err[0] + err[1]
+    return resk[0] * half, err[0]
 
 
 def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
@@ -141,12 +140,16 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
     Interval k, (a[k], b[k]), of the numpy arrays owner, a and b belongs to
     integral owner[k].  f(owner, x) takes an (m, 1) array of owners and an
     (m, 21) array of nodes and returns the integrand there, real or complex.
-    Each round evaluates all new intervals in one call of f.  Then, in each integral whose summed error is above
-    max(epsabs, epsrel |I|), it bisects every interval whose error per unit
-    length is above that target over the integral's length (by pigeonhole at
-    least one is), worst first, up to _QUAD_LIMIT intervals per integral.
-    Returns the values, the error estimates and the number of evaluations.
+    Each round evaluates all new intervals in one call of f and estimates
+    their errors in one pass.  Then, in each integral whose summed error is
+    above max(epsabs, epsrel |I|), it bisects every interval whose error per
+    unit length is above that target over the integral's length (by
+    pigeonhole at least one is), worst first, up to _QUAD_LIMIT intervals per
+    integral.  A bisected interval keeps its slot for its left half; the
+    right halves are appended.  Returns the values, the error estimates and
+    the number of evaluations.
     """
+    b = np.array(b, dtype=float)              # bisection writes into it
     length = np.bincount(owner, b - a, n)
     val, err = _qk21(f, owner, a, b)
     evals = _X21.size * owner.size
@@ -157,21 +160,29 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
         density = err / (b - a)
         cand = np.flatnonzero((errsum > target)[owner]
                               & (density > (target / length)[owner]))
+        if cand.size == 0:
+            return total, errsum, evals
         cand = cand[np.lexsort((-density[cand], owner[cand]))]
         group = owner[cand]
         rank = np.arange(group.size) - np.searchsorted(group, group)
         split = cand[rank < _QUAD_LIMIT - np.bincount(owner, minlength=n)[group]]
         if split.size == 0:
             return total, errsum, evals
+        k = split.size
         mid = 0.5 * (a[split] + b[split])
-        kids = (np.concatenate((owner[split], owner[split])),
-                np.concatenate((a[split], mid)), np.concatenate((mid, b[split])))
-        kids += _qk21(f, *kids)
-        evals += _X21.size * kids[0].size
-        keep = np.ones(owner.size, dtype=bool)
-        keep[split] = False
-        owner, a, b, val, err = (np.concatenate((old[keep], kid)) for old, kid
-                                 in zip((owner, a, b, val, err), kids))
+        kid_owner = np.concatenate((owner[split], owner[split]))
+        kid_a = np.concatenate((a[split], mid))
+        kid_b = np.concatenate((mid, b[split]))
+        kid_val, kid_err = _qk21(f, kid_owner, kid_a, kid_b)
+        evals += _X21.size * 2 * k
+        b[split] = mid
+        val[split] = kid_val[:k]
+        err[split] = kid_err[:k]
+        owner = np.concatenate((owner, kid_owner[k:]))
+        a = np.concatenate((a, mid))
+        b = np.concatenate((b, kid_b[k:]))
+        val = np.concatenate((val, kid_val[k:]))
+        err = np.concatenate((err, kid_err[k:]))
 
 
 def _iterated_quad(f2, tol: float):
@@ -179,8 +190,10 @@ def _iterated_quad(f2, tol: float):
     over theta in [0, pi/2], rho in [0, inf), without the overall prefactor.
 
     The theta integral is one adaptive integral; each of its rounds integrates
-    over rho at all of its new theta nodes as one batch.  Returns (value,
-    error_estimate, evaluations).
+    over rho at all of its new theta nodes as one batch.  Each radial integral
+    starts on the quarters of t, (0, 1/4), ..., (3/4, 1), that is rho = 0,
+    1/3, 1, 3, inf: started on (0, 1) alone, it would bisect down to them in
+    about two rounds anyway.  Returns (value, error_estimate, evaluations).
     """
     inner_eps = max(tol / 8.0, 1e-13)
     outer_eps = max(tol / 4.0, 1e-13)
@@ -197,8 +210,9 @@ def _iterated_quad(f2, tol: float):
             return f2(rho, sin2[k]) * rho * rho * sin_t[k] / (1.0 - t) ** 2
 
         m = sin_t.size
-        val, err, n = _gk21_batch(mapped, np.arange(m), np.zeros(m), np.ones(m), m,
-                                  inner_eps, 1e-10)
+        j = np.arange(4 * m)
+        a = 0.25 * (j % 4)
+        val, err, n = _gk21_batch(mapped, j // 4, a, a + 0.25, m, inner_eps, 1e-10)
         evals += n
         worst_inner = max(worst_inner, float(err.max()))
         return val.reshape(theta.shape)

@@ -454,7 +454,11 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,
 
     The grid linspace(-Sigma + delta, beta - delta, grid_size),
     delta = 1e-6*max(1, Sigma + beta), is evaluated in one numpy pass.
+    grid_size must be an integer >= 2, so that the grid reaches both ends.
     """
+    if (isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer))
+            or grid_size < 2):
+        raise DomainError(f"grid_size = {grid_size!r} must be an integer >= 2")
     info = classify_regime(params)
     if info.regime is not Regime.CASE_C:
         raise RegimeError("the forbidden-band argument applies to the "

@@ -32,6 +32,19 @@ class TestIntegrand:
             assert _gs_integrand(p, 1, complex(-1.0), rho, 0.7) == 0
 
 
+def _near_axis_points():
+    """40 seeded (params, z) with |arg z| or |pi - arg z| in (0.02, 0.3)."""
+    rng = np.random.default_rng(2026)
+    points = []
+    for _ in range(40):
+        p = SystemParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 1.0)))
+        arg = float(rng.uniform(0.02, 0.3)) * (1 if rng.uniform() < 0.5 else -1)
+        if rng.uniform() < 0.5:
+            arg = math.copysign(math.pi, arg) - arg
+        points.append((p, cmath.rect(float(rng.uniform(0.2, 3.0)), arg)))
+    return points
+
+
 class TestGK21:
     def test_weights_sum_to_two(self):
         assert _WK21.sum() == pytest.approx(2.0, abs=1e-15)
@@ -102,13 +115,7 @@ class TestGreenQuadrature:
         assert d2 <= d1 + 1e-13 * (1.0 + abs(ref))
 
     def test_error_estimate_holds_near_the_real_axis(self):
-        rng = np.random.default_rng(2026)
-        for _ in range(40):
-            p = SystemParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 1.0)))
-            arg = float(rng.uniform(0.02, 0.3)) * (1 if rng.uniform() < 0.5 else -1)
-            if rng.uniform() < 0.5:
-                arg = math.copysign(math.pi, arg) - arg
-            z = cmath.rect(float(rng.uniform(0.2, 3.0)), arg)
+        for p, z in _near_axis_points():
             for s in (1, -1):
                 res = gs_ren_quadrature(p, s, z, tol=1e-7)
                 assert abs(res.value - gs_ren_origin(p, s, z)) <= res.abs_error_estimate
@@ -189,6 +196,28 @@ class TestPhiNormQuadrature:
     def test_continuum_rejected(self):
         with pytest.raises(DomainError):
             phi_norm_quadrature(SystemParams(0.5, 0.5), 1, -0.2)
+
+    def test_error_estimate_holds_near_the_real_axis(self):
+        for p, z in _near_axis_points():
+            for s in (1, -1):
+                res = phi_norm_quadrature(p, s, z, tol=1e-6)
+                assert abs(res.value - phi_norm_sq(p, s, z)) <= res.abs_error_estimate
+
+
+def test_integrand_evaluations_stay_under_ceiling():
+    # A count, unlike a time, does not depend on the machine: fewer evaluations
+    # pass and a regression fails.  The sum was 234654 when each radial
+    # integral started on the single interval (0, 1).
+    rng = np.random.default_rng(16)
+    total = 0
+    for _ in range(16):
+        p = SystemParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 1.0)))
+        arg = float(rng.uniform(0.1, math.pi - 0.1)) * (1 if rng.uniform() < 0.5 else -1)
+        z = cmath.rect(float(rng.uniform(0.2, 3.0)), arg)
+        for s in (1, -1):
+            total += gs_ren_quadrature(p, s, z, tol=1e-7).evaluations
+            total += phi_norm_quadrature(p, s, z, tol=1e-6).evaluations
+    assert total <= 198324
 
 
 def test_import_leaves_scipy_integrate_out():

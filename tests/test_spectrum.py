@@ -500,6 +500,19 @@ class TestForbiddenBand:
         with pytest.raises(RegimeError):
             forbidden_band_scan(SystemParams(0.1, 0.5), EffectiveCouplings(0, 0, 0))
 
+    @pytest.mark.parametrize("grid_size", [0, 1, -5, 2.0, 1000.0, True, "1000", None])
+    def test_grid_size_must_be_an_integer_of_at_least_two(self, grid_size):
+        params = SystemParams(2.0, 0.5)
+        with pytest.raises(DomainError, match="grid_size"):
+            forbidden_band_scan(params, EffectiveCouplings(0.4, -0.7, 0.3), grid_size=grid_size)
+
+    def test_two_points_are_accepted(self):
+        params = SystemParams(2.0, 0.5)
+        eff = EffectiveCouplings(0.4, -0.7, 0.3)
+        for grid_size in (2, np.int64(2)):
+            rep = forbidden_band_scan(params, eff, grid_size=grid_size)
+            assert rep.grid_size == 2 and math.isfinite(rep.max_gamma_required)
+
 
 class TestSymmetricSolver:
     def test_reference_value(self):
