@@ -13,8 +13,7 @@ from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2, KreinQ,
                         gamma_for_couplings, gamma_from_cr, krein_q,
                         normalization, phi_norm_sq, resolvent_correction,
                         secular_det)
-from .greens import (artanh_branch, g1_origin, g2ren_origin, grad_g1_limit,
-                     gs_ren_origin, t_of_e, xi)
+from .greens import artanh_branch, g1_origin, g2ren_origin, gs_ren_origin, xi
 from .model import (Regime, RegimeInfo, SystemParams, ValidityReport,
                     classify_regime, series_validity, threshold_sigma)
 from .oracle import (QuadratureResult, gs_ren_quadrature, phi_norm_quadrature,
@@ -28,8 +27,7 @@ from .spectrum import (DiscreteRoot, EmbeddedRoot, ForbiddenBandReport,
                        discrete_eigenvalues, e_nu, embedded_alpha0,
                        embedded_large_alpha, forbidden_band_scan,
                        large_coupling_context, secular_function,
-                       solve_spectrum, symmetric_small_beta_eigenvalue, u_nu,
-                       v_nu)
+                       solve_spectrum, u_nu, v_nu)
 
 __version__ = "0.1.0"
 
@@ -45,10 +43,8 @@ __all__ = [
     "effective_couplings", "embedded_alpha0", "embedded_large_alpha",
     "expansion_coefficients", "forbidden_band_scan", "g1_origin", "g2ren_origin",
     "gamma_circle_residual", "gamma_for_couplings", "gamma_from_cr",
-    "grad_g1_limit", "gs_ren_origin", "gs_ren_quadrature", "krein_q",
-    "large_coupling_context", "normalization", "phi_norm_quadrature",
-    "phi_norm_sq", "q0", "resolvent_correction", "secular_det",
-    "secular_function", "series_validity", "sigma_numeric", "solve_spectrum",
-    "symmetric_small_beta_eigenvalue", "t_of_e", "threshold_sigma", "u_nu",
-    "v_nu", "xi",
+    "gs_ren_origin", "gs_ren_quadrature", "krein_q", "large_coupling_context",
+    "normalization", "phi_norm_quadrature", "phi_norm_sq", "q0",
+    "resolvent_correction", "secular_det", "secular_function", "series_validity",
+    "sigma_numeric", "solve_spectrum", "threshold_sigma", "u_nu", "v_nu", "xi",
 ]

@@ -85,9 +85,6 @@ class NormalizationData:
     def n(self, s: int) -> float:
         return self.n_plus if s == 1 else self.n_minus
 
-    def lam(self, s: int) -> float:
-        return self.lambda_plus if s == 1 else self.lambda_minus
-
 
 @dataclass(frozen=True)
 class EffectiveCouplings:
@@ -184,18 +181,18 @@ def gamma_for_couplings(params: SystemParams, omega_plus: float, omega_minus: fl
         pm=nd.n_plus * nd.n_minus * math.sqrt(gamma) / FOUR_PI)
 
 
-def krein_q(params: SystemParams, z: complex, *, boundary: bool = False) -> KreinQ:
+def krein_q(params: SystemParams, z: complex) -> KreinQ:
     """Diagonal Q entries N_s^2 (G_s^ren(0;z) - sqrt(-z)/(4 pi) - Lambda_s).
 
-    Real z on the band [-Sigma, inf) is rejected unless ``boundary`` is set,
-    in which case the per-band boundary forms of the Green values are used.
+    Real z on the band [-Sigma, inf) raises DomainError: there Q has no
+    single real-axis value, and the per-band real forms of the Green values
+    are not the boundary value Q(E + i0).
     """
     z = complex(z)
     sigma = threshold_sigma(params)
-    if z.imag == 0.0 and z.real >= -sigma and not boundary:
+    if z.imag == 0.0 and z.real >= -sigma:
         raise DomainError(
-            f"z = {z.real} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}; "
-            "pass boundary=True for the boundary value")
+            f"z = {z.real} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}")
     # the pole guard runs in g2ren_origin, and in g1_origin when beta != 0
     nd = normalization(params)
     sq = _sqrt_minus(z) / FOUR_PI
@@ -203,10 +200,9 @@ def krein_q(params: SystemParams, z: complex, *, boundary: bool = False) -> Krei
                   q_mm=nd.n_minus ** 2 * (gs_ren_origin(params, -1, z) - sq - nd.lambda_minus))
 
 
-def secular_det(params: SystemParams, gamma_matrix: Hermitian2, z: complex,
-                *, boundary: bool = False) -> complex:
+def secular_det(params: SystemParams, gamma_matrix: Hermitian2, z: complex) -> complex:
     """det(Gamma - Q(z)) with diagonal Q; real on real z below -Sigma."""
-    q = krein_q(params, z, boundary=boundary)
+    q = krein_q(params, z)
     return ((gamma_matrix.pp - q.q_pp) * (gamma_matrix.mm - q.q_mm)
             - abs(gamma_matrix.pm) ** 2)
 

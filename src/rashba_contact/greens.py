@@ -11,6 +11,12 @@ sign pattern the spectral analysis relies on:
     E >= beta        xi = i*T(E) with T(E) in (0, 1/sqrt(2*beta)]
 
 and artanh on its real cut w > 1 continued from below, r - i*pi/2.
+
+These real-axis forms feed the channel factors of the secular function and
+the forbidden-band scan. On the band they are not one boundary value of the
+resolvent: on (-Sigma, 0) they give the E - i0 limit, on (0, beta) the
+E + i0 limit, and on E >= beta neither, so ``extension.krein_q`` rejects
+real z on [-Sigma, inf).
 """
 
 from __future__ import annotations
@@ -134,17 +140,6 @@ def xi(params: SystemParams, z: complex) -> complex:
     return cmath.sqrt(-1.0 / (2.0 * z * (1.0 + u)))
 
 
-def t_of_e(params: SystemParams, e: float) -> float:
-    """T(E) with xi(E) = i*T(E) on E >= beta; decreasing from 1/sqrt(2*beta)."""
-    b = params.beta
-    if b <= 0.0:
-        raise DomainError("T(E) requires beta > 0")
-    e = float(e)
-    if e < b:
-        raise DomainError(f"T(E) requires E >= beta, got E = {e}")
-    return xi(params, e).imag
-
-
 def _sqrt_minus(z: complex) -> complex:
     """Principal sqrt(-z); the real cut z > 0 takes its z + i0 value -i*sqrt(z)."""
     if z.imag == 0.0 and z.real > 0.0:
@@ -209,16 +204,3 @@ def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex:
     if params.beta == 0.0:
         return g2
     return g2 - s * params.beta * g1_origin(params, z)
-
-
-def grad_g1_limit(direction) -> tuple[float, float]:
-    """Directional limit of the in-plane gradient of the first Green value.
-
-    Constant magnitude 1/(8*pi) opposing the unit direction; odd under
-    direction reversal, which is what cancels the off-diagonal norm terms.
-    """
-    x1, x2 = float(direction[0]), float(direction[1])
-    norm = math.hypot(x1, x2)
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"direction must be a unit 2-vector, |d| = {norm}")
-    return (-x1 / EIGHT_PI, -x2 / EIGHT_PI)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
 from .greens import (_artanh_branch_array, _has_pole, _reject_near_pole,
@@ -469,36 +469,6 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,
     worst = float(np.max(_gamma_required(params, eff.omega_plus, grid)))
     return ForbiddenBandReport(max_gamma_required=worst, band=(-sigma, b),
                                grid_size=grid_size)
-
-
-def symmetric_small_beta_eigenvalue(alpha: float, omega: float) -> float:
-    """Root E < -alpha^2/4 of omega + sqrt(-E) = (alpha/2) artanh(alpha/(2 sqrt(-E))).
-
-    In u = sqrt(-E) the mismatch is strictly increasing, from -inf at the
-    artanh boundary u = alpha/2, so plain bisection applies.
-    """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("requires alpha > 0 (at alpha = 0 the root is -omega^2 for omega < 0)")
-    half = alpha / 2.0
-
-    def f(u: float) -> float:
-        return omega + u - half * math.atanh(half / u)
-
-    lo = half * (1.0 + 1e-13)
-    f_lo = f(lo)
-    if f_lo > 0.0:
-        raise ConvergenceError(
-            f"no resolvable root: mismatch already {f_lo:.6g} > 0 at the artanh "
-            f"boundary u = {lo:.6g} (upper end {f(half + 10.0 + abs(omega)):.6g})",
-            value=None)
-    hi = max(1.0, alpha) + abs(omega) + 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ConvergenceError("upper bracket for the symmetric root not found")
-    u = _bisect(f, lo, hi, f_lo, 1e-14)
-    return -u * u
 
 
 def solve_spectrum(params: SystemParams, coupling: Hermitian2 | ExtensionKind, *,

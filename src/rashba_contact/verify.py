@@ -21,7 +21,7 @@ import numpy as np
 
 from . import oracle, perturbation, spectrum
 from .extension import (EffectiveCouplings, Hermitian2, effective_couplings,
-                        gamma_for_couplings, krein_q, phi_norm_sq)
+                        gamma_for_couplings, krein_q, normalization, phi_norm_sq)
 from .model import SystemParams, series_validity, threshold_sigma
 
 SUITES = ("paper", "invariants", "all")
@@ -77,13 +77,17 @@ def check_embedded_074() -> CheckResult:
 
 
 def check_symmetric_eigenvalue() -> CheckResult:
-    e = spectrum.symmetric_small_beta_eigenvalue(2.0, 0.0)
+    """The beta = 0 root at omega_+ = omega_- = 0: one root of the discrete solve."""
+    params = SystemParams(2.0, 0.0)
+    roots = spectrum.discrete_eigenvalues(params, gamma_for_couplings(params, 0.0, 0.0, 0.0))
+    e = roots[0].energy if len(roots) == 1 else math.nan
     return _near("symmetric-root-alpha-2", e, -1.43923, 1e-4)
 
 
 def check_r_map_constant() -> CheckResult:
-    v = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
-    return _near("r-map-constant", abs(v), 0.17850, 1e-5)
+    """|v| for the scalar coupling v = -N_+^2 Lambda_+ that makes omega_+ = 0."""
+    nd = normalization(SystemParams(2.0, 0.0))
+    return _near("r-map-constant", abs(nd.n_plus ** 2 * nd.lambda_plus), 0.17850, 1e-5)
 
 
 def check_two_channel_pair() -> list[CheckResult]:

@@ -280,6 +280,26 @@ class TestReadme:
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
 
+    def test_report_schema_example(self, capsys):
+        # the schema block is what the quick start's last line prints
+        text = README.read_text(encoding="utf-8")
+        quick = text.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        schema = text.split("The spectrum report schema", 1)[1]
+        shown = json.loads(schema.split("```json", 1)[1].split("```", 1)[0])
+        scope = {}
+        exec(quick, scope)
+        capsys.readouterr()
+        got = scope["report"].to_json_dict()
+        assert list(shown) == list(got)
+        assert shown["regime"] == got["regime"] and shown["sigma"] == got["sigma"]
+        assert (len(shown["discrete"]), len(shown["embedded"])) == (2, 1)
+        for key in ("discrete", "embedded"):
+            assert len(shown[key]) == len(got[key])
+            for row, ref in zip(shown[key], got[key]):
+                assert list(row) == list(ref)
+                assert row["E"] == pytest.approx(ref["E"], rel=1e-12)
+        assert shown["embedded"][0]["theorem"] == got["embedded"][0]["theorem"]
+
 
 class TestVerify:
     def test_unknown_suite_exits_2(self):

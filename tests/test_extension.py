@@ -14,6 +14,7 @@ from rashba_contact import model
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI, _sqrt_minus
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)      # normalization at alpha = beta = 0
+RMAP = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
 
 
 class TestHermitian2:
@@ -62,6 +63,15 @@ class TestNormalization:
     def test_c_param_small_beta_stable(self):
         nd = normalization(SystemParams(1.0, 1e-12))
         assert nd.c_param == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
+
+    def test_r_map_consistency(self):
+        # at beta = 0, alpha = 2 the coupling v with omega(v) = 0 equals
+        # -(arcosh(3) - 2 sqrt2)/(2 sqrt2 + pi)
+        p = SystemParams(2.0, 0.0)
+        nd = normalization(p)
+        v = -nd.n_plus ** 2 * nd.lambda_plus
+        assert v == pytest.approx(-RMAP, rel=1e-12)
+        assert abs(RMAP) == pytest.approx(0.17850, abs=1e-5)
 
 
 class TestGammaFromCR:
@@ -158,12 +168,14 @@ class TestKreinQ:
             q = krein_q(p, complex(e))
             assert q.q_pp.imag == 0.0 and q.q_mm.imag == 0.0
 
-    def test_band_rejection_and_boundary_flag(self):
+    def test_band_rejection(self):
+        # every real z on [-Sigma, inf) is refused, in each band and at its ends
         p = SystemParams(0.3, 0.5)
-        with pytest.raises(DomainError, match="continuous band"):
-            krein_q(p, -0.2)
-        q = krein_q(p, -0.2, boundary=True)
-        assert q.q_pp.imag != 0.0
+        for e in (-threshold_sigma(p), -0.2, 0.0, 0.3, 0.5, 2.0):
+            with pytest.raises(DomainError, match="continuous band"):
+                krein_q(p, e)
+            with pytest.raises(DomainError, match="continuous band"):
+                secular_det(p, Hermitian2.scalar(0.1), e)
 
     def test_formula_equivalence(self):
         # 4 pi (Gamma~_ss - Q_ss/N_s^2) = omega_s + sqrt(-z) - 4 pi G_s^ren(0;z)
@@ -193,12 +205,16 @@ class TestPoleGuard:
     POLES = [SystemParams(2.0, 0.5), SystemParams(0.8, 0.3),
              SystemParams(1.0, 0.5), SystemParams(1.0, 0.0)]
 
+    BAND_FIRST = {"krein_q": "continuous band",
+                  "phi_norm_sq+": "closed-form norm requires",
+                  "phi_norm_sq-": "closed-form norm requires"}
+
     @staticmethod
     def entries(p: SystemParams, e: float):
         z = complex(e)
         eff = EffectiveCouplings(0.5, -0.25, 0.1)
         return {
-            "krein_q": lambda: krein_q(p, z, boundary=True),
+            "krein_q": lambda: krein_q(p, z),
             "g1_origin": lambda: g1_origin(p, z),
             "g2ren_origin": lambda: g2ren_origin(p, z),
             "gs_ren_origin+": lambda: gs_ren_origin(p, 1, z),
@@ -214,9 +230,9 @@ class TestPoleGuard:
         assert guard > 0.0
         for side in (-0.5, 0.5):
             for name, call in self.entries(p, -sigma + side * guard).items():
-                if side > 0.0 and name.startswith("phi_norm_sq"):
-                    # on the band side the band check comes first, as it always has
-                    with pytest.raises(DomainError, match="closed-form norm requires"):
+                if side > 0.0 and name in self.BAND_FIRST:
+                    # on the band side the band check comes first
+                    with pytest.raises(DomainError, match=self.BAND_FIRST[name]):
                         call()
                     continue
                 with pytest.raises(PoleError, match="diverges at z = -Sigma"):

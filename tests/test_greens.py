@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from rashba_contact import (DomainError, PoleError, SystemParams, artanh_branch,
-                            g1_origin, g2ren_origin, grad_g1_limit,
-                            gs_ren_origin, normalization, t_of_e,
-                            threshold_sigma, xi)
+                            g1_origin, g2ren_origin, gs_ren_origin,
+                            normalization, threshold_sigma, xi)
 from rashba_contact.greens import INV_4SQRT2PI, _sqrt_minus
 
 
@@ -88,7 +87,9 @@ class TestXi:
         b, e = 1.0, 1.25
         v = xi(SystemParams(0.0, b), e)
         assert v.real == 0.0 and v.imag > 0.0
-        assert v.imag == pytest.approx(t_of_e(SystemParams(0.0, b), e), rel=1e-14)
+        # T(E) = 1/sqrt(2 (E + sqrt(E^2 - beta^2)))
+        assert v.imag == pytest.approx(1.0 / math.sqrt(2.0 * (e + math.sqrt(e * e - b * b))),
+                                       rel=1e-14)
 
     def test_beta_zero_domain(self):
         with pytest.raises(DomainError):
@@ -164,23 +165,27 @@ class TestXi:
 
 
 class TestTofE:
+    """xi(E) = i*T(E) on E >= beta, with T falling from 1/sqrt(2*beta)."""
+
     def test_at_beta(self):
-        assert t_of_e(SystemParams(0.0, 0.5), 0.5) == pytest.approx(1.0, rel=1e-14)
+        v = xi(SystemParams(0.0, 0.5), 0.5)
+        assert v.real == 0.0 and v.imag == pytest.approx(1.0, rel=1e-14)
 
     def test_value(self):
-        assert t_of_e(SystemParams(0.0, 1.0), 1.25) == pytest.approx(0.5, rel=1e-14)
+        v = xi(SystemParams(0.0, 1.0), 1.25)
+        assert v.real == 0.0 and v.imag == pytest.approx(0.5, rel=1e-14)
 
     def test_monotone_decay(self):
         p = SystemParams(0.0, 0.7)
-        ts = [t_of_e(p, e) for e in (0.7, 1.0, 3.0, 10.0, 1e4)]
+        ts = [xi(p, e).imag for e in (0.7, 1.0, 3.0, 10.0, 1e4)]
         assert all(a > b for a, b in zip(ts, ts[1:]))
         assert ts[-1] < 1e-2
 
     def test_domain(self):
+        # below beta xi leaves the imaginary axis; at beta = 0 there is no E >= 0 form
+        assert xi(SystemParams(0.0, 1.0), 0.9).real > 0.0
         with pytest.raises(DomainError):
-            t_of_e(SystemParams(0.0, 1.0), 0.9)
-        with pytest.raises(DomainError):
-            t_of_e(SystemParams(0.0, 0.0), 1.0)
+            xi(SystemParams(0.0, 0.0), 1.0)
 
 
 class TestGreenValues:
@@ -251,22 +256,3 @@ class TestGreenValues:
         p = SystemParams(0.4, 0.5)
         v = g1_origin(p, -0.5)
         assert np.isfinite(v.real) and v.imag == 0.0
-
-
-class TestGradLimit:
-    def test_axes(self):
-        assert grad_g1_limit((1.0, 0.0)) == pytest.approx(
-            (-1.0 / (8.0 * math.pi), 0.0), abs=1e-15)
-        assert grad_g1_limit((0.0, 1.0)) == pytest.approx(
-            (0.0, -1.0 / (8.0 * math.pi)), abs=1e-15)
-
-    def test_antipodal_average(self):
-        d = (math.cos(0.3), math.sin(0.3))
-        g1 = grad_g1_limit(d)
-        g2 = grad_g1_limit((-d[0], -d[1]))
-        assert g1[0] + g2[0] == pytest.approx(0.0, abs=1e-16)
-        assert g1[1] + g2[1] == pytest.approx(0.0, abs=1e-16)
-
-    def test_non_unit(self):
-        with pytest.raises(DomainError):
-            grad_g1_limit((1.0, 1.0))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rashba_contact import (ConvergenceError, DomainError, EffectiveCouplings,
+from rashba_contact import (DomainError, EffectiveCouplings,
                             ExtensionKind, Hermitian2, PoleError,
                             RegimeError, RootMethod, SystemParams,
                             artanh_branch, discrete_eigenvalues, e_nu,
@@ -12,12 +12,9 @@ from rashba_contact import (ConvergenceError, DomainError, EffectiveCouplings,
                             embedded_large_alpha, forbidden_band_scan,
                             gamma_for_couplings, krein_q, large_coupling_context,
                             normalization, secular_function, solve_spectrum,
-                            symmetric_small_beta_eigenvalue, threshold_sigma,
-                            u_nu, v_nu, xi)
+                            threshold_sigma, u_nu, v_nu, xi)
 from rashba_contact import spectrum
 from rashba_contact.greens import _artanh_branch_array, _xi_real_array
-
-RMAP = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
 
 
 class TestSecularFunction:
@@ -514,37 +511,51 @@ class TestForbiddenBand:
             assert rep.grid_size == 2 and math.isfinite(rep.max_gamma_required)
 
 
+def _symmetric_roots(alpha: float, omega: float):
+    """Discrete roots at beta = 0 with omega_+ = omega_- = omega and gamma = 0."""
+    p = SystemParams(alpha, 0.0)
+    return discrete_eigenvalues(p, gamma_for_couplings(p, omega, omega, 0.0))
+
+
 class TestSymmetricSolver:
+    """The symmetric small-beta root: the zero E < -alpha^2/4 of
+    omega + sqrt(-E) = (alpha/2) artanh(alpha/(2 sqrt(-E))), the beta = 0
+    discrete solve with equal channels."""
+
     def test_reference_value(self):
-        assert symmetric_small_beta_eigenvalue(2.0, 0.0) == pytest.approx(
-            -1.43923, abs=1e-4)
+        roots = _symmetric_roots(2.0, 0.0)
+        assert len(roots) == 1 and roots[0].method is RootMethod.EVEN_ORDER
+        assert roots[0].energy == pytest.approx(-1.43923, abs=1e-4)
 
     def test_small_alpha_limit(self):
         w = -0.7
-        e = symmetric_small_beta_eigenvalue(1e-4, w)
-        assert e == pytest.approx(-w * w, abs=1e-6)
-
-    def test_r_map_consistency(self):
-        # at beta = 0, alpha = 2 the coupling v with omega(v) = 0 equals
-        # -(arcosh(3) - 2 sqrt2)/(2 sqrt2 + pi)
-        p = SystemParams(2.0, 0.0)
-        nd = normalization(p)
-        v = -nd.n_plus ** 2 * nd.lambda_plus
-        assert v == pytest.approx(-RMAP, rel=1e-12)
-        assert abs(RMAP) == pytest.approx(0.17850, abs=1e-5)
+        (root,) = _symmetric_roots(1e-4, w)
+        assert root.energy == pytest.approx(-w * w, abs=1e-6)
 
     def test_below_threshold(self):
         for a, w in ((2.0, 0.0), (1.0, -0.5), (0.5, 1.0)):
-            e = symmetric_small_beta_eigenvalue(a, w)
-            assert e < -a * a / 4.0
+            (root,) = _symmetric_roots(a, w)
+            assert root.energy < -a * a / 4.0
 
     def test_no_solution_reported(self):
-        with pytest.raises(ConvergenceError, match="boundary"):
-            symmetric_small_beta_eigenvalue(0.1, 5.0)
+        # the root lies about exp(-200) below the edge, far inside the pole guard
+        with pytest.warns(UserWarning, match="inside the pole guard"):
+            assert _symmetric_roots(0.1, 5.0) == ()
 
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(DomainError):
-            symmetric_small_beta_eigenvalue(0.0, -1.0)
+    @pytest.mark.parametrize("alpha,omega", [(2.0, 0.0), (2.0, -1.0), (2.0, 0.5),
+                                             (2.0, 0.9), (1e-4, -0.7), (1.0, -0.5),
+                                             (0.5, 1.0)])
+    def test_matches_mpmath(self, alpha, omega):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            half, w = mpmath.mpf(alpha) / 2, mpmath.mpf(omega)
+            lo, hi = half * (1 + mpmath.mpf(10) ** -40), half + abs(w) + 2
+            u = mpmath.findroot(lambda u: w + u - half * mpmath.atanh(half / u),
+                                (lo, hi), solver="anderson")
+            ref = float(-u * u)
+        roots = _symmetric_roots(alpha, omega)
+        assert [r.method for r in roots] == [RootMethod.EVEN_ORDER]
+        assert roots[0].energy == pytest.approx(ref, rel=1e-14)
 
 
 class TestSolveSpectrum:
