@@ -9,13 +9,19 @@ The azimuthal angle integrates out exactly (the integrands depend only on
 p_perp^2 and p_z^2), leaving an iterated 2D integral.  The radial half-line is
 mapped onto (0,1) by rho = t/(1-t); the mapped integrands tend to finite
 limits at t = 1 because the renormalized combinations decay like rho^-4.
+
+The two spin channels share the denominator, so both spins of one
+(params, z, tol) are integrated as one batch, each on its own mesh and with its
+own error estimate.  The latest point is kept in a single slot: the second
+spin's call at the same point costs nothing, and a return to an earlier point
+recomputes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +37,7 @@ _PREFACTOR = 1.0 / (2.0 * math.pi ** 2)
 _QUAD_LIMIT = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+_SPINS = np.array((1, -1))     # integral k of a two-spin batch has spin _SPINS[k]
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] of QUADPACK's qk21 (Piessens et
 # al., 1983).  qk21 lists the abscissae x >= 0 in descending order; the rule
@@ -185,46 +192,108 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
         err = np.concatenate((err, kid_err[k:]))
 
 
-def _iterated_quad(f2, tol: float):
-    """Iterated adaptive quadrature of f2(rho, sin^2 theta) * rho^2 * sin(theta)
-    over theta in [0, pi/2], rho in [0, inf), without the overall prefactor.
+def _iterated_quad(f2, spins, tol):
+    """Iterated adaptive quadrature of f2(s, rho, sin^2 theta) * rho^2 * sin(theta)
+    over theta in [0, pi/2], rho in [0, inf), without the overall prefactor,
+    for each spin s of the array spins, with tolerance tol[k] for spin spins[k].
 
-    The theta integral is one adaptive integral; each of its rounds integrates
-    over rho at all of its new theta nodes as one batch.  Each radial integral
-    starts on the quarters of t, (0, 1/4), ..., (3/4, 1), that is rho = 0,
-    1/3, 1, 3, inf: started on (0, 1) alone, it would bisect down to them in
-    about two rounds anyway.  Returns (value, error_estimate, evaluations).
+    The theta integrals of all spins are one adaptive batch; each of its
+    rounds integrates over rho at all of its new theta nodes, of every spin,
+    as one batch.  Each integral keeps its own mesh, so each spin gets the
+    values and counts it would get alone.  Each radial integral starts on the
+    quarters of t, (0, 1/4), ..., (3/4, 1), that is rho = 0, 1/3, 1, 3, inf:
+    started on (0, 1) alone, it would bisect down to them in about two rounds
+    anyway.  Returns arrays of values, error estimates and evaluations, one
+    entry per spin.
     """
-    inner_eps = max(tol / 8.0, 1e-13)
-    outer_eps = max(tol / 4.0, 1e-13)
-    evals = 0
-    worst_inner = 0.0
+    n = spins.size
+    inner_eps = np.maximum(tol / 8.0, 1e-13)
+    outer_eps = np.maximum(tol / 4.0, 1e-13)
+    evals = np.zeros(n, dtype=int)
+    worst_inner = np.zeros(n)
 
-    def inner(_, theta):
-        nonlocal evals, worst_inner
+    def inner(owner, theta):
+        node_owner = np.repeat(owner.ravel(), theta.shape[1])
+        s = spins[node_owner]
         sin_t = np.sin(theta).ravel()
         sin2 = sin_t * sin_t
 
         def mapped(k, t):
+            evals[:] += _X21.size * np.bincount(node_owner[k.ravel()], minlength=n)
             rho = t / (1.0 - t)
-            return f2(rho, sin2[k]) * rho * rho * sin_t[k] / (1.0 - t) ** 2
+            return f2(s[k], rho, sin2[k]) * rho * rho * sin_t[k] / (1.0 - t) ** 2
 
         m = sin_t.size
         j = np.arange(4 * m)
         a = 0.25 * (j % 4)
-        val, err, n = _gk21_batch(mapped, j // 4, a, a + 0.25, m, inner_eps, 1e-10)
-        evals += n
-        worst_inner = max(worst_inner, float(err.max()))
+        val, err, _ = _gk21_batch(mapped, j // 4, a, a + 0.25, m,
+                                  inner_eps[node_owner], 1e-10)
+        np.maximum.at(worst_inner, node_owner, err)
         return val.reshape(theta.shape)
 
-    val, err, _ = _gk21_batch(inner, np.zeros(1, dtype=int), np.zeros(1),
-                              np.full(1, _THETA_MAX), 1, outer_eps, 1e-10)
-    return complex(val[0]), float(err[0]) + _THETA_MAX * worst_inner, evals
+    val, err, _ = _gk21_batch(inner, np.arange(n), np.zeros(n), np.full(n, _THETA_MAX),
+                              n, outer_eps, 1e-10)
+    return val, err + _THETA_MAX * worst_inner, evals
 
 
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol = {tol} must be finite and positive")
+
+
+def _both_spins(f2, raw_tol: np.ndarray, scale: np.ndarray, tol: float):
+    """QuadratureResult and convergence flag of s = +1 and of s = -1.
+
+    Spin k's value and error are scale[k] times those of its raw integral,
+    integrated at raw tolerance raw_tol[k].  A spin whose error is above
+    tol * (1 + |value|) is integrated once more, alone, at raw_tol[k] / 20;
+    its result is then the second attempt's, with the evaluations of both.
+    """
+    out = [None, None]
+    evals = [0, 0]
+    todo = [0, 1]
+    for shrink in (1.0, 20.0):
+        val, err, n = _iterated_quad(f2, _SPINS[todo], raw_tol[todo] / shrink)
+        for k, v, e, nk in zip(todo, (scale[todo] * val).tolist(),
+                               (scale[todo] * err).tolist(), n.tolist()):
+            evals[k] += nk
+            out[k] = (QuadratureResult(complex(v), e, evals[k]), e <= tol * (1.0 + abs(v)))
+        todo = [k for k in todo if not out[k][1]]
+        if not todo:
+            break
+    return tuple(out)
+
+
+def _unpack(pair, s: int, what: str) -> QuadratureResult:
+    res, converged = pair[0 if s == 1 else 1]
+    if not converged:
+        raise ConvergenceError(
+            f"{what} error estimate {res.abs_error_estimate:.3e} exceeds "
+            f"tol*(1+|value|); best estimate {res.value}",
+            value=res.value, abs_error=res.abs_error_estimate)
+    return res
+
+
+# One slot: the second spin's call at the same point is served from it, and
+# a call at any other point recomputes.  A larger memo would serve repeated
+# inputs from memory, so a timing of repeated calls would measure the cache.
+@lru_cache(maxsize=1)
+def _gs_pair(params: SystemParams, z: complex, tol: float):
+    def f2(s, rho, sin2):
+        return _gs_integrand(params, s, z, rho, sin2)
+
+    return _both_spins(f2, np.full(2, tol), np.full(2, _PREFACTOR), tol)
+
+
+@lru_cache(maxsize=1)
+def _phi_pair(params: SystemParams, z: complex, tol: float):
+    def f2(s, rho, sin2):
+        return _phi_integrand(params, s, z, rho, sin2)
+
+    nd = normalization(params)
+    # the N^2 prefactor scales the raw tolerance target
+    scale = np.array([nd.n(s) ** 2 * _PREFACTOR for s in (1, -1)])
+    return _both_spins(f2, tol / scale, scale, tol)
 
 
 def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
@@ -236,19 +305,7 @@ def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
     _reject_on_continuum(params, z)
     if params.alpha == 0.0 and params.beta == 0.0:
         return QuadratureResult(0j, 0.0, 0)
-
-    f2 = partial(_gs_integrand, params, s, z)
-    total_evals = 0
-    for attempt_tol in (tol, tol / 20.0):
-        val, err, n = _iterated_quad(f2, attempt_tol)
-        total_evals += n
-        val = _PREFACTOR * val
-        err = _PREFACTOR * err
-        if err <= tol * (1.0 + abs(val)):
-            return QuadratureResult(val, err, total_evals)
-    raise ConvergenceError(
-        f"quadrature error estimate {err:.3e} exceeds tol*(1+|value|); "
-        f"best estimate {val}", value=val, abs_error=err)
+    return _unpack(_gs_pair(params, z, tol), s, "quadrature")
 
 
 def phi_norm_quadrature(params: SystemParams, s: int, z: complex,
@@ -258,22 +315,7 @@ def phi_norm_quadrature(params: SystemParams, s: int, z: complex,
     _check_tol(tol)
     z = complex(z)
     _reject_on_continuum(params, z)
-    n2 = normalization(params).n(s) ** 2
-
-    f2 = partial(_phi_integrand, params, s, z)
-    total_evals = 0
-    # the N^2 prefactor scales the raw tolerance target
-    raw_tol_base = tol / (n2 * _PREFACTOR)
-    for attempt_tol in (raw_tol_base, raw_tol_base / 20.0):
-        val, err, n = _iterated_quad(f2, attempt_tol)
-        total_evals += n
-        value = n2 * _PREFACTOR * val.real
-        error = n2 * _PREFACTOR * err
-        if error <= tol * (1.0 + abs(value)):
-            return QuadratureResult(complex(value), error, total_evals)
-    raise ConvergenceError(
-        f"norm quadrature error estimate {error:.3e} exceeds tol*(1+|value|)",
-        value=complex(value), abs_error=error)
+    return _unpack(_phi_pair(params, z, tol), s, "norm quadrature")
 
 
 def sigma_numeric(params: SystemParams) -> float:

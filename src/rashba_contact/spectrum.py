@@ -203,8 +203,8 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and 1e-14*max(1, Sigma)
     below it elsewhere.  Next to the pole lambda_- (and lambda_+, off the seam
     alpha^2 = 2 beta) tends to -inf, so a branch still positive at the last
-    node has a root inside the pole guard; that root is not reported, and a
-    UserWarning says so.
+    node has a root inside the pole guard; that root is not reported, and one
+    UserWarning, naming every such branch, says so.
     """
     sigma = threshold_sigma(params)
     eff = effective_couplings(params, gamma_matrix)
@@ -227,13 +227,12 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     edge = (2.0 * _POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
     grid = (-sigma - np.geomspace(edge, -e_min - sigma, _GRID_NODES))[::-1]
     vals = np.array([branches(float(e)) for e in grid])
-    found = []
+    found, unreported = [], []
     for k, name in enumerate(("lambda_-", "lambda_+")):
         below = np.flatnonzero(vals[:, k] <= 0.0)
         if below.size == 0:
             if pole and (k == 0 or not seam):
-                _warn(f"{name} has a root within {edge:.3g} of the band edge "
-                      f"{-sigma}, inside the pole guard; it is not reported")
+                unreported.append(name)
             continue
         i = int(below[0])
         if vals[i, k] == 0.0:
@@ -241,6 +240,9 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
         elif i > 0:       # i = 0: the root lies below e_min, outside the window
             found.append(_bisect(lambda e, k=k: branches(e)[k], float(grid[i - 1]),
                                  float(grid[i]), vals[i - 1, k], tol))
+    if unreported:
+        _warn(f"the root of {' and '.join(unreported)} within {edge:.3g} of the band "
+              f"edge {-sigma} lies inside the pole guard; it is not reported")
 
     method = RootMethod.SIGN_CHANGE
     if len(found) == 2 and abs(found[0] - found[1]) <= 10.0 * tol * max(1.0, abs(found[0])):

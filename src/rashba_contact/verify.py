@@ -191,16 +191,17 @@ def check_oracle_gs() -> CheckResult:
 
 
 def check_oracle_phi_norm() -> CheckResult:
-    """||phi_s(E)||^2 in closed form vs momentum quadrature below the band."""
+    """||phi_s(E)||^2 in closed form vs momentum quadrature below the band,
+    both spins at each energy."""
     params = SystemParams(2.0, 0.5)
     sigma = threshold_sigma(params)
     worst = 0.0
     for e in np.linspace(-sigma - 0.3, -sigma - 2.5, 5):
-        s = 1 if e > -sigma - 1.0 else -1
         z = complex(float(e))
-        got = oracle.phi_norm_quadrature(params, s, z, tol=1e-6).value.real
-        ref = phi_norm_sq(params, s, z)
-        worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
+        for s in (1, -1):
+            got = oracle.phi_norm_quadrature(params, s, z, tol=1e-6).value.real
+            ref = phi_norm_sq(params, s, z)
+            worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
     return _bound("oracle-phi-norm-agreement", worst, 1e-5)
 
 

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rashba_contact import (DomainError, SystemParams, gs_ren_origin,
+from rashba_contact import (ConvergenceError, DomainError, SystemParams, gs_ren_origin,
                             gs_ren_quadrature, krein_q, normalization,
                             phi_norm_quadrature, phi_norm_sq, sigma_numeric,
                             threshold_sigma)
+from rashba_contact import oracle
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI, _sqrt_minus
 from rashba_contact.oracle import _WG21, _WK21, _X21, _gk21_batch, _gs_integrand
 
@@ -202,6 +203,79 @@ class TestPhiNormQuadrature:
             for s in (1, -1):
                 res = phi_norm_quadrature(p, s, z, tol=1e-6)
                 assert abs(res.value - phi_norm_sq(p, s, z)) <= res.abs_error_estimate
+
+
+@pytest.fixture
+def empty_memo():
+    oracle._gs_pair.cache_clear()
+    oracle._phi_pair.cache_clear()
+    yield
+    oracle._gs_pair.cache_clear()
+    oracle._phi_pair.cache_clear()
+
+
+class TestBothSpins:
+    """Both spins of one (params, z, tol) are integrated in one batch and the
+    latest point is kept in one slot."""
+
+    QUADS = ((gs_ren_quadrature, 1e-7), (phi_norm_quadrature, 1e-6))
+
+    @pytest.mark.parametrize("quad,tol", QUADS)
+    def test_spin_order_does_not_matter(self, empty_memo, quad, tol):
+        points = _near_axis_points()[:4]
+        for (p, z), (q, w) in zip(points, points[1:] + points[:1]):
+            plus_first = (quad(p, 1, z, tol=tol), quad(p, -1, z, tol=tol))
+            quad(q, 1, w, tol=tol)          # another point takes the slot
+            minus = quad(p, -1, z, tol=tol)
+            quad(q, 1, w, tol=tol)          # and takes it again
+            plus = quad(p, 1, z, tol=tol)
+            assert (plus, minus) == plus_first
+            assert plus.value != minus.value
+
+    @pytest.mark.parametrize("quad,tol", QUADS)
+    def test_second_spin_is_served_from_the_slot(self, empty_memo, monkeypatch, quad, tol):
+        calls = []
+        real = oracle._iterated_quad
+
+        def counted(f2, spins, tol):
+            calls.append(spins.size)
+            return real(f2, spins, tol)
+
+        monkeypatch.setattr(oracle, "_iterated_quad", counted)
+        p, z = SystemParams(1.0, 0.5), -1.0 + 0.5j
+        quad(p, 1, z, tol=tol)
+        quad(p, -1, z, tol=tol)
+        assert calls == [2]
+        quad(p, 1, z, tol=tol / 2)          # a new tolerance is a new point
+        quad(p, 1, z, tol=tol)
+        assert calls == [2, 2, 2]
+
+    @pytest.mark.parametrize("quad,tol", QUADS)
+    def test_each_spin_raises_its_own_error(self, empty_memo, monkeypatch, quad, tol):
+        monkeypatch.setattr(oracle, "_QUAD_LIMIT", 4)
+        p, z = SystemParams(1.0, 0.5), -0.3 + 1e-3j
+        errors = {}
+        for s in (1, -1):
+            with pytest.raises(ConvergenceError) as info:
+                quad(p, s, z, tol=tol)
+            errors[s] = info.value
+            assert info.value.abs_error > tol * (1.0 + abs(info.value.value))
+        assert errors[1].value != errors[-1].value
+        assert errors[1].abs_error != errors[-1].abs_error
+
+    @pytest.mark.parametrize("quad,tol", QUADS)
+    def test_only_the_failing_spin_fails(self, empty_memo, monkeypatch, quad, tol):
+        # at alpha = 0 only s = -1 has its pole p^2 = z + beta next to the
+        # positive p^2 axis, so with few intervals only s = -1 misses its target
+        p, z = SystemParams(0.0, 1.0), -0.5 + 1e-3j
+        alone = quad(p, 1, z, tol=tol)
+        oracle._gs_pair.cache_clear()
+        oracle._phi_pair.cache_clear()
+        monkeypatch.setattr(oracle, "_QUAD_LIMIT", 8)
+        with pytest.raises(ConvergenceError):
+            quad(p, -1, z, tol=tol)
+        # s = +1 was not retried at tol/20: it made the evaluations it makes alone
+        assert quad(p, 1, z, tol=tol) == alone
 
 
 def test_integrand_evaluations_stay_under_ceiling():

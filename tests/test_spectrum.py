@@ -538,9 +538,12 @@ class TestSymmetricSolver:
             assert root.energy < -a * a / 4.0
 
     def test_no_solution_reported(self):
-        # the root lies about exp(-200) below the edge, far inside the pole guard
-        with pytest.warns(UserWarning, match="inside the pole guard"):
+        # the root lies about exp(-200) below the edge, far inside the pole
+        # guard; both branches vanish there, and one warning names them both
+        with pytest.warns(UserWarning, match="inside the pole guard") as rec:
             assert _symmetric_roots(0.1, 5.0) == ()
+        assert len(rec) == 1
+        assert "lambda_- and lambda_+" in str(rec[0].message)
 
     @pytest.mark.parametrize("alpha,omega", [(2.0, 0.0), (2.0, -1.0), (2.0, 0.5),
                                              (2.0, 0.9), (1e-4, -0.7), (1.0, -0.5),
