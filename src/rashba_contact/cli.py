@@ -92,23 +92,11 @@ def _add_params(p: argparse.ArgumentParser, beta: float | None = None) -> None:
                    f"Zeeman field strength (default {beta:g}, a stand-in for 0)")
 
 
-def tolerance(text: str) -> float:
-    tol = float(text)
-    if not 1e-14 <= tol <= 1e-2:
-        raise argparse.ArgumentTypeError(f"must lie in [1e-14, 1e-2], got {tol}")
-    return tol
-
-
 def finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
-
-
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=tolerance, default=1e-10,
-                   help="solver tolerance in [1e-14, 1e-2] (default 1e-10)")
 
 
 def _add_coupling(p: argparse.ArgumentParser, *, required: bool,
@@ -170,8 +158,7 @@ def cmd_qfunc(parser, args) -> int:
 
 def cmd_solve(parser, args) -> int:
     params = _params(parser, args.alpha, args.beta)
-    report = solve_spectrum(params, _coupling(parser, args), tol=args.tol,
-                            e_min=args.e_min)
+    report = solve_spectrum(params, _coupling(parser, args), e_min=args.e_min)
     _emit(_report_csv(report) if args.format == "csv" else dumps(report.to_json_dict()),
           args.out)
     return EXIT_OK
@@ -199,7 +186,7 @@ def cmd_sweep(parser, args) -> int:
             rows.append((c, []))
             continue
         gm = gamma_from_cr(Hermitian2.scalar(c), Hermitian2.scalar(args.r))
-        roots = discrete_eigenvalues(params, gm, tol=args.tol)
+        roots = discrete_eigenvalues(params, gm)
         rows.append((c, sorted(r.energy for r in roots)))
 
     width = max((len(es) for _, es in rows), default=0)
@@ -263,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="classified point spectrum for one coupling")
     _add_params(s)
-    _add_tol(s)
     _add_coupling(s, required=True, extensions=True)
     s.add_argument("--e-min", type=finite, default=None,
                    help="lower end of the discrete search window")
@@ -273,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="eigenvalues against the scalar contact "
                                      "strength c with C = c*I, R = r*I")
     _add_params(w, beta=1e-6)
-    _add_tol(w)
     w.add_argument("--r", type=float, required=True)
     w.add_argument("--c-from", type=float, required=True)
     w.add_argument("--c-to", type=float, required=True)

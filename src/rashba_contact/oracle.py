@@ -153,13 +153,11 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
     unit length is above that target over the integral's length (by
     pigeonhole at least one is), worst first, up to _QUAD_LIMIT intervals per
     integral.  A bisected interval keeps its slot for its left half; the
-    right halves are appended.  Returns the values, the error estimates and
-    the number of evaluations.
+    right halves are appended.  Returns the values and the error estimates.
     """
     b = np.array(b, dtype=float)              # bisection writes into it
     length = np.bincount(owner, b - a, n)
     val, err = _qk21(f, owner, a, b)
-    evals = _X21.size * owner.size
     while True:
         total = _sum_by(owner, val, n)
         errsum = np.bincount(owner, err, n)
@@ -168,20 +166,19 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
         cand = np.flatnonzero((errsum > target)[owner]
                               & (density > (target / length)[owner]))
         if cand.size == 0:
-            return total, errsum, evals
+            return total, errsum
         cand = cand[np.lexsort((-density[cand], owner[cand]))]
         group = owner[cand]
         rank = np.arange(group.size) - np.searchsorted(group, group)
         split = cand[rank < _QUAD_LIMIT - np.bincount(owner, minlength=n)[group]]
         if split.size == 0:
-            return total, errsum, evals
+            return total, errsum
         k = split.size
         mid = 0.5 * (a[split] + b[split])
         kid_owner = np.concatenate((owner[split], owner[split]))
         kid_a = np.concatenate((a[split], mid))
         kid_b = np.concatenate((mid, b[split]))
         kid_val, kid_err = _qk21(f, kid_owner, kid_a, kid_b)
-        evals += _X21.size * 2 * k
         b[split] = mid
         val[split] = kid_val[:k]
         err[split] = kid_err[:k]
@@ -226,13 +223,13 @@ def _iterated_quad(f2, spins, tol):
         m = sin_t.size
         j = np.arange(4 * m)
         a = 0.25 * (j % 4)
-        val, err, _ = _gk21_batch(mapped, j // 4, a, a + 0.25, m,
-                                  inner_eps[node_owner], 1e-10)
+        val, err = _gk21_batch(mapped, j // 4, a, a + 0.25, m,
+                               inner_eps[node_owner], 1e-10)
         np.maximum.at(worst_inner, node_owner, err)
         return val.reshape(theta.shape)
 
-    val, err, _ = _gk21_batch(inner, np.arange(n), np.zeros(n), np.full(n, _THETA_MAX),
-                              n, outer_eps, 1e-10)
+    val, err = _gk21_batch(inner, np.arange(n), np.zeros(n), np.full(n, _THETA_MAX),
+                           n, outer_eps, 1e-10)
     return val, err + _THETA_MAX * worst_inner, evals
 
 

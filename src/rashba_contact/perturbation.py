@@ -84,7 +84,8 @@ def _series_scalars(beta: float):
           for s in (1, -1)}
     l0 = {s: -(rt + s * beta / rt) / (8.0 * math.pi) for s in (1, -1)}
     l1 = {s: (3.0 + s * beta / (1.0 + u)) / (48.0 * math.pi * rt) for s in (1, -1)}
-    return n0, n1, l0, l1
+    eta = {s: 2.0 * n1[s] / n0[s] for s in (1, -1)}
+    return n0, n1, l0, l1, eta
 
 
 def expansion_coefficients(beta: float, gamma_matrix: Hermitian2) -> PerturbationCoefficients:
@@ -92,8 +93,7 @@ def expansion_coefficients(beta: float, gamma_matrix: Hermitian2) -> Perturbatio
     beta = float(beta)
     if beta <= 0.0:
         raise DomainError("series coefficients require beta > 0")
-    n0, n1, l0, l1 = _series_scalars(beta)
-    eta = {s: 2.0 * n1[s] / n0[s] for s in (1, -1)}
+    n0, n1, l0, l1, eta = _series_scalars(beta)
     eta_pm = n1[1] / n0[1] + n1[-1] / n0[-1]
     gt0 = {1: gamma_matrix.pp / n0[1] ** 2, -1: gamma_matrix.mm / n0[-1] ** 2}
     omega0 = {s: FOUR_PI * (gt0[s] + l0[s]) for s in (1, -1)}
@@ -193,9 +193,8 @@ def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue
 
 
 def _circle_coefficients(beta: float) -> tuple[float, float, float]:
-    n0, n1, l0, l1 = _series_scalars(beta)
-    eta_pp = 2.0 * n1[1] / n0[1]
-    eta_mm = 2.0 * n1[-1] / n0[-1]
+    n0, n1, l0, l1, eta = _series_scalars(beta)
+    eta_pp, eta_mm = eta[1], eta[-1]
     lp_shift = l0[1] + math.sqrt(2.0 * beta) / FOUR_PI
     a = n0[-1] ** 2 * (l1[-1] - eta_mm * l0[-1])
     b = n0[1] ** 2 * (l1[1] - eta_pp * lp_shift)
@@ -224,8 +223,8 @@ def cnd0(beta: float) -> float:
     beta = float(beta)
     if beta <= 0.0:
         raise DomainError("cnd0 requires beta > 0")
-    n0, n1, l0, l1 = _series_scalars(beta)
-    eta_pp = 2.0 * n1[1] / n0[1]
+    _, _, l0, l1, eta = _series_scalars(beta)
+    eta_pp = eta[1]
     root2b = math.sqrt(2.0 * beta)
     return FOUR_PI * (l1[1] - eta_pp * l0[1]) - 1.0 / (3.0 * root2b) - eta_pp * root2b
 
@@ -263,8 +262,8 @@ def threshold_persistence(beta: float, gamma_matrix: Hermitian2) -> tuple[bool, 
     co = expansion_coefficients(beta, gamma_matrix)
     w0p, w0m = co.omega0
     member = abs(co.gamma0 - (w0p + math.sqrt(2.0 * beta)) * w0m) <= 1e-9 * (1.0 + co.gamma0)
-    residual = gamma_circle_residual(beta, gamma_matrix)
     a, b, c = _circle_coefficients(beta)
+    residual = a * gamma_matrix.pp + b * gamma_matrix.mm + c
     lin_scale = abs(a * gamma_matrix.pp) + abs(b * gamma_matrix.mm) + abs(c) + 1e-300
     return member and abs(residual) <= 1e-9 * lin_scale, residual
 
@@ -283,7 +282,7 @@ def asymptotic_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2) -> As
             "asymptotic expansion requires 0 <= alpha < sqrt(2*beta) with beta > 0")
     beta = params.beta
     base = SystemParams(0.0, beta)
-    roots0 = _spectrum.discrete_eigenvalues(base, gamma_matrix, tol=1e-12)
+    roots0 = _spectrum.discrete_eigenvalues(base, gamma_matrix)
     co = expansion_coefficients(beta, gamma_matrix)
     entries = []
     for r in roots0:

@@ -32,6 +32,12 @@ _GOLDEN_ITERS = 100
 _EPS = np.finfo(float).eps
 # relative slack within which a level counts as met at a bracket end
 _LEVEL_ROUNDING = 4.0 * _EPS
+# relative distance within which the two branch roots are one even-order root
+_EVEN_ORDER_RESOLUTION = 1e-9
+# acceptance of the Theorem-1 conditions, scaled by 1 + |gamma| where gamma enters
+_T1_ACCEPT = 1e-10
+# acceptance of the Theorem-3 gamma condition, relative to 1 + |gamma|
+_T3_ACCEPT = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
@@ -132,19 +138,18 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
     """Bisection on a sign-change bracket, then one guarded secant polish.
 
-    Converges well past the requested tol (to ~1e-15 relative) so that the
-    residual stays at the noise floor even where the derivative is large,
-    e.g. next to the band-edge pole.
+    Bisects to a width of 1e-15*max(1, |E|), so that the residual stays at
+    the noise floor even where the derivative is large, e.g. next to the
+    band-edge pole.
     """
     neg = f_lo < 0.0
     a, b = lo, hi
-    goal = min(tol, 1e-15)
     for _ in range(200):
         m = 0.5 * (a + b)
-        if b - a <= goal * max(1.0, abs(m)):
+        if b - a <= 1e-15 * max(1.0, abs(m)):
             break
         if (f(m) < 0.0) == neg:
             a = m
@@ -186,8 +191,7 @@ def _golden_min(g, lo: float, hi: float) -> float:
 
 
 def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
-                         e_min: float | None = None,
-                         tol: float = 1e-10) -> tuple[DiscreteRoot, ...]:
+                         e_min: float | None = None) -> tuple[DiscreteRoot, ...]:
     """All real zeros of det(Gamma - Q(E)) on [e_min, -Sigma).
 
     Q is Herglotz and real below -Sigma, so Gamma - Q(E) strictly decreases
@@ -196,8 +200,9 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     difference of the diagonal).  Each branch has at most one root, and det is
     their product.  Each branch is bracketed at its sign change on a grid
     log-spaced in the distance to the band edge (roots accumulate there) and
-    bisected to |dE| <= tol*max(1,|E|).  Branch roots closer than
-    10*tol*max(1,|E|) are reported once, as an EVEN_ORDER root.
+    bisected to a width of 1e-15*max(1,|E|).  Branch roots closer than the
+    fixed resolution 1e-9*max(1,|E|) are reported once, as an EVEN_ORDER
+    root at their midpoint.
 
     The grid ends 2*_POLE_GUARD*max(1, Sigma) below -Sigma where artanh has
     its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and 1e-14*max(1, Sigma)
@@ -239,13 +244,14 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
             found.append(float(grid[i]))
         elif i > 0:       # i = 0: the root lies below e_min, outside the window
             found.append(_bisect(lambda e, k=k: branches(e)[k], float(grid[i - 1]),
-                                 float(grid[i]), vals[i - 1, k], tol))
+                                 float(grid[i]), vals[i - 1, k]))
     if unreported:
         _warn(f"the root of {' and '.join(unreported)} within {edge:.3g} of the band "
               f"edge {-sigma} lies inside the pole guard; it is not reported")
 
     method = RootMethod.SIGN_CHANGE
-    if len(found) == 2 and abs(found[0] - found[1]) <= 10.0 * tol * max(1.0, abs(found[0])):
+    if (len(found) == 2 and abs(found[0] - found[1])
+            <= _EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
         found, method = [0.5 * (found[0] + found[1])], RootMethod.EVEN_ORDER
     roots = tuple(DiscreteRoot(e, abs(secular_det(params, gamma_matrix, complex(e)).real),
                                method) for e in sorted(found))
@@ -258,13 +264,14 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     return roots
 
 
-def embedded_alpha0(beta: float, eff: EffectiveCouplings, *,
-                    tol: float = 1e-10) -> tuple[EmbeddedRoot, ...]:
+def embedded_alpha0(beta: float, eff: EffectiveCouplings) -> tuple[EmbeddedRoot, ...]:
     """Embedded singletons of the alpha = 0 classification (tag "T1").
 
     {-beta} iff gamma = (omega_+ + sqrt(2*beta))*omega_-;
     {beta - omega_+^2} iff gamma = 0 and -sqrt(2*beta) < omega_+ < 0;
     {beta} iff gamma = omega_- = 0.  No embedded points for beta = 0.
+    Each equality is accepted to within the fixed level 1e-10, relative to
+    1 + |gamma| for the first.
     """
     beta = float(beta)
     if beta < 0.0:
@@ -274,11 +281,11 @@ def embedded_alpha0(beta: float, eff: EffectiveCouplings, *,
     wp, wm, g = eff.omega_plus, eff.omega_minus, eff.gamma
     out = []
     r1 = abs(g - (wp + math.sqrt(2.0 * beta)) * wm)
-    if r1 <= tol * (1.0 + abs(g)):
+    if r1 <= _T1_ACCEPT * (1.0 + abs(g)):
         out.append(EmbeddedRoot(-beta, r1, "T1"))
-    if g <= tol and -math.sqrt(2.0 * beta) < wp < 0.0:
+    if g <= _T1_ACCEPT and -math.sqrt(2.0 * beta) < wp < 0.0:
         out.append(EmbeddedRoot(beta - wp * wp, g, "T1"))
-    if g <= tol and abs(wm) <= tol:
+    if g <= _T1_ACCEPT and abs(wm) <= _T1_ACCEPT:
         out.append(EmbeddedRoot(beta, max(g, abs(wm)), "T1"))
     return tuple(sorted(out, key=lambda r: r.energy))
 
@@ -380,16 +387,16 @@ def _large_coupling_cached(alpha: float, beta: float) -> LargeCouplingContext:
                                 e_nu_2=e_nu(beta, nu, x2) if x2 is not None else None)
 
 
-def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
-                         tol: float = 1e-8) -> tuple[EmbeddedRoot, ...]:
+def embedded_large_alpha(params: SystemParams,
+                         eff: EffectiveCouplings) -> tuple[EmbeddedRoot, ...]:
     """Embedded eigenvalues of the large-coupling case (tag "T3").
 
     Solves the linear constraint 2*omega_- = x^2 U_nu(x) A,
     A = (nu^2+1) omega_+ + (nu^2-1) omega_-, for x in [x_{nu,1}, nu], then
     accepts x iff the remaining condition gamma = omega_+ omega_- +
-    (beta/2) V_nu(x) holds within tol*(1+|gamma|).  The constraint is the
-    level (2 omega_-/A + 1) nu^2/(nu^2+1) of the increasing x arctan(x), so
-    it has at most one root, and none for A = 0.
+    (beta/2) V_nu(x) holds within the fixed level 1e-8*(1+|gamma|).  The
+    constraint is the level (2 omega_-/A + 1) nu^2/(nu^2+1) of the increasing
+    x arctan(x), so it has at most one root, and none for A = 0.
 
     When both omegas vanish the constraint always holds and the gamma
     condition is solved directly.  V_nu vanishes at x_{nu,1} and x_{nu,2},
@@ -417,9 +424,9 @@ def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
         if gamma_gap(xp) <= slack:
             # the gap falls from g - wp*wm >= 0 at x_{nu,1} to the peak and
             # rises back to that value at x_{nu,2}; at nu it may stay negative
-            xs.append(_bisect(gamma_gap, x1, xp, 1.0, 1e-15))
+            xs.append(_bisect(gamma_gap, x1, xp, 1.0))
             if xp < hi and (ctx.x_nu_2 is not None or gamma_gap(nu) >= -slack):
-                xs.append(_bisect(gamma_gap, xp, hi, -1.0, 1e-15))
+                xs.append(_bisect(gamma_gap, xp, hi, -1.0))
     elif acoef != 0.0:
         x = _xatan_inverse((2.0 * wm / acoef + 1.0) * n2 / (n2 + 1.0), x1, nu)
         if x is not None:
@@ -428,7 +435,7 @@ def embedded_large_alpha(params: SystemParams, eff: EffectiveCouplings, *,
     out = []
     for x in xs:
         res = abs(gamma_gap(x))
-        if res <= tol * (1.0 + abs(g)):
+        if res <= _T3_ACCEPT * (1.0 + abs(g)):
             e = e_nu(b, nu, x)
             out.append(EmbeddedRoot(e, res, "T3",
                                     series_valid=series_validity(params, complex(e)).any))
@@ -474,27 +481,31 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,
 
 
 def solve_spectrum(params: SystemParams, coupling: Hermitian2 | ExtensionKind, *,
-                   tol: float = 1e-10, e_min: float | None = None) -> SpectrumReport:
+                   e_min: float | None = None) -> SpectrumReport:
     """Full classified point spectrum for one coupling.
 
-    The trivial and Friedrichs extensions bypass the secular machinery: their
-    spectrum is purely continuous, so the report carries only the band edge.
+    The discrete roots are bisected to 1e-15 relative and resolved as two
+    roots when more than 1e-9 relative apart (``discrete_eigenvalues``); the
+    embedded roots are accepted at the fixed levels of ``embedded_alpha0``
+    (1e-10) and ``embedded_large_alpha`` (1e-8).  The trivial and Friedrichs
+    extensions bypass the secular machinery: their spectrum is purely
+    continuous, so the report carries only the band edge.
     """
     info = classify_regime(params)
     if isinstance(coupling, ExtensionKind):
         return SpectrumReport(regime=info, continuous_edge=-info.sigma,
                               discrete=(), embedded=())
-    discrete = discrete_eigenvalues(params, coupling, e_min=e_min, tol=tol)
+    discrete = discrete_eigenvalues(params, coupling, e_min=e_min)
     eff = effective_couplings(params, coupling)
     embedded: tuple[EmbeddedRoot, ...] = ()
     if info.regime is Regime.CASE_A:
-        embedded = embedded_alpha0(params.beta, eff, tol=max(tol, 1e-12))
+        embedded = embedded_alpha0(params.beta, eff)
     elif info.regime is Regime.CASE_B:
         from . import perturbation
         persists, residual = perturbation.threshold_persistence(params.beta, coupling)
         if persists:
             embedded = (EmbeddedRoot(-params.beta, abs(residual), "T1"),)
     elif info.regime is Regime.CASE_C:
-        embedded = embedded_large_alpha(params, eff, tol=max(tol, 1e-8))
+        embedded = embedded_large_alpha(params, eff)
     return SpectrumReport(regime=info, continuous_edge=-info.sigma,
                           discrete=discrete, embedded=embedded)

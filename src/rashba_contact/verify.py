@@ -283,7 +283,7 @@ def check_perturbation_order() -> list[CheckResult]:
     att = perturbation.e2(beta, gm, -beta - 0.4 ** 2)
 
     def root(alpha: float) -> float:
-        roots = spectrum.discrete_eigenvalues(SystemParams(alpha, beta), gm, tol=1e-13)
+        roots = spectrum.discrete_eigenvalues(SystemParams(alpha, beta), gm)
         return min((r.energy for r in roots), key=lambda x: abs(x - att.e0))
 
     errs = [abs(root(a) - att.predicted_energy(a)) for a in (0.2, 0.1, 0.05)]

@@ -105,12 +105,6 @@ class TestSolve:
             main(["solve", "--alpha", "0", "--beta", "0"])
         assert exc.value.code == 2
 
-    def test_tol_out_of_range_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--alpha", "0", "--beta", "0", "--trivial", "--tol", "1"])
-        assert exc.value.code == 2
-        assert "--tol" in capsys.readouterr().err
-
     @pytest.mark.parametrize("text", ["not json", "[0.5, 0.5, 0.0, 0.0]",
                                       '{"pp": 0.5, "mm": 0.5, "pm_re": "x", "pm_im": 0.0}'])
     def test_malformed_gamma_file_exits_2(self, capsys, tmp_path, text):
@@ -209,12 +203,28 @@ class TestSweep:
                   "--c-from", "-1", "--c-to", "1", "--steps", "3", "--log"])
         assert exc.value.code == 2
 
-    def test_tol_out_of_range_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--alpha", "0", "--beta", "0", "--r", "0.0",
-                  "--c-from", "0.5", "--c-to", "1.0", "--steps", "2", "--tol", "1"])
-        assert exc.value.code == 2
-        assert "--tol" in capsys.readouterr().err
+    def test_readme_first_row_resolves_the_pair(self, capsys):
+        # at the default beta = 1e-6 the two roots at c = -2 lie 1.6e-7 apart
+        code, out, _ = run(capsys, "sweep", "--alpha", "2", "--r=-0.17850",
+                           "--c-from=-2", "--c-to=-1e4", "--steps", "2", "--log")
+        assert code == 0
+        c, *energies = out.splitlines()[1].split(",")
+        assert c == "-2" and len(energies) == 2
+        assert [float(e) for e in energies] == pytest.approx(
+            [-1.1149918962899035, -1.1149917158201794], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "2", "--beta", "0.5", "--c", "-50", "--r", "-0.17850",
+     "--tol", "1e-2"],
+    ["sweep", "--alpha", "2", "--r=-0.17850", "--c-from=-2", "--c-to=-1e4",
+     "--steps", "2", "--tol", "1e-6"],
+], ids=["solve", "sweep"])
+def test_tol_is_not_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestExpand:

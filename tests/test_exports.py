@@ -40,3 +40,58 @@ def test_every_public_function_has_a_caller_in_the_package():
     functions = {name for name in rashba_contact.__all__
                  if inspect.isfunction(getattr(rashba_contact, name))}
     assert functions - used == NO_CALLER_YET
+
+
+def _package_trees():
+    package = Path(rashba_contact.__file__).parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def _loaded_names(tree) -> set[str]:
+    """Names a module reads: bare names, attribute names and __all__ entries."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_import():
+    unused = []
+    for name, tree in _package_trees().items():
+        used = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_every_module_level_name_is_read():
+    """A module-level name that no module of the package reads, and that
+    __all__ does not export, is a leftover."""
+    trees = _package_trees()
+    used = set().union(*map(_loaded_names, trees.values()))
+    orphans = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            orphans += [f"{name}: {b}" for b in bound
+                        if not b.startswith("__") and b not in used]
+    assert not orphans, orphans

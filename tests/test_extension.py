@@ -291,7 +291,7 @@ class TestResolventCorrection:
         from rashba_contact import discrete_eigenvalues
         p = SystemParams(0.0, 0.0)
         gm = Hermitian2.scalar(0.5)
-        root = discrete_eigenvalues(p, gm, tol=1e-13)[0].energy
+        root = discrete_eigenvalues(p, gm)[0].energy
         norms = [np.abs(resolvent_correction(p, gm, complex(root - d))).max()
                  for d in (1e-3, 1e-4, 1e-5)]
         assert norms[1] / norms[0] == pytest.approx(10.0, rel=0.3)

@@ -46,6 +46,16 @@ def _near_axis_points():
     return points
 
 
+def counted(f):
+    """f wrapped to count its evaluations, per integral, in the returned array."""
+    evals = np.zeros(2, dtype=int)
+
+    def wrapped(k, x):
+        evals[:] += np.bincount(k.ravel(), minlength=2) * x.shape[1]
+        return f(k, x)
+    return wrapped, evals
+
+
 class TestGK21:
     def test_weights_sum_to_two(self):
         assert _WK21.sum() == pytest.approx(2.0, abs=1e-15)
@@ -54,31 +64,28 @@ class TestGK21:
     def test_exact_degrees_on_one_interval(self):
         assert _WG21 @ _X21 ** 18 == pytest.approx(2.0 / 19.0, rel=1e-14)
         assert _WK21 @ _X21 ** 30 == pytest.approx(2.0 / 31.0, rel=1e-14)
-        val, err, evals = _gk21_batch(lambda k, x: x ** 30, np.zeros(1, dtype=int),
-                                      -np.ones(1), np.ones(1), 1, 1.0, 0.0)
-        assert evals == 21
+        f, evals = counted(lambda k, x: x ** 30)
+        val, err = _gk21_batch(f, np.zeros(1, dtype=int), -np.ones(1), np.ones(1),
+                               1, 1.0, 0.0)
+        assert evals.sum() == 21
         assert val[0] == pytest.approx(2.0 / 31.0, rel=1e-14) and err[0] <= 1.0
 
     def test_each_integral_of_a_batch_adapts_on_its_own(self):
         eps = 1e-3
-        evals = np.zeros(2, dtype=int)
-
-        def f(k, x):
-            evals[:] += np.bincount(k.ravel(), minlength=2) * x.shape[1]
-            return np.where(k == 0, np.cos(x), 1j / ((x - 0.3) ** 2 + eps * eps))
-
-        val, err, total = _gk21_batch(f, np.arange(2), np.zeros(2), np.ones(2), 2,
-                                      1e-12, 1e-10)
+        f, evals = counted(
+            lambda k, x: np.where(k == 0, np.cos(x), 1j / ((x - 0.3) ** 2 + eps * eps)))
+        val, err = _gk21_batch(f, np.arange(2), np.zeros(2), np.ones(2), 2,
+                               1e-12, 1e-10)
         exact = (math.sin(1.0), 1j * (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps)
         for v, e, ref in zip(val, err, exact):
             assert abs(v - ref) <= e <= max(1e-12, 1e-10 * abs(v))
-        assert evals[0] == 21 and total == evals.sum()
+        assert evals[0] == 21 and evals[1] > 21
 
     def test_unreachable_target_stops_at_interval_cap(self):
-        val, err, evals = _gk21_batch(lambda k, x: (x > 1.0 / 3.0) * 1.0,
-                                      np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
-                                      1, 1e-16, 0.0)
-        assert evals == 21 * (2 * 200 - 1)
+        f, evals = counted(lambda k, x: (x > 1.0 / 3.0) * 1.0)
+        val, err = _gk21_batch(f, np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
+                               1, 1e-16, 0.0)
+        assert evals.sum() == 21 * (2 * 200 - 1)
         assert err[0] > 1e-16 and abs(val[0] - 2.0 / 3.0) <= err[0]
 
 

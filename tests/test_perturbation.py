@@ -137,13 +137,13 @@ class TestE2:
         # Richardson limit of (E(alpha) - E0)/alpha^2 reproduces the quotient
         b = 0.5
         gm = gamma_for_couplings(SystemParams(0.0, b), -0.9, -0.3, 0.4)
-        e0 = discrete_eigenvalues(SystemParams(0.0, b), gm, tol=1e-13)[0].energy
+        e0 = discrete_eigenvalues(SystemParams(0.0, b), gm)[0].energy
         att = e2(b, gm, e0)
         assert att.branch is Branch.GENERIC_GAMMA
         sl = math.sqrt(2.0 * b)
         ds = []
         for a in (0.1 * sl, 0.05 * sl):
-            roots = discrete_eigenvalues(SystemParams(a, b), gm, tol=1e-13)
+            roots = discrete_eigenvalues(SystemParams(a, b), gm)
             e = min((r.energy for r in roots), key=lambda x: abs(x - e0))
             ds.append((e - e0) / (a * a))
         extrap = (4.0 * ds[1] - ds[0]) / 3.0
@@ -241,7 +241,7 @@ class TestAsymptoticEigenvalues:
         entry = asym.entries[0]
         assert entry.e0 == pytest.approx(-0.66, abs=1e-10)
         pred = entry.predicted_energy(alpha)
-        roots = discrete_eigenvalues(SystemParams(alpha, b), gm, tol=1e-13)
+        roots = discrete_eigenvalues(SystemParams(alpha, b), gm)
         solver = min((r.energy for r in roots), key=lambda x: abs(x - entry.e0))
         assert abs(solver - pred) < 1e-3     # O(alpha^4) remainder
 
@@ -291,6 +291,6 @@ class TestAsymptoticEigenvalues:
             w0m = -math.sqrt(delta)
             gm = _diagonal_gamma(b, 0.8, w0m)
             alpha = (delta / 100.0) ** 0.25
-            roots = discrete_eigenvalues(SystemParams(alpha, b), gm, tol=1e-13)
+            roots = discrete_eigenvalues(SystemParams(alpha, b), gm)
             e = min((r.energy for r in roots), key=lambda x: abs(x + b + delta))
             assert e < -b

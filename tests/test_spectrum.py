@@ -46,7 +46,7 @@ class TestSecularFunction:
             g = rng.uniform(0, 1.5)
             gm = gamma_for_couplings(p, wp, wm, g)
             eff = effective_couplings(p, gm)
-            for r in discrete_eigenvalues(p, gm, tol=1e-11):
+            for r in discrete_eigenvalues(p, gm):
                 assert abs(secular_function(p, eff, r.energy)) <= 1e-9
                 checked += 1
         assert checked > 10
@@ -169,6 +169,20 @@ class TestDiscrete:
                 for e in got:
                     assert e == pytest.approx(want[0], rel=1e-8)
                     assert e == pytest.approx(want[1], rel=1e-8)
+
+    @pytest.mark.parametrize("gap,methods", [
+        (2e-9, [RootMethod.SIGN_CHANGE, RootMethod.SIGN_CHANGE]),
+        (5e-10, [RootMethod.EVEN_ORDER]),
+    ])
+    def test_even_order_resolution(self, gap, methods):
+        # channel roots gap*|E| apart at E = -2 are resolved iff gap > 1e-9
+        p = SystemParams(2.0, 0.5)
+        e1, e2 = -2.0, -2.0 * (1.0 + gap)
+        gm = Hermitian2(krein_q(p, e1).q_pp.real, krein_q(p, e2).q_mm.real)
+        roots = discrete_eigenvalues(p, gm)
+        assert [r.method for r in roots] == methods
+        for r in roots:
+            assert r.energy == pytest.approx(e1, rel=2.0 * gap)
 
     def test_root_inside_pole_guard_warns(self):
         p = SystemParams(2.0, 0.5)
