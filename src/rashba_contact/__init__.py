@@ -20,8 +20,7 @@ from .oracle import (QuadratureResult, gs_ren_quadrature, phi_norm_quadrature,
                      sigma_numeric)
 from .perturbation import (AsymptoticEigenvalue, AsymptoticSpectrum, Branch,
                            PerturbationCoefficients, asymptotic_eigenvalues,
-                           cnd0, cnd0_max, e2, expansion_coefficients,
-                           gamma_circle_residual, q0)
+                           cnd0, cnd0_max, e2, expansion_coefficients, q0)
 from .spectrum import (DiscreteRoot, EmbeddedRoot, ForbiddenBandReport,
                        LargeCouplingContext, RootMethod, SpectrumReport,
                        discrete_eigenvalues, e_nu, embedded_alpha0,
@@ -42,7 +41,7 @@ __all__ = [
     "classify_regime", "cnd0", "cnd0_max", "discrete_eigenvalues", "e2", "e_nu",
     "effective_couplings", "embedded_alpha0", "embedded_large_alpha",
     "expansion_coefficients", "forbidden_band_scan", "g1_origin", "g2ren_origin",
-    "gamma_circle_residual", "gamma_for_couplings", "gamma_from_cr",
+    "gamma_for_couplings", "gamma_from_cr",
     "gs_ren_origin", "gs_ren_quadrature", "krein_q", "large_coupling_context",
     "normalization", "phi_norm_quadrature", "phi_norm_sq", "q0",
     "resolvent_correction", "secular_det", "secular_function", "series_validity",

@@ -158,7 +158,7 @@ def cmd_qfunc(parser, args) -> int:
 
 def cmd_solve(parser, args) -> int:
     params = _params(parser, args.alpha, args.beta)
-    report = solve_spectrum(params, _coupling(parser, args), e_min=args.e_min)
+    report = solve_spectrum(params, _coupling(parser, args))
     _emit(_report_csv(report) if args.format == "csv" else dumps(report.to_json_dict()),
           args.out)
     return EXIT_OK
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="classified point spectrum for one coupling")
     _add_params(s)
     _add_coupling(s, required=True, extensions=True)
-    s.add_argument("--e-min", type=finite, default=None,
-                   help="lower end of the discrete search window")
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.set_defaults(func=cmd_solve)
 

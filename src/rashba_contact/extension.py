@@ -44,10 +44,6 @@ class Hermitian2:
         """v times the identity."""
         return cls(pp=v, mm=v, pm=0j)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.pp, self.pm],
-                         [self.pm.conjugate(), self.mm]], dtype=complex)
-
     def to_json_dict(self) -> dict:
         return {"pp": self.pp, "mm": self.mm,
                 "pm_re": self.pm.real, "pm_im": self.pm.imag}

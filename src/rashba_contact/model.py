@@ -63,7 +63,6 @@ class RegimeInfo:
     sigma: float
     regime: Regime
     nu: float | None = None
-    series_valid_at_unit_circle: bool = True
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,8 @@ def classify_regime(params: SystemParams) -> RegimeInfo:
     """Tag the parameter point as CaseA/CaseB/CaseC.
 
     CaseC keeps its tag even when Sigma > 1; the closed forms remain
-    evaluable pointwise there, so callers only get the
-    ``series_valid_at_unit_circle`` flag lowered instead of a refusal.
+    evaluable pointwise there, and ``series_validity`` says at which
+    energies the series representation holds.
     alpha > 0 with beta = 0 is Unsupported: nu = alpha/sqrt(2*beta) is
     undefined and the dedicated beta = 0 code paths apply instead.
     """
@@ -103,12 +102,10 @@ def classify_regime(params: SystemParams) -> RegimeInfo:
     if a == 0.0:
         return RegimeInfo(sigma=sigma, regime=Regime.CASE_A)
     if b == 0.0:
-        return RegimeInfo(sigma=sigma, regime=Regime.UNSUPPORTED,
-                          series_valid_at_unit_circle=bool(sigma <= 1.0))
+        return RegimeInfo(sigma=sigma, regime=Regime.UNSUPPORTED)
     if a < math.sqrt(2.0 * b):
         return RegimeInfo(sigma=sigma, regime=Regime.CASE_B)
-    return RegimeInfo(sigma=sigma, regime=Regime.CASE_C, nu=a / math.sqrt(2.0 * b),
-                      series_valid_at_unit_circle=bool(sigma <= 1.0))
+    return RegimeInfo(sigma=sigma, regime=Regime.CASE_C, nu=a / math.sqrt(2.0 * b))
 
 
 def series_validity(params: SystemParams, z: complex) -> ValidityReport:

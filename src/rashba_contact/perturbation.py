@@ -203,17 +203,6 @@ def _circle_coefficients(beta: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def gamma_circle_residual(beta: float, gamma_matrix: Hermitian2) -> float:
-    """A*Gamma_pp + B*Gamma_mm + C; zero (given -beta in the zeroth-order
-    spectrum) characterizes the coupling for which -beta survives at small
-    nonzero coupling."""
-    beta = float(beta)
-    if beta <= 0.0:
-        raise DomainError("the circle condition requires beta > 0")
-    a, b, c = _circle_coefficients(beta)
-    return a * gamma_matrix.pp + b * gamma_matrix.mm + c
-
-
 def cnd0(beta: float) -> float:
     """The threshold-obstruction function of beta; strictly negative.
 

@@ -26,6 +26,7 @@ from .model import (_POLE_GUARD, Regime, RegimeInfo, SystemParams, classify_regi
                     series_validity, threshold_sigma)
 
 _GRID_NODES = 2048
+_SCAN_NODES = 1000
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
 _GOLDEN_ITERS = 100
@@ -190,9 +191,9 @@ def _golden_min(g, lo: float, hi: float) -> float:
     return min((lo, hi, 0.5 * (a + b)), key=g)
 
 
-def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
-                         e_min: float | None = None) -> tuple[DiscreteRoot, ...]:
-    """All real zeros of det(Gamma - Q(E)) on [e_min, -Sigma).
+def discrete_eigenvalues(params: SystemParams,
+                         gamma_matrix: Hermitian2) -> tuple[DiscreteRoot, ...]:
+    """All real zeros of det(Gamma - Q(E)) below -Sigma.
 
     Q is Herglotz and real below -Sigma, so Gamma - Q(E) strictly decreases
     there, and so does each of its eigenvalue branches
@@ -210,14 +211,34 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
     alpha^2 = 2 beta) tends to -inf, so a branch still positive at the last
     node has a root inside the pole guard; that root is not reported, and one
     UserWarning, naming every such branch, says so.
+
+    The grid starts at e_min = -max(100, 10 (1 + Sigma + w^2)), with
+    w = max(|omega_+|, |omega_-|, sqrt(gamma)), and no root lies below it:
+    - Below -Sigma, x = xi(E) is real and lies in (0, x_edge] with
+      x_edge <= 1/sqrt(2 beta); with u = 1/(2x), -E = u^2 + beta^2 x^2 <=
+      u^2 + beta/2.
+    - Gamma - Q(E) is congruent to [[c_+, sqrt(gamma)], [sqrt(gamma), c_-]]
+      (``_channel_factors``), so at a root c_+ c_- = gamma and
+      min(c_+, c_-) <= sqrt(gamma).  Hence u <= W + |k_s| artanh(alpha x)
+      with W = sqrt(gamma) + max|omega_s| <= 2w and
+      |k_s| = |alpha/2 - s beta/alpha| <= (alpha^2/2 + beta)/alpha.
+    - u >= alpha: alpha x <= 1/2, where the convex artanh(t) <= ln(3) t <
+      1.1 t, so u^2 < W u + 0.55 (alpha^2/2 + beta) <= W u + 1.65 Sigma
+      (alpha^2 <= 4 Sigma, beta <= Sigma).  With W u <= (u^2 + W^2)/2 this
+      gives u^2 < W^2 + 3.3 Sigma and -E < 4 w^2 + 3.8 Sigma.
+    - u < alpha: -E < alpha^2 + beta/2 <= 4.5 Sigma.
+    - alpha = 0: the tail is -/+ beta x = -/+ beta/(2u), so u^2 <= W u +
+      beta/2 and the same steps give -E <= 4 w^2 + 1.5 Sigma.
+    So every root has -E < 10 (1 + Sigma + w^2) <= -e_min.  Gamma - Q(E) is
+    positive definite as E -> -inf and decreases, so both branches are
+    positive at e_min; a branch that is not is an error, never a dropped root.
     """
     sigma = threshold_sigma(params)
     eff = effective_couplings(params, gamma_matrix)
-    if e_min is None:
-        wscale = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
-        e_min = -max(100.0, 10.0 * (1.0 + sigma + wscale * wscale))
-    if not (math.isfinite(e_min) and e_min < -sigma):
-        raise DomainError(f"e_min = {e_min} must be finite and below the band edge {-sigma}")
+    wscale = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
+    e_min = -max(100.0, 10.0 * (1.0 + sigma + wscale * wscale))
+    if not math.isfinite(e_min):
+        raise DomainError(f"the window's lower end {e_min} overflows; Gamma is too large")
 
     pole = _has_pole(params)
     seam = params.alpha * params.alpha == 2.0 * params.beta
@@ -240,9 +261,11 @@ def discrete_eigenvalues(params: SystemParams, gamma_matrix: Hermitian2, *,
                 unreported.append(name)
             continue
         i = int(below[0])
+        if i == 0:
+            raise AssertionError(f"{name} <= 0 at e_min = {e_min}, against the bound")
         if vals[i, k] == 0.0:
             found.append(float(grid[i]))
-        elif i > 0:       # i = 0: the root lies below e_min, outside the window
+        else:
             found.append(_bisect(lambda e, k=k: branches(e)[k], float(grid[i - 1]),
                                  float(grid[i]), vals[i - 1, k]))
     if unreported:
@@ -455,47 +478,43 @@ def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarra
     return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
 
 
-def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings,
-                        grid_size: int = 1000) -> ForbiddenBandReport:
+def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> ForbiddenBandReport:
     """Scan (-Sigma, beta) and report the largest gamma the constraints would
     require; a negative maximum certifies the band holds no eigenvalue for
     any admissible gamma >= 0.
 
-    The grid linspace(-Sigma + delta, beta - delta, grid_size),
+    The grid linspace(-Sigma + delta, beta - delta, 1000),
     delta = 1e-6*max(1, Sigma + beta), is evaluated in one numpy pass.
-    grid_size must be an integer >= 2, so that the grid reaches both ends.
     """
-    if (isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer))
-            or grid_size < 2):
-        raise DomainError(f"grid_size = {grid_size!r} must be an integer >= 2")
     info = classify_regime(params)
     if info.regime is not Regime.CASE_C:
         raise RegimeError("the forbidden-band argument applies to the "
                           "large-coupling regime only")
     sigma, b = info.sigma, params.beta
     delta = 1e-6 * max(1.0, sigma + b)
-    grid = np.linspace(-sigma + delta, b - delta, grid_size)
+    grid = np.linspace(-sigma + delta, b - delta, _SCAN_NODES)
     worst = float(np.max(_gamma_required(params, eff.omega_plus, grid)))
     return ForbiddenBandReport(max_gamma_required=worst, band=(-sigma, b),
-                               grid_size=grid_size)
+                               grid_size=_SCAN_NODES)
 
 
-def solve_spectrum(params: SystemParams, coupling: Hermitian2 | ExtensionKind, *,
-                   e_min: float | None = None) -> SpectrumReport:
+def solve_spectrum(params: SystemParams,
+                   coupling: Hermitian2 | ExtensionKind) -> SpectrumReport:
     """Full classified point spectrum for one coupling.
 
-    The discrete roots are bisected to 1e-15 relative and resolved as two
-    roots when more than 1e-9 relative apart (``discrete_eigenvalues``); the
-    embedded roots are accepted at the fixed levels of ``embedded_alpha0``
-    (1e-10) and ``embedded_large_alpha`` (1e-8).  The trivial and Friedrichs
-    extensions bypass the secular machinery: their spectrum is purely
-    continuous, so the report carries only the band edge.
+    The discrete roots are every root below -Sigma outside the pole guard
+    (``discrete_eigenvalues`` proves its window holds them all), bisected to
+    1e-15 relative and resolved as two roots when more than 1e-9 relative
+    apart; the embedded roots are accepted at the fixed levels of
+    ``embedded_alpha0`` (1e-10) and ``embedded_large_alpha`` (1e-8).  The
+    trivial and Friedrichs extensions bypass the secular machinery: their
+    spectrum is purely continuous, so the report carries only the band edge.
     """
     info = classify_regime(params)
     if isinstance(coupling, ExtensionKind):
         return SpectrumReport(regime=info, continuous_edge=-info.sigma,
                               discrete=(), embedded=())
-    discrete = discrete_eigenvalues(params, coupling, e_min=e_min)
+    discrete = discrete_eigenvalues(params, coupling)
     eff = effective_couplings(params, coupling)
     embedded: tuple[EmbeddedRoot, ...] = ()
     if info.regime is Regime.CASE_A:

@@ -270,7 +270,7 @@ def check_forbidden_band() -> CheckResult:
         eff = effective_couplings(
             params, gamma_for_couplings(params, rng.uniform(-2, 2),
                                         rng.uniform(-2, 2), rng.uniform(0, 2)))
-        rep = spectrum.forbidden_band_scan(params, eff, grid_size=1000)
+        rep = spectrum.forbidden_band_scan(params, eff)
         worst = max(worst, rep.max_gamma_required)
     return CheckResult("forbidden-band-negative", worst < 0.0, worst, 0.0, 0.0,
                        detail="pass iff measured < 0")

@@ -24,22 +24,47 @@ def test_every_public_import_is_listed():
     assert public <= set(rashba_contact.__all__), sorted(public - set(rashba_contact.__all__))
 
 
+def _module_aliases(tree) -> set[str]:
+    """Names a module binds to package modules, as in ``from . import spectrum``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names}
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     """Each function in __all__ is used by the solver, verify or the CLI,
-    not only by its own tests: some module other than __init__ names it."""
-    package = Path(rashba_contact.__file__).parent
+    not only by its own tests: some module other than __init__ reads its
+    name, bare or as an attribute of a package module (``_spectrum.x``).  A
+    field of the same name (``asym.x``) is no caller."""
     used = set()
-    for path in package.glob("*.py"):
-        if path.name == "__init__.py":
+    for name, tree in _package_trees().items():
+        if name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
                 used.add(node.attr)
     functions = {name for name in rashba_contact.__all__
                  if inspect.isfunction(getattr(rashba_contact, name))}
     assert functions - used == NO_CALLER_YET
+
+
+def test_every_public_member_is_read_in_the_package():
+    """Each public method or property of a package class is read somewhere in
+    the package, as an attribute (``x.member``); one only tests read is dead."""
+    trees = _package_trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = [f"{name}: {cls.name}.{member.name}"
+            for name, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+            and member.name not in read]
+    assert not dead, dead
 
 
 def _package_trees():

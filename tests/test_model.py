@@ -99,11 +99,10 @@ class TestRegime:
         assert info.regime is Regime.CASE_B
 
     def test_case_c_with_flag(self):
-        # Sigma = 1.0625 > 1: tag stays CaseC, the series flag drops
+        # Sigma = 1.0625 > 1: tag stays CaseC
         info = classify_regime(SystemParams(2.0, 0.5))
         assert info.regime is Regime.CASE_C
         assert info.nu == pytest.approx(2.0, rel=1e-14)
-        assert info.series_valid_at_unit_circle is False
 
     def test_case_c_boundary_alpha(self):
         b = 0.3

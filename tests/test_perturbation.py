@@ -7,9 +7,8 @@ from rashba_contact import (Branch, DomainError, Hermitian2, RegimeError,
                             SystemParams, asymptotic_eigenvalues, cnd0,
                             cnd0_max, discrete_eigenvalues, e2,
                             effective_couplings, expansion_coefficients,
-                            gamma_circle_residual, gamma_for_couplings,
-                            normalization, q0)
-from rashba_contact.perturbation import _circle_coefficients
+                            gamma_for_couplings, normalization, q0)
+from rashba_contact.perturbation import _circle_coefficients, threshold_persistence
 from rashba_contact.spectrum import _golden_min
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)
@@ -170,7 +169,7 @@ class TestGammaCircle:
         mm = -(a_co * pp + c_co) / b_co
         gm = Hermitian2(pp, mm, 0.0)
         scale = abs(a_co * pp) + abs(b_co * mm) + abs(c_co)
-        assert abs(gamma_circle_residual(b, gm)) < 1e-10 * scale
+        assert abs(threshold_persistence(b, gm)[1]) < 1e-10 * scale
 
     def test_affine_in_entries(self):
         b = 1.0
@@ -178,7 +177,7 @@ class TestGammaCircle:
         pts = []
         for pp in (0.0, 0.5, 1.0):
             mm = 0.25
-            res = gamma_circle_residual(b, Hermitian2(pp, mm, 0.0))
+            res = threshold_persistence(b, Hermitian2(pp, mm, 0.0))[1]
             pts.append((pp, res))
         slope1 = (pts[1][1] - pts[0][1]) / 0.5
         slope2 = (pts[2][1] - pts[1][1]) / 0.5
@@ -186,7 +185,7 @@ class TestGammaCircle:
         assert slope1 == pytest.approx(a_co, rel=1e-12)
 
     def test_generic_nonzero(self):
-        assert abs(gamma_circle_residual(0.5, Hermitian2(0.4, 0.7, 0.0))) > 1e-6
+        assert abs(threshold_persistence(0.5, Hermitian2(0.4, 0.7, 0.0))[1]) > 1e-6
 
 
 class TestCnd0:
@@ -260,7 +259,7 @@ class TestAsymptoticEigenvalues:
         assert a_co > 0.0 and b_co > 0.0
         gm = _diagonal_gamma(b, -math.sqrt(2.0 * b), 0.0)
         scale = abs(a_co * gm.pp) + abs(b_co * gm.mm) + abs(c_co)
-        assert abs(gamma_circle_residual(b, gm)) < 1e-10 * scale
+        assert abs(threshold_persistence(b, gm)[1]) < 1e-10 * scale
         asym = asymptotic_eigenvalues(SystemParams(0.1, b), gm)
         assert asym.threshold_persists
         # everywhere else on the line the membership product is negative

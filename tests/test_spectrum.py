@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rashba_contact import (DomainError, EffectiveCouplings,
-                            ExtensionKind, Hermitian2, PoleError,
+                            ExtensionKind, Hermitian2, KreinQ, PoleError,
                             RegimeError, RootMethod, SystemParams,
                             artanh_branch, discrete_eigenvalues, e_nu,
                             effective_couplings, embedded_alpha0,
@@ -101,11 +101,49 @@ class TestDiscrete:
         p = SystemParams(0.0, 0.0)
         assert discrete_eigenvalues(p, Hermitian2.scalar(3.0)) == ()
 
-    def test_emin_validation(self):
-        p = SystemParams(0.0, 0.5)
-        for e_min in (-0.1, math.nan, -math.inf):
-            with pytest.raises(DomainError):
-                discrete_eigenvalues(p, Hermitian2.scalar(0.1), e_min=e_min)
+    def test_window_lower_end_is_below_every_root(self, monkeypatch):
+        # both eigenvalues of Gamma - Q(E) are positive at the window's lower
+        # end e_min = -max(100, 10 (1 + Sigma + w^2)), so, Gamma - Q(E) being
+        # decreasing, no root lies below it: alpha = 0, beta = 0, the seam
+        # and Gamma entries from 1e-3 up to 1e4 in size; on the first draws
+        # the solver's grid starts at that e_min
+        rng = np.random.default_rng(71)
+        energies = []
+        monkeypatch.setattr(spectrum, "krein_q",
+                            lambda p, z: energies.append(z.real) or krein_q(p, z))
+
+        def entry():
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0)
+
+        for k in range(400):
+            a = 0.0 if k % 4 == 0 else float(rng.uniform(0.0, 4.0))
+            b = (a * a / 2.0 if k % 4 == 1 else 0.0 if k % 4 == 2
+                 else float(10.0 ** rng.uniform(-6.0, 1.0)))
+            p = SystemParams(a, b)
+            gm = Hermitian2(entry(), entry(), complex(entry(), entry()) if k % 3 else 0j)
+            eff = effective_couplings(p, gm)
+            w = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
+            e_min = -max(100.0, 10.0 * (1.0 + threshold_sigma(p) + w * w))
+            q = krein_q(p, complex(e_min))
+            m = np.array([[gm.pp - q.q_pp.real, gm.pm],
+                          [gm.pm.conjugate(), gm.mm - q.q_mm.real]])
+            assert np.all(np.linalg.eigvalsh(m) > 0.0), (a, b, gm)
+            if k < 8:
+                energies.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)   # pole guard
+                    discrete_eigenvalues(p, gm)
+                assert min(energies) == pytest.approx(e_min, rel=1e-14)
+        # a Gamma whose w^2 overflows has no window
+        with pytest.raises(DomainError, match="overflows"):
+            discrete_eigenvalues(SystemParams(1.0, 0.5), Hermitian2.scalar(1e160))
+
+    def test_a_branch_negative_at_the_window_end_is_an_error(self, monkeypatch):
+        # the bound makes this impossible for the true Q; a Q that breaks it
+        # must not lose the root below the window in silence
+        monkeypatch.setattr(spectrum, "krein_q", lambda p, z: KreinQ(1e9 + 0j, 1e9 + 0j))
+        with pytest.raises(AssertionError, match="lambda_- <= 0 at e_min"):
+            discrete_eigenvalues(SystemParams(1.0, 0.5), Hermitian2.scalar(0.1))
 
     def test_theorem1_closure(self):
         rng = np.random.default_rng(31)
@@ -437,7 +475,7 @@ class TestForbiddenBand:
         for _ in range(10):
             eff = EffectiveCouplings(rng.uniform(-2, 2), rng.uniform(-2, 2),
                                      rng.uniform(0, 2))
-            rep = forbidden_band_scan(params, eff, grid_size=1000)
+            rep = forbidden_band_scan(params, eff)
             assert rep.max_gamma_required < 0.0
             assert rep.band == (-threshold_sigma(params), 0.5)
 
@@ -503,26 +541,16 @@ class TestForbiddenBand:
     def test_grid_refinement_stable(self):
         params = SystemParams(2.0, 0.5)
         eff = EffectiveCouplings(0.4, -0.7, 0.3)
-        r1 = forbidden_band_scan(params, eff, grid_size=1000).max_gamma_required
-        r2 = forbidden_band_scan(params, eff, grid_size=10000).max_gamma_required
-        assert abs(r1 - r2) < 1e-8
+        rep = forbidden_band_scan(params, eff)
+        sigma, b = -rep.band[0], rep.band[1]
+        delta = 1e-6 * max(1.0, sigma + b)
+        fine = np.linspace(-sigma + delta, b - delta, 10000)
+        r2 = float(np.max(spectrum._gamma_required(params, eff.omega_plus, fine)))
+        assert rep.grid_size == 1000 and abs(rep.max_gamma_required - r2) < 1e-8
 
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
             forbidden_band_scan(SystemParams(0.1, 0.5), EffectiveCouplings(0, 0, 0))
-
-    @pytest.mark.parametrize("grid_size", [0, 1, -5, 2.0, 1000.0, True, "1000", None])
-    def test_grid_size_must_be_an_integer_of_at_least_two(self, grid_size):
-        params = SystemParams(2.0, 0.5)
-        with pytest.raises(DomainError, match="grid_size"):
-            forbidden_band_scan(params, EffectiveCouplings(0.4, -0.7, 0.3), grid_size=grid_size)
-
-    def test_two_points_are_accepted(self):
-        params = SystemParams(2.0, 0.5)
-        eff = EffectiveCouplings(0.4, -0.7, 0.3)
-        for grid_size in (2, np.int64(2)):
-            rep = forbidden_band_scan(params, eff, grid_size=grid_size)
-            assert rep.grid_size == 2 and math.isfinite(rep.max_gamma_required)
 
 
 def _symmetric_roots(alpha: float, omega: float):
