@@ -131,13 +131,14 @@ class TestSolve:
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
-    def test_e_min_is_not_an_option(self, capsys):
-        # the search window is fixed by a proven bound, not set by the caller
+    @pytest.mark.parametrize("e_min", [["--e-min", "nan"], ["--e-min=-inf"]])
+    def test_non_finite_e_min_exits_2(self, capsys, e_min):
+        # the search window is fixed by a proven bound, not set by the caller:
+        # --e-min is not an option at all, finite or not
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--alpha", "0", "--beta", "0", "--c", "1", "--r", "0",
-                  "--e-min", "-5"])
+            main(["solve", "--alpha", "0", "--beta", "0", "--c", "1", "--r", "0", *e_min])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --e-min -5" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(e_min)}" in capsys.readouterr().err
 
     def test_csv_round_trip(self, capsys, tmp_path):
         gf = tmp_path / "g.json"
