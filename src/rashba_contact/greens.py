@@ -12,8 +12,9 @@ sign pattern the spectral analysis relies on:
 
 and artanh on its real cut w > 1 continued from below, r - i*pi/2.
 
-These real-axis forms feed the channel factors of the secular function and
-the forbidden-band scan. On the band they are not one boundary value of the
+These real-axis forms feed the channel factors of the secular function;
+the forbidden-band scan (``spectrum._gamma_required``) evaluates the same
+forms in real arithmetic, one sub-band of (-Sigma, beta) at a time. On the band they are not one boundary value of the
 resolvent: on (-Sigma, 0) they give the E - i0 limit, on (0, beta) the
 E + i0 limit, and on E >= beta neither, so ``extension.krein_q`` rejects
 real z on [-Sigma, inf).
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 from .errors import DomainError, PoleError
 from .model import SystemParams
@@ -61,29 +60,6 @@ def artanh_branch(w: complex) -> complex:
     return 0.5 * (cmath.log(1.0 + w) - cmath.log(1.0 - w))
 
 
-def _artanh_branch_array(w: np.ndarray) -> np.ndarray:
-    """``artanh_branch`` over a complex array, in real arithmetic.
-
-    With w = u + iv, Re = log1p(4|u|/((1-|u|)^2 + v^2))/4 with the sign of u
-    (artanh is odd, and |u| keeps the log1p argument nonnegative, so w near
-    -1 loses no accuracy) and Im = arctan2(2v, (1-|u|)(1+|u|) - v^2)/2.
-    Real entries (v == 0) take the scalar's imaginary parts: 0 on |u| < 1,
-    -pi/2 on the cut u > 1 and +pi/2 on u < -1, where arctan2 alone would
-    follow the sign of the zero.
-    """
-    u, v = w.real, w.imag
-    au = np.abs(u)
-    d = 1.0 - au
-    vv = v * v
-    out = np.empty(w.shape, dtype=complex)
-    out.real = np.copysign(0.25 * np.log1p(4.0 * au / (d * d + vv)), u)
-    out.imag = 0.5 * np.arctan2(2.0 * v, d * (1.0 + au) - vv)
-    cut = (v == 0.0) & (au > 1.0)
-    if cut.any():
-        out.imag[cut] = -0.5 * np.pi * np.sign(u[cut])
-    return out
-
-
 def _xi_real(beta: float, e: float) -> complex:
     if beta == 0.0:
         if e >= 0.0:
@@ -100,25 +76,6 @@ def _xi_real(beta: float, e: float) -> complex:
                        math.copysign(math.sqrt(beta + e) / two_b, e + 0.0))
     big = e + math.sqrt(e * e - beta * beta)
     return complex(0.0, 1.0 / math.sqrt(2.0 * big))
-
-
-def _xi_real_array(beta: float, e: np.ndarray) -> np.ndarray:
-    """``_xi_real`` over an array of energies E < beta, for beta > 0: real on
-    E <= -beta, exp(i*theta/2)/sqrt(2*beta) on (-beta, beta).
-
-    With cos(theta) = -E/beta the half-angle forms give
-    Re xi = sqrt(beta - E)/(2*beta) and |Im xi| = sqrt(beta + E)/(2*beta),
-    negative for E < 0; the same operations as the scalar, entry by entry.
-    """
-    below = e <= -beta
-    eb = e[below]
-    two_b = 2.0 * beta
-    out = np.empty(e.shape, dtype=complex)
-    out.real = np.sqrt(beta - e) / two_b
-    # -0.0 + 0.0 is +0.0, so E = -0.0 takes the E >= 0 sign, as in _xi_real
-    out.imag = np.copysign(np.sqrt(np.maximum(beta + e, 0.0)) / two_b, e + 0.0)
-    out[below] = 1.0 / np.sqrt(2.0 * (-eb + np.sqrt(eb * eb - beta * beta)))
-    return out
 
 
 def xi(params: SystemParams, z: complex) -> complex:

@@ -219,9 +219,11 @@ def cnd0(beta: float) -> float:
 
 
 @functools.cache
-def _cnd0_peak() -> float:
-    """The argmax of cnd0 on (0, inf), by one golden-section search of [1e-4, 1e4]."""
-    return _spectrum._golden_min(lambda b: -cnd0(b), 1e-4, 1e4)
+def _cnd0_peak() -> tuple[float, float]:
+    """(cnd0 at its argmax, the argmax) on (0, inf), by one golden-section
+    search of [1e-4, 1e4]."""
+    peak = _spectrum._golden_min(lambda b: -cnd0(b), 1e-4, 1e4)
+    return cnd0(peak), peak
 
 
 def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
@@ -231,13 +233,18 @@ def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
     cnd0 depends on beta alone and is unimodal: its slope changes sign once on
     (0, inf), at beta ~ 1.00553 (a 4e5-point log scan of [1e-4, 1e4] finds no
     other change).  So one search for the peak serves every window, and the
-    process keeps its result.  The clamp is exact: on a window that holds the
-    peak the maximum is the peak, and on any other window cnd0 is monotone,
-    so the maximum is the end nearer the peak.
+    process keeps the peak together with cnd0's value there.  The clamp is
+    exact: on a window that holds the peak the maximum is the peak, and on
+    any other window cnd0 is monotone, so the maximum is the end nearer the
+    peak.  A window that holds the peak returns the kept pair and evaluates
+    nothing; any other window evaluates cnd0 once, at that end.
     """
     if not 0.0 < lo <= hi:
         raise DomainError(f"cnd0_max requires 0 < lo <= hi, got [{lo}, {hi}]")
-    bm = min(max(_cnd0_peak(), float(lo)), float(hi))
+    val, peak = _cnd0_peak()
+    if lo <= peak <= hi:
+        return val, peak
+    bm = min(max(peak, float(lo)), float(hi))
     return cnd0(bm), bm
 
 

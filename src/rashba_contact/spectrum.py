@@ -20,8 +20,7 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import (_artanh_branch_array, _has_pole, _reject_near_pole,
-                     _xi_real_array, artanh_branch, xi)
+from .greens import _has_pole, _reject_near_pole, artanh_branch, xi
 from .model import (_POLE_GUARD, Regime, RegimeInfo, SystemParams, classify_regime,
                     series_validity, threshold_sigma)
 
@@ -99,9 +98,9 @@ class SpectrumReport:
         }
 
 
-def _channel_factors(params: SystemParams, x, sgn: float, omega_plus: float,
-                     omega_minus: float):
-    """The channel factors (c_+, c_-) at xi = x, a scalar or a numpy array.
+def _channel_factors(params: SystemParams, x: complex, sgn: float, omega_plus: float,
+                     omega_minus: float) -> tuple[complex, complex]:
+    """The channel factors (c_+, c_-) at xi = x.
 
     c_s = omega_s + sgn/(2 x) - (alpha/2 - s*beta/alpha) artanh(alpha*x), and
     at alpha = 0 the artanh term is replaced by its limit -s*beta*x; sgn is
@@ -112,7 +111,7 @@ def _channel_factors(params: SystemParams, x, sgn: float, omega_plus: float,
     if a == 0.0:
         tail_p, tail_m = -b * x, b * x
     else:
-        ar = _artanh_branch_array(a * x) if isinstance(x, np.ndarray) else artanh_branch(a * x)
+        ar = artanh_branch(a * x)
         tail_p, tail_m = (a / 2.0 - b / a) * ar, (a / 2.0 + b / a) * ar
     return omega_plus + inv - tail_p, omega_minus + inv - tail_m
 
@@ -232,13 +231,17 @@ def discrete_eigenvalues(params: SystemParams,
     So every root has -E < 10 (1 + Sigma + w^2) <= -e_min.  Gamma - Q(E) is
     positive definite as E -> -inf and decreases, so both branches are
     positive at e_min; a branch that is not is an error, never a dropped root.
+    An e_min whose square overflows, as for Gamma entries from about 1e77 at
+    Sigma ~ 1, leaves no window and raises DomainError.
     """
     sigma = threshold_sigma(params)
     eff = effective_couplings(params, gamma_matrix)
     wscale = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
     e_min = -max(100.0, 10.0 * (1.0 + sigma + wscale * wscale))
-    if not math.isfinite(e_min):
-        raise DomainError(f"the window's lower end {e_min} overflows; Gamma is too large")
+    # xi(e_min) squares e_min and comes out 0 where that overflows
+    if not math.isfinite(e_min * e_min):
+        raise DomainError(f"the window's lower end {e_min} overflows when squared; "
+                          "Gamma is too large")
 
     pole = _has_pole(params)
     seam = params.alpha * params.alpha == 2.0 * params.beta
@@ -467,15 +470,54 @@ def embedded_large_alpha(params: SystemParams,
 
 def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarray:
     """The gamma value the two-channel phase constraint would force at each
-    energy of ``e`` in (-Sigma, beta), in one numpy pass.
+    energy of the ascending grid ``e`` in (-Sigma, beta), for CaseC params.
 
-    With channel factors c_+ at omega_+ and c_- at omega_- = 0, the result is
+    With channel factors c_+ at omega_+ and c_- at omega_- = 0 (those of
+    ``_channel_factors`` with sgn = +1), the result is
     -(Im c_- / Im c_+)(Re c_+^2 + Im c_-^2).  Both Im c_s share a sign inside
     (-Sigma, beta), so the result is strictly negative there.  The constraint
     fixes Re c_-, so omega_- drops out.
+
+    The channel factors are evaluated in real arithmetic, one sub-band at a
+    time, with k_s = alpha/2 - s*beta/alpha:
+    - (-Sigma, -beta]: xi is real and alpha*xi > 1 lies on the artanh cut, so
+      Im c_s = k_s*pi/2 is constant and only
+      Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log((alpha xi + 1)/(alpha xi - 1))
+      varies; the log is taken as log1p(2/(alpha xi - 1)).
+    - (-beta, beta): xi = (r + iq)/(2 beta) with r = sqrt(beta - E) and
+      q = sqrt(beta + E) signed like E + 0.0, as in ``greens._xi_real``.
+      |xi|^2 = 1/(2 beta) gives 1/(2 xi) = (r - iq)/2.  With
+      alpha*xi = u + iv (u > 0, v != 0), artanh has real part
+      log1p(4u/((1-u)^2 + v^2))/4 and imaginary part
+      arctan2(2v, (1-u)(1+u) - v^2)/2, free of cancellation next to
+      alpha*xi = 1.
     """
-    cp, cm = _channel_factors(params, _xi_real_array(params.beta, e), 1.0, wp, 0.0)
-    return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
+    a, b = params.alpha, params.beta
+    kp, km = a / 2.0 - b / a, a / 2.0 + b / a
+    n = int(np.searchsorted(e, -b, side="right"))
+    out = np.empty(e.shape)
+
+    lo = e[:n]
+    x = 1.0 / np.sqrt(2.0 * (np.sqrt(lo * lo - b * b) - lo))
+    re_p = (wp + 0.5 / x) - (0.5 * kp) * np.log1p(2.0 / (a * x - 1.0))
+    im_m = 0.5 * np.pi * km
+    # k_+ = 0 on the seam nu = 1, where this sub-band holds no node
+    out[:n] = -km * (re_p * re_p + im_m * im_m) / kp
+
+    hi = e[n:]
+    r = np.sqrt(b - hi)
+    q = np.copysign(np.sqrt(b + hi), hi + 0.0)
+    scale = a / (2.0 * b)
+    u, v = scale * r, scale * q
+    d, vv = 1.0 - u, v * v
+    log_arg = np.log1p(4.0 * u / (d * d + vv))          # 4 Re artanh(u + iv)
+    angle = np.arctan2(2.0 * v, d * (1.0 + u) - vv)    # 2 Im artanh(u + iv)
+    re_p = (wp + 0.5 * r) - (0.25 * kp) * log_arg
+    half_q = 0.5 * q
+    im_p = (-0.5 * kp) * angle - half_q
+    neg_im_m = half_q + (0.5 * km) * angle
+    out[n:] = neg_im_m / im_p * (re_p * re_p + neg_im_m * neg_im_m)
+    return out
 
 
 def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> ForbiddenBandReport:
@@ -484,7 +526,8 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
     any admissible gamma >= 0.
 
     The grid linspace(-Sigma + delta, beta - delta, 1000),
-    delta = 1e-6*max(1, Sigma + beta), is evaluated in one numpy pass.
+    delta = 1e-6*max(1, Sigma + beta), is evaluated in one numpy pass per
+    sub-band, (-Sigma, -beta] and (-beta, beta) (``_gamma_required``).
     """
     info = classify_regime(params)
     if info.regime is not Regime.CASE_C:

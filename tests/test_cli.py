@@ -115,6 +115,14 @@ class TestSolve:
         assert exc.value.code == 2
         assert "cannot read --gamma-file" in capsys.readouterr().err
 
+    def test_gamma_too_large_for_the_window_exits_2(self, capsys, tmp_path):
+        gf = tmp_path / "g.json"
+        gf.write_text('{"pp": 1e150, "mm": 1e150, "pm_re": 0.0, "pm_im": 0.0}')
+        code, out, err = run(capsys, "solve", "--alpha", "1", "--beta", "0.5",
+                             "--gamma-file", str(gf))
+        assert code == 2 and out == ""
+        assert err.startswith("error: the window's lower end") and "Traceback" not in err
+
     @pytest.mark.parametrize("coupling", [["--trivial", "--r", "0.1"],
                                           ["--gamma-file", "g.json", "--r", "0.1"],
                                           ["--c", "1"]])

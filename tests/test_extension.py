@@ -53,6 +53,19 @@ class TestNormalization:
                 route2 = gs_ren_origin(p, s, 1j).imag + INV_4SQRT2PI
                 assert route2 == pytest.approx(1.0 / n ** 2, rel=1e-12)
 
+    def test_lambda_is_the_spin_green_value_exactly(self):
+        # both Lambda_s come from one (G_2^ren, G_1) pair at i and equal the
+        # per-spin route bit for bit, on both axes alpha = 0 and beta = 0 too
+        rng = np.random.default_rng(61)
+        points = [(0.0, 0.0), *((0.0, b) for b in rng.uniform(0.0, 1.2, 20)),
+                  *((a, 0.0) for a in rng.uniform(0.0, 2.2, 20)),
+                  *zip(rng.uniform(0.0, 2.2, 200), rng.uniform(0.0, 1.2, 200))]
+        for a, b in points:
+            p = SystemParams(a, b)
+            nd = normalization(p)
+            assert nd.lambda_plus == gs_ren_origin(p, 1, 1j).real - INV_4SQRT2PI
+            assert nd.lambda_minus == gs_ren_origin(p, -1, 1j).real - INV_4SQRT2PI
+
     def test_c_param_matches_literal_form(self):
         for a, b in ((0.5, 0.7), (2.0, 0.5), (1.3, 1.0)):
             nd = normalization(SystemParams(a, b))

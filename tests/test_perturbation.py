@@ -223,6 +223,25 @@ class TestCnd0:
         with pytest.raises(DomainError):
             cnd0_max(2.0, 1.0)
 
+    def test_window_value_is_cnd0_at_the_clamped_peak_exactly(self):
+        # the kept peak value and a fresh cnd0 at the clamped peak agree bit
+        # for bit, on windows that hold the peak, lie below or above it, or
+        # end at it
+        peak = cnd0_max()[1]
+        below, above = math.nextafter(peak, 0.0), math.nextafter(peak, math.inf)
+        windows = [(0.05, 10.0), (0.5, 2.0), (peak, peak), (peak, 3.0), (0.2, peak),
+                   (0.05, 0.5), (0.2, below), (2.0, 10.0), (above, 4.0)]
+        rng = np.random.default_rng(67)
+        windows += [tuple(float(v) for v in np.sort(10.0 ** rng.uniform(-2.0, 2.0, 2)))
+                    for _ in range(50)]
+        kinds = set()
+        for lo, hi in windows:
+            b = min(max(peak, lo), hi)
+            assert cnd0_max(lo, hi) == (cnd0(b), b)
+            kinds.add("below" if hi < peak else "above" if lo > peak
+                      else "end" if peak in (lo, hi) else "holds")
+        assert kinds == {"below", "above", "end", "holds"}
+
     def test_divergence_at_zero(self):
         assert cnd0(1e-6) < -100.0
 

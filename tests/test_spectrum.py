@@ -14,7 +14,6 @@ from rashba_contact import (DomainError, EffectiveCouplings,
                             normalization, secular_function, solve_spectrum,
                             threshold_sigma, u_nu, v_nu, xi)
 from rashba_contact import spectrum
-from rashba_contact.greens import _artanh_branch_array, _xi_real_array
 
 
 class TestSecularFunction:
@@ -134,9 +133,15 @@ class TestDiscrete:
                     warnings.simplefilter("ignore", UserWarning)   # pole guard
                     discrete_eigenvalues(p, gm)
                 assert min(energies) == pytest.approx(e_min, rel=1e-14)
-        # a Gamma whose w^2 overflows has no window
-        with pytest.raises(DomainError, match="overflows"):
-            discrete_eigenvalues(SystemParams(1.0, 0.5), Hermitian2.scalar(1e160))
+        # a Gamma whose w^2, or e_min^2 inside xi(e_min), overflows has no
+        # window; one just below that still solves, its root inside the pole
+        # guard of this seam point
+        p = SystemParams(1.0, 0.5)
+        with pytest.warns(UserWarning, match="inside the pole guard"):
+            assert discrete_eigenvalues(p, Hermitian2.scalar(1e76)) == ()
+        for v in (1e77, 1e80, 1e160):
+            with pytest.raises(DomainError, match="overflows"):
+                discrete_eigenvalues(p, Hermitian2.scalar(v))
 
     def test_a_branch_negative_at_the_window_end_is_an_error(self, monkeypatch):
         # the bound makes this impossible for the true Q; a Q that breaks it
@@ -489,54 +494,32 @@ class TestForbiddenBand:
             for s in (1, -1):
                 b_s = -(1.0 / (2.0 * x)).imag + ar.imag * (a / 2.0 + s * b / a)
                 assert (b_s < 0.0) is expect_neg
-        # the scan's array xi and artanh agree node by node with the scalar
-        # forms on the same inputs; nu near 1 gives Sigma = beta and no node
-        # below -beta
+        # the scan's real-arithmetic kernel agrees node by node with the
+        # scalar route (xi, artanh_branch, _channel_factors) on the same
+        # energies: nu = 1 gives Sigma = beta and no node below -beta, nu near
+        # 1 puts small Im c_+ next to -beta, and every grid holds -0.0 and
+        # +0.0, where the sign of Im xi switches
+        def scalar_route(p, wp, e):
+            cp, cm = spectrum._channel_factors(p, xi(p, complex(e)), 1.0, wp, 0.0)
+            return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
+
         rng = np.random.default_rng(47)
-        for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4)):
+        for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4), *10.0 ** rng.uniform(1.0, 4.0, 3)):
             b = float(rng.uniform(0.05, 1.0))
             p = SystemParams(nu * math.sqrt(2.0 * b), b)
             sigma = threshold_sigma(p)
             delta = 1e-6 * max(1.0, sigma + b)
+            wp = float(rng.uniform(-3.0, 3.0))
             for n in (1000, 10000):
                 grid = np.linspace(-sigma + delta, b - delta, n)
                 assert np.any(grid <= -b) == (nu >= 1.2)
-                x_arr = _xi_real_array(b, grid)
-                ar_arr = _artanh_branch_array(p.alpha * x_arr)
-                x_sc = np.array([xi(p, complex(e)) for e in grid])
-                ar_sc = np.array([artanh_branch(p.alpha * x) for x in x_arr])
-                assert np.all(np.abs(x_arr - x_sc) <= 1e-14 * np.abs(x_sc))
-                assert np.all(np.abs(ar_arr - ar_sc) <= 1e-14 * np.abs(ar_sc))
-        # the array artanh mirrors the scalar on every entry: all four
-        # quadrants with |w| below, above and next to 1, points next to both
-        # poles, and real entries on both cuts and between them, with +0.0
-        # and -0.0 imaginary parts (arctan2 would read the sign of -0.0)
-        rng = np.random.default_rng(59)
-        r = np.concatenate([rng.uniform(0.05, 0.95, 40), rng.uniform(1.05, 20.0, 40),
-                            1.0 + rng.uniform(-1e-6, 1e-6, 40)])
-        w = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
-        poles = np.concatenate([s + 1e-7 * np.exp(1j * rng.uniform(-np.pi, np.pi, 20))
-                                for s in (1.0, -1.0)])
-        reals = np.concatenate([rng.uniform(1.0001, 30.0, 10), -rng.uniform(1.0001, 30.0, 10),
-                                rng.uniform(-0.999, 0.999, 10),
-                                [0.0, -0.0, 1.0 + 1e-12, -1.0 - 1e-12, 1.0 - 1e-12, -1.0 + 1e-12]])
-        w = np.concatenate([w, poles, [complex(x, 0.0) for x in reals],
-                            [complex(x, -0.0) for x in reals]])
-        assert {(q.real > 0, q.imag > 0) for q in w[:120]} == {(True, True), (True, False),
-                                                             (False, True), (False, False)}
-        ar_arr = _artanh_branch_array(w)
-        ar_sc = np.array([artanh_branch(q) for q in w])
-        assert np.all(np.abs(ar_arr - ar_sc) <= 1e-14 * np.abs(ar_sc))
-        real = w.imag == 0.0
-        assert np.array_equal(ar_arr.imag[real], ar_sc.imag[real])
-        assert set(ar_arr.imag[real]) == {-0.5 * np.pi, 0.0, 0.5 * np.pi}
-        # xi at the band ends and at both zeros: -0.0 takes the E >= 0 sign
-        for b in (0.05, 0.5, 1.0, 3.7):
-            e = np.array([-b, -0.0, 0.0, b - 1e-12])
-            x_arr = _xi_real_array(b, e)
-            x_sc = np.array([xi(SystemParams(2.0 * math.sqrt(b), b), complex(q)) for q in e])
-            assert np.all(np.abs(x_arr - x_sc) <= 1e-14 * np.abs(x_sc))
-            assert x_arr[0].imag == 0.0 and x_arr[1].imag > 0.0
+                extra = [-0.0, 0.0] + ([-b] if nu >= 1.2 else [])
+                grid = np.sort(np.concatenate([grid, extra]))
+                assert np.any(grid == -b) == (nu >= 1.2)
+                got = spectrum._gamma_required(p, wp, grid)
+                ref = np.array([scalar_route(p, wp, float(e)) for e in grid])
+                assert np.all(got < 0.0)
+                assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_grid_refinement_stable(self):
         params = SystemParams(2.0, 0.5)
