@@ -111,7 +111,7 @@ def _normalization_cached(alpha: float, beta: float) -> NormalizationData:
     # (u-1)^{1/2} = beta/sqrt(1+u); exact and finite down to beta = 0
     c = alpha / (2.0 * rt)
     w = c * (1.0 + 1j)
-    darg = cmath.phase(1.0 + w) - cmath.phase(1.0 - w)    # one Arg difference, both spins
+    darg = cmath.phase(1.0 + w) - cmath.phase(1.0 - w)
     n = {}
     for s in (1, -1):
         if alpha == 0.0:
@@ -123,7 +123,6 @@ def _normalization_cached(alpha: float, beta: float) -> NormalizationData:
                 f"normalization failed: N^-2 = {inv_sq} <= 0 for s={s:+d} at "
                 f"alpha={alpha}, beta={beta} (outside proven admissibility)")
         n[s] = 1.0 / math.sqrt(inv_sq)
-    # gs_ren_origin(params, s, 1j) for both spins from one pair of Green values
     g2, g1 = g2ren_origin(params, 1j), g1_origin(params, 1j)
     lam = {s: (g2 - s * beta * g1).real - INV_4SQRT2PI for s in (1, -1)}
     return NormalizationData(n_plus=n[1], n_minus=n[-1],
@@ -133,9 +132,8 @@ def _normalization_cached(alpha: float, beta: float) -> NormalizationData:
 def normalization(params: SystemParams) -> NormalizationData:
     """N_s from the principal-Arg closed form; Lambda_s from the Green values at i.
 
-    Lambda_s = Re G_s^ren(0; i) - 1/(4 sqrt(2) pi), with
-    G_s^ren = G_2^ren - s*beta*G_1 (``gs_ren_origin``); G_2^ren(0; i) and
-    G_1(0; i) are evaluated once and serve both spins.
+    Both Lambda_s = Re(G_2^ren - s*beta*G_1)(0; i) - 1/(4 sqrt(2) pi) come
+    from one evaluation of G_2^ren(0; i) and G_1(0; i).
 
     Results are memoized per (alpha, beta); the record is immutable, so the
     cache is safe for concurrent readers.

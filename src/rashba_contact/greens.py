@@ -12,12 +12,11 @@ sign pattern the spectral analysis relies on:
 
 and artanh on its real cut w > 1 continued from below, r - i*pi/2.
 
-These real-axis forms feed the channel factors of the secular function;
-the forbidden-band scan (``spectrum._gamma_required``) evaluates the same
-forms in real arithmetic, one sub-band of (-Sigma, beta) at a time. On the band they are not one boundary value of the
-resolvent: on (-Sigma, 0) they give the E - i0 limit, on (0, beta) the
-E + i0 limit, and on E >= beta neither, so ``extension.krein_q`` rejects
-real z on [-Sigma, inf).
+These real-axis forms feed the channel factors of the secular function, and
+the forbidden-band scan takes them in real arithmetic. On the band they are
+not one boundary value of the resolvent: on (-Sigma, 0) they give the E - i0
+limit, on (0, beta) the E + i0 limit, and on E >= beta neither, so
+``extension.krein_q`` rejects real z on [-Sigma, inf).
 """
 
 from __future__ import annotations

@@ -233,11 +233,9 @@ def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
     cnd0 depends on beta alone and is unimodal: its slope changes sign once on
     (0, inf), at beta ~ 1.00553 (a 4e5-point log scan of [1e-4, 1e4] finds no
     other change).  So one search for the peak serves every window, and the
-    process keeps the peak together with cnd0's value there.  The clamp is
-    exact: on a window that holds the peak the maximum is the peak, and on
-    any other window cnd0 is monotone, so the maximum is the end nearer the
-    peak.  A window that holds the peak returns the kept pair and evaluates
-    nothing; any other window evaluates cnd0 once, at that end.
+    process keeps the peak and cnd0's value there.  The clamp is exact: a
+    window that holds the peak returns that pair, and on any other window
+    cnd0 is monotone, so the maximum is cnd0 at the end nearer the peak.
     """
     if not 0.0 < lo <= hi:
         raise DomainError(f"cnd0_max requires 0 < lo <= hi, got [{lo}, {hi}]")

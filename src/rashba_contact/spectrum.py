@@ -231,8 +231,7 @@ def discrete_eigenvalues(params: SystemParams,
     So every root has -E < 10 (1 + Sigma + w^2) <= -e_min.  Gamma - Q(E) is
     positive definite as E -> -inf and decreases, so both branches are
     positive at e_min; a branch that is not is an error, never a dropped root.
-    An e_min whose square overflows, as for Gamma entries from about 1e77 at
-    Sigma ~ 1, leaves no window and raises DomainError.
+    An e_min whose square overflows (Gamma ~ 1e77 at Sigma ~ 1) raises DomainError.
     """
     sigma = threshold_sigma(params)
     eff = effective_couplings(params, gamma_matrix)
@@ -469,28 +468,21 @@ def embedded_large_alpha(params: SystemParams,
 
 
 def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarray:
-    """The gamma value the two-channel phase constraint would force at each
-    energy of the ascending grid ``e`` in (-Sigma, beta), for CaseC params.
+    """The gamma the two-channel phase constraint would force at each energy
+    of the ascending grid ``e`` in (-Sigma, beta), for CaseC params.
 
-    With channel factors c_+ at omega_+ and c_- at omega_- = 0 (those of
-    ``_channel_factors`` with sgn = +1), the result is
-    -(Im c_- / Im c_+)(Re c_+^2 + Im c_-^2).  Both Im c_s share a sign inside
-    (-Sigma, beta), so the result is strictly negative there.  The constraint
-    fixes Re c_-, so omega_- drops out.
-
-    The channel factors are evaluated in real arithmetic, one sub-band at a
-    time, with k_s = alpha/2 - s*beta/alpha:
-    - (-Sigma, -beta]: xi is real and alpha*xi > 1 lies on the artanh cut, so
-      Im c_s = k_s*pi/2 is constant and only
-      Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log((alpha xi + 1)/(alpha xi - 1))
-      varies; the log is taken as log1p(2/(alpha xi - 1)).
+    With the channel factors of ``_channel_factors`` (sgn = +1), c_+ at
+    omega_+ and c_- at omega_- = 0, it is -(Im c_-/Im c_+)(Re c_+^2 + Im c_-^2):
+    both Im c_s share a sign inside (-Sigma, beta), so it is strictly negative,
+    and omega_- drops out, as the constraint fixes Re c_-.  The factors are
+    taken in real arithmetic, one sub-band at a time, with
+    k_s = alpha/2 - s*beta/alpha:
+    - (-Sigma, -beta]: xi is real and alpha*xi > 1 is on the artanh cut, so
+      Im c_s = k_s*pi/2 and Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).
     - (-beta, beta): xi = (r + iq)/(2 beta) with r = sqrt(beta - E) and
-      q = sqrt(beta + E) signed like E + 0.0, as in ``greens._xi_real``.
-      |xi|^2 = 1/(2 beta) gives 1/(2 xi) = (r - iq)/2.  With
-      alpha*xi = u + iv (u > 0, v != 0), artanh has real part
-      log1p(4u/((1-u)^2 + v^2))/4 and imaginary part
-      arctan2(2v, (1-u)(1+u) - v^2)/2, free of cancellation next to
-      alpha*xi = 1.
+      q = sqrt(beta + E) signed like E + 0.0 (``greens._xi_real``), so
+      1/(2 xi) = (r - iq)/2; artanh(u + iv) at alpha*xi = u + iv takes the
+      cancellation-free log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
     """
     a, b = params.alpha, params.beta
     kp, km = a / 2.0 - b / a, a / 2.0 + b / a

@@ -504,7 +504,8 @@ class TestForbiddenBand:
             return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
 
         rng = np.random.default_rng(47)
-        for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4), *10.0 ** rng.uniform(1.0, 4.0, 3)):
+        for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4),
+                   *10.0 ** rng.uniform(1.0, 4.0, 3)):
             b = float(rng.uniform(0.05, 1.0))
             p = SystemParams(nu * math.sqrt(2.0 * b), b)
             sigma = threshold_sigma(p)
