@@ -200,7 +200,12 @@ def discrete_eigenvalues(params: SystemParams,
     difference of the diagonal).  Each branch has at most one root, and det is
     their product.  Each branch is bracketed at its sign change on a grid
     log-spaced in the distance to the band edge (roots accumulate there) and
-    bisected to a width of 1e-15*max(1,|E|).  Branch roots closer than the
+    bisected to a width of 1e-15*max(1,|E|).  Only the nodes that decide a
+    bracket are evaluated: both ends of the grid first, and then, from the
+    lower end up, the nodes up to the first one where each branch that is
+    <= 0 at the upper end is <= 0.  As the branches decrease, a branch
+    positive at the upper end has no sign change on the grid, and no later
+    node can move a bracket already found.  Branch roots closer than the
     fixed resolution 1e-9*max(1,|E|) are reported once, as an EVEN_ORDER
     root at their midpoint.
 
@@ -253,23 +258,25 @@ def discrete_eigenvalues(params: SystemParams,
         return h - r, h + r
 
     edge = (2.0 * _POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
-    grid = (-sigma - np.geomspace(edge, -e_min - sigma, _GRID_NODES))[::-1]
-    vals = np.array([branches(float(e)) for e in grid])
-    found, unreported = [], []
-    for k, name in enumerate(("lambda_-", "lambda_+")):
-        below = np.flatnonzero(vals[:, k] <= 0.0)
-        if below.size == 0:
-            if pole and (k == 0 or not seam):
-                unreported.append(name)
-            continue
-        i = int(below[0])
-        if i == 0:
-            raise AssertionError(f"{name} <= 0 at e_min = {e_min}, against the bound")
-        if vals[i, k] == 0.0:
-            found.append(float(grid[i]))
-        else:
-            found.append(_bisect(lambda e, k=k: branches(e)[k], float(grid[i - 1]),
-                                 float(grid[i]), vals[i - 1, k]))
+    grid = (-sigma - np.geomspace(edge, -e_min - sigma, _GRID_NODES))[::-1].tolist()
+    names = ("lambda_-", "lambda_+")
+    first, last = branches(grid[0]), branches(grid[-1])
+    for k in (0, 1):
+        if first[k] <= 0.0:
+            raise AssertionError(f"{names[k]} <= 0 at e_min = {e_min}, against the bound")
+    unreported = [names[k] for k in (0, 1)
+                  if not last[k] <= 0.0 and pole and (k == 0 or not seam)]
+    # walk up to the first node where each branch with a sign change is <= 0
+    found, pending = [], [k for k in (0, 1) if last[k] <= 0.0]
+    prev, i = first, 0
+    while pending:
+        i += 1
+        cur = last if i == len(grid) - 1 else branches(grid[i])
+        for k in [k for k in pending if cur[k] <= 0.0]:
+            pending.remove(k)
+            found.append(grid[i] if cur[k] == 0.0 else _bisect(
+                lambda e, k=k: branches(e)[k], grid[i - 1], grid[i], prev[k]))
+        prev = cur
     if unreported:
         _warn(f"the root of {' and '.join(unreported)} within {edge:.3g} of the band "
               f"edge {-sigma} lies inside the pole guard; it is not reported")
@@ -480,9 +487,10 @@ def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarra
     - (-Sigma, -beta]: xi is real and alpha*xi > 1 is on the artanh cut, so
       Im c_s = k_s*pi/2 and Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).
     - (-beta, beta): xi = (r + iq)/(2 beta) with r = sqrt(beta - E) and
-      q = sqrt(beta + E) signed like E + 0.0 (``greens._xi_real``), so
-      1/(2 xi) = (r - iq)/2; artanh(u + iv) at alpha*xi = u + iv takes the
-      cancellation-free log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
+      q = sqrt(beta + E), so 1/(2 xi) = (r - iq)/2.  ``greens._xi_real`` signs
+      q like E + 0.0, but the result is even in q, as flipping q flips both
+      Im c_s.  artanh(u + iv) at alpha*xi = u + iv takes the cancellation-free
+      log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
     """
     a, b = params.alpha, params.beta
     kp, km = a / 2.0 - b / a, a / 2.0 + b / a
@@ -498,7 +506,7 @@ def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarra
 
     hi = e[n:]
     r = np.sqrt(b - hi)
-    q = np.copysign(np.sqrt(b + hi), hi + 0.0)
+    q = np.sqrt(b + hi)
     scale = a / (2.0 * b)
     u, v = scale * r, scale * q
     d, vv = 1.0 - u, v * v

@@ -10,8 +10,9 @@ from rashba_contact import (DomainError, EffectiveCouplings,
                             artanh_branch, discrete_eigenvalues, e_nu,
                             effective_couplings, embedded_alpha0,
                             embedded_large_alpha, forbidden_band_scan,
-                            gamma_for_couplings, krein_q, large_coupling_context,
-                            normalization, secular_function, solve_spectrum,
+                            gamma_for_couplings, gamma_from_cr, krein_q,
+                            large_coupling_context, normalization, secular_det,
+                            secular_function, solve_spectrum,
                             threshold_sigma, u_nu, v_nu, xi)
 from rashba_contact import spectrum
 
@@ -67,6 +68,101 @@ class TestSecularFunction:
                     vals.append((1.0 / (2.0 * x) - tail).real)
                 diffs = np.diff(vals)
                 assert np.all(diffs > 0) or np.all(diffs < 0)
+
+
+def _full_grid_solve(p, gm):
+    """discrete_eigenvalues with Q evaluated at all the grid's nodes: each
+    branch is bracketed at its first node <= 0.  Returns the roots and the
+    texts of the warnings the solver gives."""
+    sigma = threshold_sigma(p)
+    eff = effective_couplings(p, gm)
+    w = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
+    e_min = -max(100.0, 10.0 * (1.0 + sigma + w * w))
+    pole = p.alpha > 0.0 and p.alpha * p.alpha >= 2.0 * p.beta
+    edge = (2.0 * spectrum._POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
+    grid = (-sigma - np.geomspace(edge, -e_min - sigma, spectrum._GRID_NODES))[::-1]
+
+    def branches(e):
+        q = spectrum.krein_q(p, complex(e))
+        m11, m22 = gm.pp - q.q_pp.real, gm.mm - q.q_mm.real
+        h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), abs(gm.pm))
+        return h - r, h + r
+
+    vals = np.array([branches(float(e)) for e in grid])
+    found, unreported, messages = [], [], []
+    for k, name in enumerate(("lambda_-", "lambda_+")):
+        below = np.flatnonzero(vals[:, k] <= 0.0)
+        if below.size == 0:
+            if pole and (k == 0 or p.alpha * p.alpha != 2.0 * p.beta):
+                unreported.append(name)
+            continue
+        i = int(below[0])
+        assert i > 0
+        found.append(float(grid[i]) if vals[i, k] == 0.0 else spectrum._bisect(
+            lambda e, k=k: branches(e)[k], float(grid[i - 1]), float(grid[i]),
+            vals[i - 1, k]))
+    if unreported:
+        messages.append(f"the root of {' and '.join(unreported)} within {edge:.3g} of the "
+                        f"band edge {-sigma} lies inside the pole guard; it is not reported")
+    method = RootMethod.SIGN_CHANGE
+    if (len(found) == 2 and abs(found[0] - found[1])
+            <= spectrum._EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
+        found, method = [0.5 * (found[0] + found[1])], RootMethod.EVEN_ORDER
+    roots = tuple(spectrum.DiscreteRoot(e, abs(secular_det(p, gm, complex(e)).real), method)
+                  for e in sorted(found))
+    for r in roots:
+        sf = abs(secular_function(p, eff, r.energy))
+        if sf > 1e-5 * (1.0 + abs(eff.gamma)):
+            messages.append(f"root {r.energy} has secular residual {sf:.3e}; "
+                            "formulations disagree")
+    return roots, messages
+
+
+def _walk_inputs():
+    """Seeded (params, Gamma) over CaseA/B/C: random couplings, the seam,
+    coincident channel roots and roots 1e-9 to 1e-6 max(1, Sigma) from the
+    edge; then a root in the grid's last cell, 2.001e-10 Sigma from the edge
+    where the cell starts at 2e-10 Sigma, and the coupling-sweep input whose
+    root lies inside the pole guard."""
+    rng = np.random.default_rng(173)
+    out = []
+    for k in range(48):
+        case, kind = "ABC"[k % 3], ("random", "seam", "coincident", "edge")[k // 3 % 4]
+        b = float(rng.uniform(0.05, 1.0))
+        if case == "A":
+            a, b = 0.0, (10.0 ** rng.uniform(-8.0, -4.0) if kind == "seam" else b)
+        elif kind == "seam" and case == "C":
+            a = float(rng.uniform(0.3, 2.0))
+            b = a * a / 2.0
+        else:
+            a = math.sqrt(2.0 * b) * float(
+                1.0 - 10.0 ** rng.uniform(-8.0, -3.0) if kind == "seam"
+                else rng.uniform(0.05, 0.95) if case == "B" else rng.uniform(1.05, 4.0))
+        p = SystemParams(a, b)
+        sigma, scale = threshold_sigma(p), max(1.0, threshold_sigma(p))
+        if kind in ("random", "seam"):
+            gm = gamma_for_couplings(p, float(rng.uniform(-2.0, 1.5)),
+                                     float(rng.uniform(-2.0, 1.5)), float(rng.uniform(0.0, 2.0)))
+            gm = Hermitian2(gm.pp, gm.mm, gm.pm * complex(math.cos(k), math.sin(k)))
+        else:
+            if kind == "coincident":
+                e1 = -sigma - scale * 10.0 ** rng.uniform(-0.7, 3.5)
+                e2 = e1 - abs(e1) * 10.0 ** rng.uniform(-10.0, -3.0)
+            else:
+                e1 = -sigma - scale * 10.0 ** rng.uniform(-9.0, -6.0)
+                e2 = -sigma - scale * float(rng.uniform(0.2, 3.0))
+            if k % 2:
+                e1, e2 = e2, e1
+            gm = Hermitian2(krein_q(p, e1).q_pp.real, krein_q(p, e2).q_mm.real)
+        out.append((p, gm))
+    p = SystemParams(2.0, 0.5)
+    sigma = threshold_sigma(p)
+    out.append((p, Hermitian2(krein_q(p, -sigma - 2.001e-10 * sigma).q_pp.real,
+                              krein_q(p, -sigma - 1.0).q_mm.real)))
+    out.append((SystemParams(1.404175458487645, 0.9301095272420988),
+                gamma_from_cr(Hermitian2.scalar(-1.5512371676647674),
+                              Hermitian2.scalar(-0.0035322558359299205))))
+    return out
 
 
 class TestDiscrete:
@@ -145,10 +241,29 @@ class TestDiscrete:
 
     def test_a_branch_negative_at_the_window_end_is_an_error(self, monkeypatch):
         # the bound makes this impossible for the true Q; a Q that breaks it
-        # must not lose the root below the window in silence
-        monkeypatch.setattr(spectrum, "krein_q", lambda p, z: KreinQ(1e9 + 0j, 1e9 + 0j))
-        with pytest.raises(AssertionError, match="lambda_- <= 0 at e_min"):
-            discrete_eigenvalues(SystemParams(1.0, 0.5), Hermitian2.scalar(0.1))
+        # must not lose the root below the window in silence, also when the
+        # branches are positive at every other node, so that no branch has a
+        # sign change above e_min = -100
+        for q_above_e_min in (1e9, -1e9):
+            def fake_q(p, z, q_above_e_min=q_above_e_min):
+                q = complex(1e9 if z.real < -99.0 else q_above_e_min)
+                return KreinQ(q, q)
+
+            monkeypatch.setattr(spectrum, "krein_q", fake_q)
+            with pytest.raises(AssertionError, match="lambda_- <= 0 at e_min"):
+                discrete_eigenvalues(SystemParams(1.0, 0.5), Hermitian2.scalar(0.1))
+
+    def test_q_evaluations_stop_at_the_deciding_nodes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectrum, "krein_q", lambda p, z: calls.append(z) or krein_q(p, z))
+        # no root: both branches are positive at both ends of the grid
+        assert discrete_eigenvalues(SystemParams(0.3, 0.5), Hermitian2.scalar(50.0)) == ()
+        assert len(calls) == 2
+        # the README point: the walk stops at the upper root's first node
+        calls.clear()
+        gm = gamma_from_cr(Hermitian2.scalar(-50.0), Hermitian2.scalar(-0.17850))
+        assert len(discrete_eigenvalues(SystemParams(2.0, 0.5), gm)) == 2
+        assert len(calls) < spectrum._GRID_NODES // 2
 
     def test_theorem1_closure(self):
         rng = np.random.default_rng(31)
@@ -240,6 +355,24 @@ class TestDiscrete:
             solve_spectrum(p, gm)
         for rec in (direct, nested):
             assert {w.filename for w in rec if "pole guard" in str(w.message)} == {__file__}
+
+    def test_matches_the_full_grid_solve_bit_for_bit(self):
+        # the solver evaluates only the nodes that decide a bracket; the
+        # roots, residuals, methods and warnings are those of the solve that
+        # evaluates every node
+        seen = set()
+        for p, gm in _walk_inputs():
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                want, messages = _full_grid_solve(p, gm)
+                assert not rec
+                got = discrete_eigenvalues(p, gm)
+            assert [(r.energy.hex(), r.residual.hex(), r.method) for r in got] == \
+                [(r.energy.hex(), r.residual.hex(), r.method) for r in want], (p, gm)
+            assert [str(w.message) for w in rec] == messages, (p, gm)
+            seen.update(r.method for r in got)
+            seen.update("pole guard" for m in messages if "pole guard" in m)
+        assert seen == {RootMethod.SIGN_CHANGE, RootMethod.EVEN_ORDER, "pole guard"}
 
 
 class TestEmbeddedAlpha0:
