@@ -4,7 +4,6 @@ deficiency-element norms."""
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -70,13 +69,12 @@ class ExtensionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NormalizationData:
-    """Channel normalizations N_s, the shifts Lambda_s, and the Arg-formula parameter c."""
+    """Channel normalizations N_s and shifts Lambda_s, fixed by Q_ss(+-i) = +-i."""
 
     n_plus: float
     n_minus: float
     lambda_plus: float
     lambda_minus: float
-    c_param: float
 
     def n(self, s: int) -> float:
         return self.n_plus if s == 1 else self.n_minus
@@ -105,35 +103,27 @@ class KreinQ:
 @lru_cache(maxsize=512)
 def _normalization_cached(alpha: float, beta: float) -> NormalizationData:
     params = SystemParams(alpha, beta)
-    u = math.sqrt(1.0 + beta * beta)
-    rt = math.sqrt(1.0 + u)
-    # c = (alpha/(2 beta)) (2 + beta^2 - 2 sqrt(1+beta^2))^{1/4} rearranged via
-    # (u-1)^{1/2} = beta/sqrt(1+u); exact and finite down to beta = 0
-    c = alpha / (2.0 * rt)
-    w = c * (1.0 + 1j)
-    darg = cmath.phase(1.0 + w) - cmath.phase(1.0 - w)
-    n = {}
+    g2, g1 = g2ren_origin(params, 1j), g1_origin(params, 1j)
+    n, lam = {}, {}
     for s in (1, -1):
-        if alpha == 0.0:
-            inv_sq = (rt - s * beta / rt) / (8.0 * math.pi)
-        else:
-            inv_sq = (rt + (alpha / 2.0 - s * beta / alpha) * darg) / (8.0 * math.pi)
+        # sqrt(-i)/(4 pi) = (1 - i)/(4 sqrt2 pi), so Q_ss(i) = i fixes both
+        g = g2 - s * beta * g1
+        inv_sq = g.imag + INV_4SQRT2PI
         if inv_sq <= 0.0:
             raise DomainError(
                 f"normalization failed: N^-2 = {inv_sq} <= 0 for s={s:+d} at "
                 f"alpha={alpha}, beta={beta} (outside proven admissibility)")
         n[s] = 1.0 / math.sqrt(inv_sq)
-    g2, g1 = g2ren_origin(params, 1j), g1_origin(params, 1j)
-    lam = {s: (g2 - s * beta * g1).real - INV_4SQRT2PI for s in (1, -1)}
+        lam[s] = g.real - INV_4SQRT2PI
     return NormalizationData(n_plus=n[1], n_minus=n[-1],
-                             lambda_plus=lam[1], lambda_minus=lam[-1], c_param=c)
+                             lambda_plus=lam[1], lambda_minus=lam[-1])
 
 
 def normalization(params: SystemParams) -> NormalizationData:
-    """N_s from the principal-Arg closed form; Lambda_s from the Green values at i.
+    """N_s and Lambda_s from Q_ss(i) = i, with g = (G_2^ren - s*beta*G_1)(0; i):
 
-    Both Lambda_s = Re(G_2^ren - s*beta*G_1)(0; i) - 1/(4 sqrt(2) pi) come
-    from one evaluation of G_2^ren(0; i) and G_1(0; i).
+    N_s^-2 = Im g + 1/(4 sqrt(2) pi) and Lambda_s = Re g - 1/(4 sqrt(2) pi),
+    both spins from one evaluation of G_2^ren(0; i) and G_1(0; i).
 
     Results are memoized per (alpha, beta); the record is immutable, so the
     cache is safe for concurrent readers.

@@ -56,7 +56,7 @@ def artanh_branch(w: complex) -> complex:
         if x < -1.0:
             return complex(-0.5 * math.log((1.0 - x) / (-x - 1.0)), 0.5 * math.pi)
         return complex(math.atanh(x))
-    return 0.5 * (cmath.log(1.0 + w) - cmath.log(1.0 - w))
+    return cmath.atanh(w)
 
 
 def _xi_real(beta: float, e: float) -> complex:

@@ -13,7 +13,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -143,24 +143,26 @@ def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
 
     Bisects to a width of 1e-15*max(1, |E|), so that the residual stays at
     the noise floor even where the derivative is large, e.g. next to the
-    band-edge pole.
+    band-edge pole.  Only the sign of f_lo is read.  f is evaluated once
+    per point: the final f(a) and the secant's point can repeat a midpoint.
     """
+    fv = cache(f)
     neg = f_lo < 0.0
     a, b = lo, hi
     for _ in range(200):
         m = 0.5 * (a + b)
         if b - a <= 1e-15 * max(1.0, abs(m)):
             break
-        if (f(m) < 0.0) == neg:
+        if (fv(m) < 0.0) == neg:
             a = m
         else:
             b = m
     m = 0.5 * (a + b)
-    fm = f(m)
-    fa = f(a)
+    fm = fv(m)
+    fa = fv(a)
     if fm != fa and math.isfinite(fm) and math.isfinite(fa):
         sec = m - fm * (m - a) / (fm - fa)
-        if lo <= sec <= hi and abs(f(sec)) < abs(fm):
+        if lo <= sec <= hi and abs(fv(sec)) < abs(fm):
             return sec
     return m
 

@@ -8,6 +8,7 @@ import pytest
 from rashba_contact.cli import build_parser, dumps, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -319,6 +320,19 @@ class TestReadme:
                 assert list(row) == list(ref)
                 assert row["E"] == pytest.approx(ref["E"], rel=1e-12)
         assert shown["embedded"][0]["theorem"] == got["embedded"][0]["theorem"]
+
+
+    def test_solve_and_sweep_examples_are_byte_stable(self, capsys, tmp_path):
+        # the README solve and 40-step sweep print exactly the stored bytes
+        code, out, _ = run(capsys, "solve", "--alpha", "2", "--beta", "0.5",
+                           "--c", "-50", "--r", "-0.17850")
+        assert code == 0
+        assert out.encode() == (DATA / "readme_solve.json").read_bytes()
+        sweep = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--alpha", "2", "--r=-0.17850", "--c-from=-2",
+                         "--c-to=-1e4", "--steps", "40", "--log", "--out", str(sweep))
+        assert code == 0
+        assert sweep.read_bytes() == (DATA / "readme_sweep.csv").read_bytes()
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -44,14 +45,36 @@ class TestNormalization:
         assert nd.lambda_minus == pytest.approx(-INV_4SQRT2PI, abs=1e-15)
 
     def test_dual_route(self):
-        # closed Arg formula for N_s vs Im G_s^ren(0;i) + 1/(4 sqrt2 pi)
+        # closed principal-Arg formula for N_s^-2 against Q_ss(i) = i:
+        # N_s^-2 = (r + k_s (Arg(1 + w) - Arg(1 - w)))/(8 pi), r = sqrt(1 + sqrt(1 + beta^2)),
+        # w = c (1 + i), c = alpha/(2 r), k_s = alpha/2 - s*beta/alpha
         rng = np.random.default_rng(7)
         for _ in range(25):
-            p = SystemParams(rng.uniform(0, 2.2), rng.uniform(0, 1.2))
-            nd = normalization(p)
+            a, b = rng.uniform(0, 2.2), rng.uniform(0, 1.2)
+            nd = normalization(SystemParams(a, b))
+            r = math.sqrt(1.0 + math.sqrt(1.0 + b * b))
+            w = a / (2.0 * r) * (1.0 + 1j)
+            darg = cmath.phase(1.0 + w) - cmath.phase(1.0 - w)
             for s, n in ((1, nd.n_plus), (-1, nd.n_minus)):
-                route2 = gs_ren_origin(p, s, 1j).imag + INV_4SQRT2PI
-                assert route2 == pytest.approx(1.0 / n ** 2, rel=1e-12)
+                inv_sq = (r + (a / 2.0 - s * b / a) * darg) / (8.0 * math.pi)
+                assert inv_sq == pytest.approx(1.0 / n ** 2, rel=1e-12)
+
+    def test_matches_mpmath(self):
+        # 50-digit N_s and Lambda_s from Q_ss(i) = i through the channel
+        # factor, down to alpha = 1e-8 and on both axes
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import normalization_mp
+
+        rng = np.random.default_rng(18)
+        points = [(0.0, 0.0), (0.0, 0.7), (1.3, 0.0),
+                  *zip(10.0 ** rng.uniform(-8.0, 0.4, 40), rng.uniform(0.0, 1.2, 40))]
+        with mpmath.workdps(50):
+            for a, b in points:
+                nd = normalization(SystemParams(a, b))
+                for s, lam in ((1, nd.lambda_plus), (-1, nd.lambda_minus)):
+                    n_ref, lam_ref = normalization_mp(a, b, s)
+                    assert abs(nd.n(s) - n_ref) <= 2e-15 * n_ref
+                    assert abs(lam - lam_ref) <= 1e-14 * max(abs(lam_ref), INV_4SQRT2PI)
 
     def test_lambda_is_the_spin_green_value_exactly(self):
         # both Lambda_s come from one (G_2^ren, G_1) pair at i and equal the
@@ -65,17 +88,6 @@ class TestNormalization:
             nd = normalization(p)
             assert nd.lambda_plus == gs_ren_origin(p, 1, 1j).real - INV_4SQRT2PI
             assert nd.lambda_minus == gs_ren_origin(p, -1, 1j).real - INV_4SQRT2PI
-
-    def test_c_param_matches_literal_form(self):
-        for a, b in ((0.5, 0.7), (2.0, 0.5), (1.3, 1.0)):
-            nd = normalization(SystemParams(a, b))
-            u = math.sqrt(1.0 + b * b)
-            literal = a / (2.0 * b) * (2.0 + b * b - 2.0 * u) ** 0.25
-            assert nd.c_param == pytest.approx(literal, rel=1e-10)
-
-    def test_c_param_small_beta_stable(self):
-        nd = normalization(SystemParams(1.0, 1e-12))
-        assert nd.c_param == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
 
     def test_r_map_consistency(self):
         # at beta = 0, alpha = 2 the coupling v with omega(v) = 0 equals
@@ -189,6 +201,23 @@ class TestKreinQ:
                 krein_q(p, e)
             with pytest.raises(DomainError, match="continuous band"):
                 secular_det(p, Hermitian2.scalar(0.1), e)
+
+    def test_off_axis_matches_mpmath(self):
+        # small alpha puts |alpha xi| just above G_1's series switch, where an
+        # artanh that loses eps/|w| is off by up to 1e-11
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import q_mp
+
+        rng = np.random.default_rng(29)
+        with mpmath.workdps(50):
+            for _ in range(60):
+                a, b = 10.0 ** rng.uniform(-4.0, -1.0), rng.uniform(0.05, 2.0)
+                p = SystemParams(a, b)
+                z = cmath.rect(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-3.1, 3.1))
+                q = krein_q(p, z)
+                for s in (1, -1):
+                    ref = q_mp(a, b, s, z)
+                    assert abs(q.entry(s) - ref) <= 5e-14 * abs(ref), (a, b, z, s)
 
     def test_formula_equivalence(self):
         # 4 pi (Gamma~_ss - Q_ss/N_s^2) = omega_s + sqrt(-z) - 4 pi G_s^ren(0;z)

@@ -34,8 +34,17 @@ class TestArtanh:
             assert artanh_branch(-x) == pytest.approx(-artanh_branch(x), abs=1e-14)
 
     def test_matches_principal_off_cut(self):
-        for w in (0.3 + 0.4j, -1.2 + 0.01j, 2.0 - 0.5j, 0.9j):
-            assert artanh_branch(w) == pytest.approx(cmath.atanh(w), abs=1e-14)
+        # against 40-digit mpmath, |w| from 1e-12 to 1e2 in all four quadrants
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(40):
+            for quadrant in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j):
+                for mod, arg in zip(10.0 ** rng.uniform(-12.0, 2.0, 100),
+                                    rng.uniform(0.0, math.pi / 2, 100)):
+                    w = complex(mod * math.cos(arg) * quadrant.real,
+                                mod * math.sin(arg) * quadrant.imag)
+                    ref = mpmath.atanh(w)
+                    assert abs(artanh_branch(w) - ref) <= 1e-15 * abs(ref), w
 
     @pytest.mark.parametrize("w", [1.0, -1.0])
     def test_poles(self, w):
@@ -203,9 +212,10 @@ class TestGreenValues:
         assert g1_origin(p_small, z) == pytest.approx(direct, rel=1e-13)
 
     def test_g1_arg_difference_imaginary_part(self):
-        # Im G1(0;i) = (Arg(1+c(1+i)) - Arg(1-c(1+i)))/(8 pi alpha)
+        # Im G1(0;i) = (Arg(1+c(1+i)) - Arg(1-c(1+i)))/(8 pi alpha),
+        # c = alpha/(2 sqrt(1 + sqrt(1 + beta^2)))
         a, b = 1.0, 1.0
-        c = normalization(SystemParams(a, b)).c_param
+        c = a / (2.0 * math.sqrt(1.0 + math.sqrt(1.0 + b * b)))
         darg = cmath.phase(1 + c * (1 + 1j)) - cmath.phase(1 - c * (1 + 1j))
         got = g1_origin(SystemParams(a, b), 1j).imag
         assert got == pytest.approx(darg / (8.0 * math.pi * a), rel=1e-12)

@@ -165,6 +165,37 @@ def _walk_inputs():
     return out
 
 
+# printed by ``python tests/mpmath_reference.py``: CaseB inputs with alpha in
+# [1e-5, 0.1] and their roots at 50 digits, rounded to float
+SMALL_ALPHA_CASEB_ROOTS = [
+    # alpha, beta, Gamma_pp, Gamma_mm, Gamma_pm, roots
+    (0.0003955697536725441, 1.491346422718789, -1.1783637525043589, 0.2052603235548739, 0.2909313957878579,
+     (-1.8576770554823967,)),
+    (0.0018018016549113352, 1.3597777318722437, -1.2259504514108213, 0.009896193587715214, 0.036720596954357095,
+     (-1.652367833413698, -1.5010092958854564)),
+    (0.0001796323224531955, 1.5251754488329856, -2.3833469368458426, -0.6986696221334865, 0.28449626456098254,
+     (-4.020355034754718, -2.6426414553971687)),
+    (1.263617655989119e-05, 1.5284694533584178, -1.516835116814452, -0.16876155229384296, 0.1912872563739197,
+     (-2.277503543352769, -1.6857298445693898)),
+    (3.199510694295447e-05, 1.327098999829597, -1.6388671164548083, 0.2510204244103093, 0.27631314816431246,
+     (-2.4110432605256285,)),
+    (3.3306171167443374e-05, 0.8762709309011383, -0.7575993067611364, -0.09499760080134281, 0.1648285826529367,
+     (-1.3923709926808379, -0.9726010836353168)),
+    (0.00035553266353597994, 1.7845691909040904, -1.470012479862863, -0.6318078673810161, 0.09896501171841779,
+     (-3.3461554207659137, -1.8630413142978424)),
+    (0.0031833038424411266, 1.7296720794905371, -1.365397091111651, 0.14847908971666574, 0.21847905082213578,
+     (-2.0023134166749985,)),
+    (3.182181140751737e-05, 0.23065522325718213, 0.14561271949848448, 0.4026902478519256, 0.2107956698425077,
+     (-0.4618059415702939,)),
+    (0.006323073452227005, 0.5856358966929434, -0.3081964823979412, 0.4489244601245698, 0.006750683524302114,
+     (-0.6227047530027926, -0.5986268683547313)),
+    (3.4607934904115545e-05, 1.5533998366367614, -1.2482281134880826, 0.08518689884645086, 0.10360958337760069,
+     (-1.7428633410013386, -1.5534157049129)),
+    (9.17471554835005e-05, 1.8945827282167114, -2.947358375776256, -0.7828158830806158, 0.21601770366436748,
+     (-4.701891870111416, -3.5361663140252615)),
+]
+
+
 class TestDiscrete:
     def test_free_double_root(self):
         p = SystemParams(0.0, 0.0)
@@ -265,6 +296,18 @@ class TestDiscrete:
         assert len(discrete_eigenvalues(SystemParams(2.0, 0.5), gm)) == 2
         assert len(calls) < spectrum._GRID_NODES // 2
 
+    def test_bisect_evaluates_no_point_twice(self):
+        # the value at the bracket's low end comes from the loop once that end
+        # has moved; f_lo may be a sign token, so f(lo) is called when it has not
+        for f_lo, f, want in ((-1.0, lambda x: x * x - 2.0, math.sqrt(2.0)),
+                              (-1.0, lambda x: x - 1e-16, 1e-16),
+                              (1.0, lambda x: math.exp(-x) - 0.5, math.log(2.0))):
+            calls = []
+            got = spectrum._bisect(lambda x: calls.append(x) or f(x), 0.0, 2.0, f_lo)
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+            assert len(set(calls)) == len(calls), f_lo
+            assert (0.0 in calls) == (want < 1e-15)
+
     def test_theorem1_closure(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -327,6 +370,15 @@ class TestDiscrete:
                 for e in got:
                     assert e == pytest.approx(want[0], rel=1e-8)
                     assert e == pytest.approx(want[1], rel=1e-8)
+
+    def test_small_alpha_caseb_roots_match_mpmath(self):
+        # at small alpha, Lambda_s reads artanh(alpha xi(i)) just above G_1's
+        # series switch: an artanh that loses eps/|w| there moves these roots
+        # by up to 4e-13
+        for a, b, pp, mm, pm, want in SMALL_ALPHA_CASEB_ROOTS:
+            got = [r.energy for r in discrete_eigenvalues(SystemParams(a, b),
+                                                          Hermitian2(pp, mm, pm))]
+            assert got == pytest.approx(list(want), rel=1e-14, abs=0.0), (a, b)
 
     @pytest.mark.parametrize("gap,methods", [
         (2e-9, [RootMethod.SIGN_CHANGE, RootMethod.SIGN_CHANGE]),
