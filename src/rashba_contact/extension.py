@@ -4,6 +4,7 @@ deficiency-element norms."""
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -12,9 +13,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .greens import (FOUR_PI, INV_4SQRT2PI, _check_spin, _reject_near_pole,
-                     _sqrt_minus, g1_origin, g2ren_origin, gs_ren_origin, xi)
-from .model import SystemParams, threshold_sigma
+from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin,
+                     _sqrt_e2_minus_b2, g1_origin, g2ren_origin, gs_ren_origin, xi)
+from .model import SystemParams
 
 
 @dataclass(frozen=True)
@@ -174,18 +175,14 @@ def gamma_for_couplings(params: SystemParams, omega_plus: float, omega_minus: fl
 def krein_q(params: SystemParams, z: complex) -> KreinQ:
     """Diagonal Q entries N_s^2 (G_s^ren(0;z) - sqrt(-z)/(4 pi) - Lambda_s).
 
-    Real z on the band [-Sigma, inf) raises DomainError: there Q has no
-    single real-axis value, and the per-band real forms of the Green values
-    are not the boundary value Q(E + i0).
+    Real z on the band [-Sigma, inf) raises, as in every Green value: there Q
+    has no single real-axis value.  Inside the pole guard around -Sigma the
+    error is PoleError, elsewhere DomainError.
     """
     z = complex(z)
-    sigma = threshold_sigma(params)
-    if z.imag == 0.0 and z.real >= -sigma:
-        raise DomainError(
-            f"z = {z.real} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}")
-    # the pole guard runs in g2ren_origin, and in g1_origin when beta != 0
+    # the real-axis rule runs in g2ren_origin, and in g1_origin when beta != 0
     nd = normalization(params)
-    sq = _sqrt_minus(z) / FOUR_PI
+    sq = cmath.sqrt(-z) / FOUR_PI
     return KreinQ(q_pp=nd.n_plus ** 2 * (gs_ren_origin(params, 1, z) - sq - nd.lambda_plus),
                   q_mm=nd.n_minus ** 2 * (gs_ren_origin(params, -1, z) - sq - nd.lambda_minus))
 
@@ -233,16 +230,16 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     n2 = nd.n(s) ** 2
     if z.imag != 0.0:
         g = gs_ren_origin(params, s, z)
-        return n2 * (g - _sqrt_minus(z) / FOUR_PI).imag / z.imag
+        norm_sq = n2 * (g - cmath.sqrt(-z) / FOUR_PI).imag / z.imag
+        if not math.isfinite(norm_sq):
+            # Im Q/Im z grows like 1/Im z next to the band
+            raise DomainError(f"the squared norm overflows at z = {z}")
+        return norm_sq
 
+    _check_real_z(params, z)
     e = z.real
     a, b = params.alpha, params.beta
-    sigma = threshold_sigma(params)
-    if e >= -sigma:
-        raise DomainError(
-            f"closed-form norm requires real z < -Sigma = {-sigma} (or Im z != 0)")
-    _reject_near_pole(params, z)
     x = xi(params, z).real
-    w = math.sqrt(e * e - b * b)
+    w = _sqrt_e2_minus_b2(e, b)
     return n2 / (16.0 * math.pi * w) * (
         1.0 / x + (a * a - 2.0 * s * b) * x / (1.0 - a * a * x * x))

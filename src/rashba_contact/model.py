@@ -47,7 +47,12 @@ class SystemParams:
                 raise DomainError(f"{name} must be nonnegative, got {value!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        sigma = _threshold(alpha, beta)
+        try:
+            sigma = _threshold(alpha, beta)
+        except OverflowError:
+            sigma = math.inf
+        if sigma == math.inf:
+            raise DomainError(f"Sigma overflows at alpha = {alpha!r}, beta = {beta!r}")
         # artanh(alpha*xi) diverges at -Sigma: alpha*xi(-Sigma) = 1 exactly
         # when alpha > 0 and alpha^2 >= 2*beta
         pole = alpha > 0.0 and alpha * alpha >= 2.0 * beta

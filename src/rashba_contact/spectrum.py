@@ -20,9 +20,9 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import _has_pole, _reject_near_pole, artanh_branch, xi
-from .model import (_POLE_GUARD, Regime, RegimeInfo, SystemParams, classify_regime,
-                    series_validity, threshold_sigma)
+from .greens import _check_real_z, artanh_branch, xi
+from .model import (Regime, RegimeInfo, SystemParams, classify_regime, series_validity,
+                    threshold_sigma)
 
 _GRID_NODES = 2048
 _SCAN_NODES = 1000
@@ -98,16 +98,15 @@ class SpectrumReport:
         }
 
 
-def _channel_factors(params: SystemParams, x: complex, sgn: float, omega_plus: float,
+def _channel_factors(params: SystemParams, x: complex, omega_plus: float,
                      omega_minus: float) -> tuple[complex, complex]:
     """The channel factors (c_+, c_-) at xi = x.
 
-    c_s = omega_s + sgn/(2 x) - (alpha/2 - s*beta/alpha) artanh(alpha*x), and
-    at alpha = 0 the artanh term is replaced by its limit -s*beta*x; sgn is
-    the sign of the partner root 1/(2 xi), -1 on real E >= beta.
+    c_s = omega_s + 1/(2 x) - (alpha/2 - s*beta/alpha) artanh(alpha*x), and
+    at alpha = 0 the artanh term is replaced by its limit -s*beta*x.
     """
     a, b = params.alpha, params.beta
-    inv = sgn / (2.0 * x)
+    inv = 1.0 / (2.0 * x)
     if a == 0.0:
         tail_p, tail_m = -b * x, b * x
     else:
@@ -119,13 +118,13 @@ def _channel_factors(params: SystemParams, x: complex, sgn: float, omega_plus: f
 def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) -> complex:
     """gamma minus the product of the two channel factors at real energy E.
 
-    Zeros coincide with those of det(Gamma - Q(E)).
+    Zeros coincide with those of det(Gamma - Q(E)).  E must lie below the
+    band, as for every real-axis Green value: PoleError inside the pole
+    guard around -Sigma, DomainError elsewhere on [-Sigma, inf).
     """
-    e = float(e)
-    _reject_near_pole(params, complex(e))
-    sgn = 1.0 if e < params.beta else -1.0
-    cp, cm = _channel_factors(params, xi(params, complex(e)), sgn,
-                              eff.omega_plus, eff.omega_minus)
+    z = complex(float(e))
+    _check_real_z(params, z)
+    cp, cm = _channel_factors(params, xi(params, z), eff.omega_plus, eff.omega_minus)
     return eff.gamma - cp * cm
 
 
@@ -211,12 +210,12 @@ def discrete_eigenvalues(params: SystemParams,
     fixed resolution 1e-9*max(1,|E|) are reported once, as an EVEN_ORDER
     root at their midpoint.
 
-    The grid ends 2*_POLE_GUARD*max(1, Sigma) below -Sigma where artanh has
-    its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and 1e-14*max(1, Sigma)
-    below it elsewhere.  Next to the pole lambda_- (and lambda_+, off the seam
-    alpha^2 = 2 beta) tends to -inf, so a branch still positive at the last
-    node has a root inside the pole guard; that root is not reported, and one
-    UserWarning, naming every such branch, says so.
+    The grid ends twice the pole guard, 2e-10*max(1, Sigma), below -Sigma
+    where artanh has its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and
+    1e-14*max(1, Sigma) below it elsewhere.  Next to the pole lambda_- (and
+    lambda_+, off the seam alpha^2 = 2 beta) tends to -inf, so a branch still
+    positive at the last node has a root inside the pole guard; that root is
+    not reported, and one UserWarning, naming every such branch, says so.
 
     The grid starts at e_min = -max(100, 10 (1 + Sigma + w^2)), with
     w = max(|omega_+|, |omega_-|, sqrt(gamma)), and no root lies below it:
@@ -249,7 +248,7 @@ def discrete_eigenvalues(params: SystemParams,
         raise DomainError(f"the window's lower end {e_min} overflows when squared; "
                           "Gamma is too large")
 
-    pole = _has_pole(params)
+    pole = params._pole_guard > 0.0
     seam = params.alpha * params.alpha == 2.0 * params.beta
     pm = abs(gamma_matrix.pm)
 
@@ -259,7 +258,7 @@ def discrete_eigenvalues(params: SystemParams,
         h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), pm)
         return h - r, h + r
 
-    edge = (2.0 * _POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
+    edge = 2.0 * params._pole_guard if pole else 1e-14 * max(1.0, sigma)
     grid = (-sigma - np.geomspace(edge, -e_min - sigma, _GRID_NODES))[::-1].tolist()
     names = ("lambda_-", "lambda_+")
     first, last = branches(grid[0]), branches(grid[-1])
@@ -480,18 +479,20 @@ def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarra
     """The gamma the two-channel phase constraint would force at each energy
     of the ascending grid ``e`` in (-Sigma, beta), for CaseC params.
 
-    With the channel factors of ``_channel_factors`` (sgn = +1), c_+ at
-    omega_+ and c_- at omega_- = 0, it is -(Im c_-/Im c_+)(Re c_+^2 + Im c_-^2):
-    both Im c_s share a sign inside (-Sigma, beta), so it is strictly negative,
-    and omega_- drops out, as the constraint fixes Re c_-.  The factors are
-    taken in real arithmetic, one sub-band at a time, with
-    k_s = alpha/2 - s*beta/alpha:
-    - (-Sigma, -beta]: xi is real and alpha*xi > 1 is on the artanh cut, so
-      Im c_s = k_s*pi/2 and Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).
+    The one place where the channel factors
+    c_s = omega_s + 1/(2 xi) - k_s artanh(alpha*xi), k_s = alpha/2 - s*beta/alpha,
+    are continued onto the band.  With c_+ at omega_+ and c_- at omega_- = 0,
+    the gamma is -(Im c_-/Im c_+)(Re c_+^2 + Im c_-^2): both Im c_s share a
+    sign inside (-Sigma, beta), so it is strictly negative, and omega_- drops
+    out, as the constraint fixes Re c_-.  The factors are taken in real
+    arithmetic, one sub-band at a time:
+    - (-Sigma, -beta]: xi is real and alpha*xi > 1 is on the artanh cut,
+      continued as r - i*pi/2, so Im c_s = k_s*pi/2 and
+      Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).
     - (-beta, beta): xi = (r + iq)/(2 beta) with r = sqrt(beta - E) and
-      q = sqrt(beta + E), so 1/(2 xi) = (r - iq)/2.  ``greens._xi_real`` signs
-      q like E + 0.0, but the result is even in q, as flipping q flips both
-      Im c_s.  artanh(u + iv) at alpha*xi = u + iv takes the cancellation-free
+      q = sqrt(beta + E), so 1/(2 xi) = (r - iq)/2.  The result is even in q,
+      as flipping q flips both Im c_s.  artanh(u + iv) at alpha*xi = u + iv
+      takes the cancellation-free
       log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
     """
     a, b = params.alpha, params.beta

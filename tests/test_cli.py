@@ -60,6 +60,20 @@ class TestQfunc:
         assert code == 2
         assert "continuous band" in err
 
+    @pytest.mark.parametrize("z", [["--z-re=-1e200"], ["--z-re=0", "--z-im=1e-160"],
+                                   ["--z-re=-1e-200", "--z-im=1e-200"]])
+    def test_ends_of_float_range_print_finite_json(self, capsys, z):
+        code, out, err = run(capsys, "qfunc", "--alpha", "2", "--beta", "0.5", *z)
+        assert code == 0 and err == ""
+        data = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+        assert all(math.isfinite(v) for v in data.values())
+
+    def test_beyond_float_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "qfunc", "--alpha", "2", "--beta", "0.5",
+                             "--z-re=-1e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: |E| = 1e+308 is beyond the float range of xi")
+
 
 class TestSolve:
     def test_two_channel_pair_json(self, capsys, tmp_path):
@@ -115,6 +129,20 @@ class TestSolve:
             main(["solve", "--alpha", "0", "--beta", "0", "--gamma-file", str(gf)])
         assert exc.value.code == 2
         assert "cannot read --gamma-file" in capsys.readouterr().err
+
+    def test_sigma_overflow_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alpha", "1e200", "--beta", "1", "--c", "1", "--r", "0"])
+        assert exc.value.code == 2
+        assert "Sigma overflows" in capsys.readouterr().err
+
+    def test_beta_beyond_the_square_range_exits_2(self, capsys):
+        # the normalization at z = i takes xi at |beta/z| = 1e300, too large
+        # to square; the window for the resulting Gamma then overflows
+        code, out, err = run(capsys, "solve", "--alpha", "0", "--beta", "1e300",
+                             "--c", "1", "--r", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the window's lower end") and "Traceback" not in err
 
     def test_gamma_too_large_for_the_window_exits_2(self, capsys, tmp_path):
         gf = tmp_path / "g.json"

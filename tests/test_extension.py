@@ -12,7 +12,7 @@ from rashba_contact import (DomainError, EffectiveCouplings, ExtensionKind,
                             phi_norm_sq, resolvent_correction, secular_det,
                             secular_function, threshold_sigma)
 from rashba_contact import model
-from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI, _sqrt_minus
+from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)      # normalization at alpha = beta = 0
 RMAP = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
@@ -236,8 +236,47 @@ class TestKreinQ:
             for s, gss, n, w in ((1, gm.pp, nd.n_plus, eff.omega_plus),
                                  (-1, gm.mm, nd.n_minus, eff.omega_minus)):
                 lhs = FOUR_PI * (gss / n ** 2 - q.entry(s) / n ** 2)
-                rhs = w + _sqrt_minus(z) - FOUR_PI * gs_ren_origin(p, s, z)
+                rhs = w + cmath.sqrt(-z) - FOUR_PI * gs_ren_origin(p, s, z)
                 assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
+
+
+class TestFloatRange:
+    """Q and dQ/dE at the ends of float range, where E^2 or (beta/z)^2
+    overflows, against 50-digit mpmath; beyond it DomainError."""
+
+    P = SystemParams(2.0, 0.5)
+
+    @pytest.mark.parametrize("z", [-1e200, -1.5e154, -2.8e306, 1e-160j,
+                                   (-1 + 1j) * 1e-200, 1e-300j, 1e300j])
+    def test_krein_q_matches_mpmath(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import q_mp
+
+        q = krein_q(self.P, z)
+        with mpmath.workdps(50):
+            for s in (1, -1):
+                ref = q_mp(self.P.alpha, self.P.beta, s, z)
+                assert abs(q.entry(s) - ref) <= 1e-15 * abs(ref), (z, s)
+
+    @pytest.mark.parametrize("e", [-1e160, -1e200, -2.8e306])
+    def test_phi_norm_sq_matches_mpmath(self, e):
+        # below the band the squared norm is dQ_ss/dE
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import q_mp
+
+        with mpmath.workdps(50):
+            for s in (1, -1):
+                ref = mpmath.diff(lambda t: q_mp(self.P.alpha, self.P.beta, s, t),
+                                  mpmath.mpf(e), h=abs(e) * mpmath.mpf(10) ** -20)
+                got = phi_norm_sq(self.P, s, e)
+                assert abs(got - ref) <= 1e-15 * abs(ref), (e, s)
+
+    @pytest.mark.parametrize("z", [-2.9e306, -1e308, 1e308 + 1j, -1e308j])
+    def test_beyond_float_range_raises(self, z):
+        with pytest.raises(DomainError, match="beyond the float range of xi"):
+            krein_q(self.P, z)
+        with pytest.raises(DomainError, match="beyond the float range of xi"):
+            phi_norm_sq(self.P, 1, z)
 
 
 class TestPoleGuard:
@@ -246,10 +285,8 @@ class TestPoleGuard:
     # CaseC with Sigma > 1 and < 1, the seam, and beta = 0
     POLES = [SystemParams(2.0, 0.5), SystemParams(0.8, 0.3),
              SystemParams(1.0, 0.5), SystemParams(1.0, 0.0)]
-
-    BAND_FIRST = {"krein_q": "continuous band",
-                  "phi_norm_sq+": "closed-form norm requires",
-                  "phi_norm_sq-": "closed-form norm requires"}
+    # CaseB, CaseA and the free case: Q is finite up to -Sigma
+    NO_POLE = [SystemParams(0.4, 0.5), SystemParams(0.0, 0.5), SystemParams(0.0, 0.0)]
 
     @staticmethod
     def entries(p: SystemParams, e: float):
@@ -272,13 +309,22 @@ class TestPoleGuard:
         assert guard > 0.0
         for side in (-0.5, 0.5):
             for name, call in self.entries(p, -sigma + side * guard).items():
-                if side > 0.0 and name in self.BAND_FIRST:
-                    # on the band side the band check comes first
-                    with pytest.raises(DomainError, match=self.BAND_FIRST[name]):
-                        call()
-                    continue
                 with pytest.raises(PoleError, match="diverges at z = -Sigma"):
                     call()
+
+    @pytest.mark.parametrize("p", POLES + NO_POLE, ids=repr)
+    def test_on_the_band_outside_the_guard_raises_domain_error(self, p):
+        # one rule on the real axis: DomainError, not PoleError, everywhere
+        # on [-Sigma, inf) outside the guard, which is empty without a pole
+        sigma, guard, b = threshold_sigma(p), p._pole_guard, p.beta
+        points = [-sigma + 2.0 * guard, 0.0, b, 2.0 * b + 1.0]
+        if -b > -sigma + 2.0 * guard:
+            points.append(-b)
+        for e in points:
+            for name, call in self.entries(p, e).items():
+                with pytest.raises(DomainError, match="continuous band") as info:
+                    call()
+                assert not isinstance(info.value, PoleError), (name, e)
 
     @pytest.mark.parametrize("p", POLES, ids=repr)
     def test_outside_the_guard_evaluates(self, p):

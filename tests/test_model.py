@@ -21,6 +21,13 @@ class TestParams:
         with pytest.raises(DomainError):
             SystemParams(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [(1e200, 1.0), (2.7e154, 0.0), (2.6e154, 1.7e308)])
+    def test_sigma_overflow_is_a_domain_error(self, alpha, beta):
+        # (alpha/2)^2 overflows, or (beta/alpha)^2 + (alpha/2)^2 rounds to inf
+        with pytest.raises(DomainError, match="Sigma overflows"):
+            SystemParams(alpha, beta)
+        assert SystemParams(2.6e154, 1.0)._sigma == pytest.approx(1.69e308, rel=1e-15)
+
 
 class TestThreshold:
     def test_zeeman_branch(self):

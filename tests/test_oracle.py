@@ -13,7 +13,7 @@ from rashba_contact import (ConvergenceError, DomainError, SystemParams, gs_ren_
                             phi_norm_quadrature, phi_norm_sq, sigma_numeric,
                             threshold_sigma)
 from rashba_contact import oracle
-from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI, _sqrt_minus
+from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI
 from rashba_contact.oracle import _WG21, _WK21, _X21, _gk21_batch, _gs_integrand
 
 
@@ -147,7 +147,7 @@ class TestGreenQuadrature:
         p = SystemParams(1.0, 0.5)
         n2 = normalization(p).n_plus ** 2
         g_i = gs_ren_quadrature(p, 1, 1j, tol=1e-8).value
-        q = n2 * (INV_4SQRT2PI - _sqrt_minus(1j) / FOUR_PI + g_i - g_i.real)
+        q = n2 * (INV_4SQRT2PI - cmath.sqrt(-1j) / FOUR_PI + g_i - g_i.real)
         assert abs(q - 1j) <= 1e-6
 
     def test_q_reconstruction_below_band(self):
@@ -156,7 +156,7 @@ class TestGreenQuadrature:
         nd = normalization(p)
         g_z = gs_ren_quadrature(p, -1, z, tol=1e-8).value
         g_i = gs_ren_quadrature(p, -1, 1j, tol=1e-8).value
-        q = nd.n_minus ** 2 * (INV_4SQRT2PI - _sqrt_minus(z) / FOUR_PI
+        q = nd.n_minus ** 2 * (INV_4SQRT2PI - cmath.sqrt(-z) / FOUR_PI
                                + g_z - g_i.real)
         ref = krein_q(p, z).q_mm
         assert abs(q - ref) <= 1e-6 * (1.0 + abs(ref))

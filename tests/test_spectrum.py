@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -14,7 +15,7 @@ from rashba_contact import (DomainError, EffectiveCouplings,
                             large_coupling_context, normalization, secular_det,
                             secular_function, solve_spectrum,
                             threshold_sigma, u_nu, v_nu, xi)
-from rashba_contact import spectrum
+from rashba_contact import model, spectrum
 
 
 class TestSecularFunction:
@@ -79,7 +80,7 @@ def _full_grid_solve(p, gm):
     w = max(abs(eff.omega_plus), abs(eff.omega_minus), math.sqrt(eff.gamma))
     e_min = -max(100.0, 10.0 * (1.0 + sigma + w * w))
     pole = p.alpha > 0.0 and p.alpha * p.alpha >= 2.0 * p.beta
-    edge = (2.0 * spectrum._POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
+    edge = (2.0 * model._POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
     grid = (-sigma - np.geomspace(edge, -e_min - sigma, spectrum._GRID_NODES))[::-1]
 
     def branches(e):
@@ -669,23 +670,44 @@ class TestForbiddenBand:
             assert rep.max_gamma_required < 0.0
             assert rep.band == (-threshold_sigma(params), 0.5)
 
+    # the scalar route on (-Sigma, beta), which the Green layer does not take:
+    # xi real on E <= -beta and the half-angle form above it, artanh continued
+    # as r - i pi/2 on its cut w > 1, and the channel factors at sgn = +1
+    @staticmethod
+    def band_xi(b, e):
+        if e <= -b:
+            return complex(1.0 / math.sqrt(2.0 * (-e + math.sqrt(e * e - b * b))))
+        return complex(math.sqrt(b - e) / (2.0 * b),
+                       math.copysign(math.sqrt(b + e) / (2.0 * b), e + 0.0))
+
+    @staticmethod
+    def cut_artanh(w):
+        if w.imag != 0.0:
+            return cmath.atanh(w)
+        if w.real > 1.0:
+            return complex(0.5 * math.log((w.real + 1.0) / (w.real - 1.0)), -0.5 * math.pi)
+        return complex(math.atanh(w.real))
+
     def test_b_sign_structure(self):
         # the imaginary channel parts share their sign across the mid band
         a, b = 2.0, 0.5
-        p = SystemParams(a, b)
         for e, expect_neg in ((-0.3, True), (-0.01, True), (0.2, False), (0.45, False)):
-            x = xi(p, complex(e))
-            ar = artanh_branch(a * x)
+            x = self.band_xi(b, e)
+            ar = self.cut_artanh(a * x)
             for s in (1, -1):
                 b_s = -(1.0 / (2.0 * x)).imag + ar.imag * (a / 2.0 + s * b / a)
                 assert (b_s < 0.0) is expect_neg
         # the scan's real-arithmetic kernel agrees node by node with the
-        # scalar route (xi, artanh_branch, _channel_factors) on the same
-        # energies: nu = 1 gives Sigma = beta and no node below -beta, nu near
-        # 1 puts small Im c_+ next to -beta, and every grid holds -0.0 and
-        # +0.0, where the sign of Im xi switches
+        # scalar route on the same energies: nu = 1 gives Sigma = beta and no
+        # node below -beta, nu near 1 puts small Im c_+ next to -beta, and
+        # every grid holds -0.0 and +0.0, where the sign of Im xi switches
         def scalar_route(p, wp, e):
-            cp, cm = spectrum._channel_factors(p, xi(p, complex(e)), 1.0, wp, 0.0)
+            a, b = p.alpha, p.beta
+            x = self.band_xi(b, e)
+            ar = self.cut_artanh(a * x)
+            inv = 1.0 / (2.0 * x)
+            cp = wp + inv - (a / 2.0 - b / a) * ar
+            cm = 0.0 + inv - (a / 2.0 + b / a) * ar
             return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
 
         rng = np.random.default_rng(47)
