@@ -20,12 +20,14 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import _check_real_z, artanh_branch, xi
+from .greens import _check_real_z, _xi_real, artanh_branch, xi
 from .model import (Regime, RegimeInfo, SystemParams, classify_regime, series_validity,
                     threshold_sigma)
 
 _GRID_NODES = 2048
 _SCAN_NODES = 1000
+# the scan grid is linspace built by hand from this: same nodes, no per-call setup
+_SCAN_STEPS = np.arange(_SCAN_NODES, dtype=float)
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
 _GOLDEN_ITERS = 100
@@ -346,11 +348,16 @@ def v_nu(nu: float, x: float) -> float:
 
 
 def e_nu(beta: float, nu: float, x: float) -> float:
-    """E_nu(x) = beta (nu^4 + x^4)/(2 (nu x)^2); equals beta at x = nu."""
+    """E_nu(x) = beta (nu^4 + x^4)/(2 (nu x)^2); equals beta at x = nu.
+
+    Taken as (c nu/x)^2 + (c x/nu)^2 with c = sqrt(beta/2), which does not
+    overflow where nu^4 would (nu > 1e77).
+    """
     if beta <= 0.0:
         raise DomainError("E_nu requires beta > 0")
     _check_uvx(nu, x)
-    return beta * (nu ** 4 + x ** 4) / (2.0 * (nu * x) ** 2)
+    c = math.sqrt(0.5 * beta)
+    return (c * nu / x) ** 2 + (c * x / nu) ** 2
 
 
 def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
@@ -358,11 +365,15 @@ def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
 
     x*arctan(x) strictly increases on x > 0, so the root is unique.  A level
     within rounding of the value at an end returns that end.  The function
-    is also convex, so Newton's method started at hi falls monotonically to
-    the root and stays above it; an iterate that would not decrease means
-    rounding has been reached.  An iterate at or below lo can only come from
-    rounding too (f(lo) < level puts the root above lo), so the root lies
-    within rounding of lo and lo is returned, as a level met at lo would be.
+    is also convex, so Newton's method started at or above the root falls
+    monotonically to it and stays above it; an iterate that would not
+    decrease means rounding has been reached.  It starts at
+    min(hi, max(1, 4 level/pi)), which is at or above the root: arctan(x) >=
+    pi/4 for x >= 1 gives x arctan(x) >= pi x/4 there.  (Started at a huge
+    hi, the first step would round to <= lo.)  An iterate at or below lo can
+    only come from rounding too (f(lo) < level puts the root above lo), so
+    the root lies within rounding of lo and lo is returned, as a level met
+    at lo would be.
     """
     f_lo, f_hi = lo * math.atan(lo), hi * math.atan(hi)
     if not f_lo * (1.0 - _LEVEL_ROUNDING) <= level <= f_hi * (1.0 + _LEVEL_ROUNDING):
@@ -371,7 +382,7 @@ def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
         return lo
     if level >= f_hi:
         return hi
-    x = hi
+    x = min(hi, max(1.0, 4.0 * level / math.pi))
     while True:
         t = math.atan(x)
         nxt = x - (x * t - level) / (t + x / (1.0 + x * x))
@@ -411,6 +422,8 @@ def _large_coupling_cached(alpha: float, beta: float) -> LargeCouplingContext:
             "large-coupling context requires sqrt(2*beta) <= alpha with beta > 0")
     nu = info.nu
     n2 = nu * nu
+    if not math.isfinite(n2):
+        raise DomainError(f"nu^2 overflows at nu = {nu}: beta is too small for alpha")
     x1 = _xatan_inverse(n2 / (n2 + 1.0), 0.0, nu)
     x2 = _xatan_inverse(n2 / (n2 - 1.0), x1, nu) if n2 > 1.0 else None
     if x2 == x1:
@@ -475,41 +488,81 @@ def embedded_large_alpha(params: SystemParams,
     return tuple(sorted(out, key=lambda r: r.energy))
 
 
-def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarray:
-    """The gamma the two-channel phase constraint would force at each energy
-    of the ascending grid ``e`` in (-Sigma, beta), for CaseC params.
+def _re_c_plus_below(a: float, b: float, kp: float, wp: float, e: float) -> float:
+    """Re c_+ at one energy E of (-Sigma, -beta], for CaseC params with
+    k_+ = alpha/2 - beta/alpha.
 
-    The one place where the channel factors
-    c_s = omega_s + 1/(2 xi) - k_s artanh(alpha*xi), k_s = alpha/2 - s*beta/alpha,
-    are continued onto the band.  With c_+ at omega_+ and c_- at omega_- = 0,
-    the gamma is -(Im c_-/Im c_+)(Re c_+^2 + Im c_-^2): both Im c_s share a
-    sign inside (-Sigma, beta), so it is strictly negative, and omega_- drops
-    out, as the constraint fixes Re c_-.  The factors are taken in real
-    arithmetic, one sub-band at a time:
-    - (-Sigma, -beta]: xi is real and alpha*xi > 1 is on the artanh cut,
-      continued as r - i*pi/2, so Im c_s = k_s*pi/2 and
-      Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).
-    - (-beta, beta): xi = (r + iq)/(2 beta) with r = sqrt(beta - E) and
-      q = sqrt(beta + E), so 1/(2 xi) = (r - iq)/2.  The result is even in q,
-      as flipping q flips both Im c_s.  artanh(u + iv) at alpha*xi = u + iv
-      takes the cancellation-free
-      log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
+    xi is real there (``_xi_real``) and alpha*xi > 1 lies on the artanh cut,
+    continued as r - i*pi/2 with r = log1p(2/(alpha xi - 1))/2, so
+    Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).  It does
+    not decrease in E (``_max_gamma_below``).
     """
-    a, b = params.alpha, params.beta
-    kp, km = a / 2.0 - b / a, a / 2.0 + b / a
-    n = int(np.searchsorted(e, -b, side="right"))
-    out = np.empty(e.shape)
+    x = _xi_real(b, e).real
+    return (wp + 0.5 / x) - (0.5 * kp) * math.log1p(2.0 / (a * x - 1.0))
 
-    lo = e[:n]
-    x = 1.0 / np.sqrt(2.0 * (np.sqrt(lo * lo - b * b) - lo))
-    re_p = (wp + 0.5 / x) - (0.5 * kp) * np.log1p(2.0 / (a * x - 1.0))
-    im_m = 0.5 * np.pi * km
+
+def _max_gamma_below(a: float, b: float, wp: float, e: np.ndarray) -> float:
+    """The largest gamma the phase constraint requires over the ascending
+    nodes ``e`` in (-Sigma, -beta], for CaseC params with nu > 1.
+
+    There alpha*xi lies on the artanh cut, so Im c_s = k_s pi/2 is constant,
+    k_s = alpha/2 - s*beta/alpha, and the gamma is
+    -(k_-/k_+)(Re c_+^2 + (pi k_-/2)^2), largest where |Re c_+| is least.
+    Re c_+ does not decrease along the nodes: x = xi(E) rises from 1/alpha
+    at -Sigma to 1/sqrt(2 beta) at -beta, and
+    d Re c_+/dx = -1/(2x^2) + k_+ alpha/(alpha^2 x^2 - 1)
+                = (1 - 2 beta x^2)/(2 x^2 (alpha^2 x^2 - 1)) >= 0
+    there.  So the largest gamma is at one of the two nodes around the sign
+    change of Re c_+, or at the end nearer it when it keeps one sign.  Both
+    ends are evaluated first (``_re_c_plus_below``), and a bisection over the
+    node indices finds the change: at most ceil(log2 n) + 2 evaluations.
+    """
     # k_+ = 0 on the seam nu = 1, where this sub-band holds no node
-    out[:n] = -km * (re_p * re_p + im_m * im_m) / kp
+    kp, km = a / 2.0 - b / a, a / 2.0 + b / a
+    im_m = 0.5 * math.pi * km
 
-    hi = e[n:]
-    r = np.sqrt(b - hi)
-    q = np.sqrt(b + hi)
+    def gamma(re_p: float) -> float:
+        return -km * (re_p * re_p + im_m * im_m) / kp
+
+    lo, hi = 0, len(e) - 1
+    re_lo = _re_c_plus_below(a, b, kp, wp, float(e[lo]))
+    if re_lo >= 0.0:
+        return gamma(re_lo)
+    re_hi = _re_c_plus_below(a, b, kp, wp, float(e[hi]))
+    if re_hi <= 0.0:
+        return gamma(re_hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        re_mid = _re_c_plus_below(a, b, kp, wp, float(e[mid]))
+        if re_mid < 0.0:
+            lo, re_lo = mid, re_mid
+        else:
+            hi, re_hi = mid, re_mid
+    return max(gamma(re_lo), gamma(re_hi))
+
+
+def _gamma_required_mid(a: float, b: float, wp: float, e: np.ndarray) -> np.ndarray:
+    """The gamma the phase constraint requires at each energy of ``e`` in
+    (-beta, beta), for CaseC params.
+
+    With c_+ at omega_+ and c_- at omega_- = 0 it is
+    -(Im c_-/Im c_+)(Re c_+^2 + Im c_-^2): both Im c_s share a sign on the
+    band, so it is strictly negative, and omega_- drops out, as the
+    constraint fixes Re c_-.  Here xi = (r + iq)/(2 beta) with
+    r = sqrt(beta - E) and q = sqrt(beta + E), so 1/(2 xi) = (r - iq)/2; the
+    result is even in q, as flipping q flips both Im c_s.  artanh at
+    alpha*xi = u + iv takes the cancellation-free
+    log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
+    alpha*xi lies on the circle u^2 + v^2 = nu^2 (r^2 + q^2 = 2 beta), so
+    (1-u)^2 + v^2 = 1 + nu^2 - 2u = (nu - 1)^2 + 2(nu - u) > 0, as u < nu
+    on this sub-band, and (1-u)(1+u) - v^2 = 1 - nu^2 <= 0: the log1p
+    argument stays finite and the angle lies in [pi/2, pi).  Both are still
+    formed per node: the constant 1 - nu^2 is as accurate, but rounds
+    differently and moves the scan's maximum by up to 1.3e-15 relative.
+    """
+    kp, km = a / 2.0 - b / a, a / 2.0 + b / a
+    r = np.sqrt(b - e)
+    q = np.sqrt(b + e)
     scale = a / (2.0 * b)
     u, v = scale * r, scale * q
     d, vv = 1.0 - u, v * v
@@ -519,8 +572,7 @@ def _gamma_required(params: SystemParams, wp: float, e: np.ndarray) -> np.ndarra
     half_q = 0.5 * q
     im_p = (-0.5 * kp) * angle - half_q
     neg_im_m = half_q + (0.5 * km) * angle
-    out[n:] = neg_im_m / im_p * (re_p * re_p + neg_im_m * neg_im_m)
-    return out
+    return neg_im_m / im_p * (re_p * re_p + neg_im_m * neg_im_m)
 
 
 def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> ForbiddenBandReport:
@@ -528,9 +580,21 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
     require; a negative maximum certifies the band holds no eigenvalue for
     any admissible gamma >= 0.
 
-    The grid linspace(-Sigma + delta, beta - delta, 1000),
-    delta = 1e-6*max(1, Sigma + beta), is evaluated in one numpy pass per
-    sub-band, (-Sigma, -beta] and (-beta, beta) (``_gamma_required``).
+    The one place where the channel factors
+    c_s = omega_s + 1/(2 xi) - k_s artanh(alpha*xi), k_s = alpha/2 - s*beta/alpha,
+    are continued onto the band.  The grid is
+    linspace(-Sigma + delta, beta - delta, 1000), delta = 1e-6*max(1, Sigma + beta),
+    built from a fixed arange.  Only the nodes that decide the maximum are
+    evaluated, one sub-band at a time:
+    - (-Sigma, -beta]: Im c_s = k_s pi/2 is constant and Re c_+ does not
+      decrease in E, since d Re c_+/dx = (1 - 2 beta x^2)/(2 x^2 (alpha^2 x^2 - 1))
+      >= 0 for x = xi(E) in (1/alpha, 1/sqrt(2 beta)].  So a bisection over
+      the node indices finds the nodes around the sign change of Re c_+,
+      where the gamma peaks (``_max_gamma_below``, ``_re_c_plus_below``).
+    - (-beta, beta): every node, in one array pass (``_gamma_required_mid``),
+      with artanh at alpha*xi = u + iv on the circle u^2 + v^2 = nu^2, where
+      (1-u)^2 + v^2 = 1 + nu^2 - 2u > 0 and (1-u)(1+u) - v^2 = 1 - nu^2.
+    A band narrower than 2 delta leaves no grid inside it: DomainError.
     """
     info = classify_regime(params)
     if info.regime is not Regime.CASE_C:
@@ -538,8 +602,18 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
                           "large-coupling regime only")
     sigma, b = info.sigma, params.beta
     delta = 1e-6 * max(1.0, sigma + b)
-    grid = np.linspace(-sigma + delta, b - delta, _SCAN_NODES)
-    worst = float(np.max(_gamma_required(params, eff.omega_plus, grid)))
+    start, stop = -sigma + delta, b - delta
+    if not start < stop:
+        raise DomainError(f"the band (-Sigma, beta) = ({-sigma}, {b}) is narrower "
+                          f"than the scan's margins 2*{delta}")
+    grid = _SCAN_STEPS * ((stop - start) / (_SCAN_NODES - 1))
+    grid += start
+    grid[-1] = stop
+    n = int(np.searchsorted(grid, -b, side="right"))
+    a, wp = params.alpha, eff.omega_plus
+    worst = _max_gamma_below(a, b, wp, grid[:n]) if n else -math.inf
+    if n < _SCAN_NODES:
+        worst = max(worst, float(_gamma_required_mid(a, b, wp, grid[n:]).max()))
     return ForbiddenBandReport(max_gamma_required=worst, band=(-sigma, b),
                                grid_size=_SCAN_NODES)
 

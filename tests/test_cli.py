@@ -144,6 +144,22 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("error: the window's lower end") and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:nu = .* is extreme:UserWarning")
+    def test_extreme_nu(self, capsys):
+        # beta -> 0 at fixed alpha: nu = 7.1e19 and 3.5e150 solve, and where
+        # nu^2 overflows (beta subnormal) the error names it
+        code, out, err = run(capsys, "solve", "--alpha", "1", "--beta", "1e-40",
+                             "--c", "-1", "--r", "0")
+        assert code == 0 and err == ""
+        assert [r["E"] for r in json.loads(out)["discrete"]] == [-0.28145835554097498]
+        code, out, err = run(capsys, "solve", "--alpha", "5", "--beta", "1e-300",
+                             "--c", "-1", "--r", "0")
+        assert code == 0 and err == "" and json.loads(out)["regime"] == "CaseC"
+        code, out, err = run(capsys, "solve", "--alpha", "1", "--beta", "1e-310",
+                             "--c", "-1", "--r", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: nu^2 overflows") and "Traceback" not in err
+
     def test_gamma_too_large_for_the_window_exits_2(self, capsys, tmp_path):
         gf = tmp_path / "g.json"
         gf.write_text('{"pp": 1e150, "mm": 1e150, "pm_re": 0.0, "pm_im": 0.0}')

@@ -482,6 +482,11 @@ class TestCaseCFunctions:
         assert min(vals) >= b - 1e-14
         assert vals[-1] == pytest.approx(b, rel=1e-14)
 
+    def test_e_nu_where_nu_to_the_fourth_overflows(self):
+        nu, x = 3.5e150, 1.2
+        assert e_nu(1e-300, nu, x) == pytest.approx(0.5e-300 * (nu / x) ** 2, rel=1e-14)
+        assert e_nu(0.5, 1e200, 1e200) == pytest.approx(0.5, rel=1e-14)
+
     def test_domains(self):
         with pytest.raises(DomainError):
             u_nu(0.9, 0.5)
@@ -564,6 +569,24 @@ class TestLargeCouplingContext:
                     assert abs(ctx.x_nu_2 - r2) <= 2.0 * math.ulp(r2)
                     present_seen += 1
         assert merged_seen >= 10 and present_seen >= 50 and absent_seen >= 5
+
+    @pytest.mark.parametrize("nu", [1e17, 1e50, 1e150])
+    def test_extreme_nu_matches_mpmath(self, nu):
+        # the level nu^2/(nu^2 + 1) is 1.0 in floats; Newton started at hi = nu
+        # used to round its first step to x <= 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            root = float(mpmath.findroot(lambda t: t * mpmath.atan(t) - 1, 1.2))
+        with pytest.warns(UserWarning, match="extreme"):
+            ctx = large_coupling_context(SystemParams(nu, 0.5))
+        assert ctx.nu == nu
+        assert abs(ctx.x_nu_1 - root) <= 1e-15 * root
+        assert math.isfinite(ctx.e_nu_1) and ctx.e_nu_1 > 0.0
+        assert ctx.e_nu_1 == pytest.approx(0.25 * (nu / root) ** 2, rel=1e-14)
+
+    def test_nu_squared_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="nu\\^2 overflows"):
+            large_coupling_context(SystemParams(1.0, 1e-310))
 
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
@@ -688,6 +711,23 @@ class TestForbiddenBand:
             return complex(0.5 * math.log((w.real + 1.0) / (w.real - 1.0)), -0.5 * math.pi)
         return complex(math.atanh(w.real))
 
+    @classmethod
+    def scalar_route(cls, p, wp, e):
+        """(Re c_+, gamma required) at E in (-Sigma, beta), omega_- = 0."""
+        a, b = p.alpha, p.beta
+        x = cls.band_xi(b, e)
+        ar = cls.cut_artanh(a * x)
+        inv = 1.0 / (2.0 * x)
+        cp = wp + inv - (a / 2.0 - b / a) * ar
+        cm = 0.0 + inv - (a / 2.0 + b / a) * ar
+        return cp.real, -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
+
+    @staticmethod
+    def scan_grid(p, n=1000):
+        sigma, b = threshold_sigma(p), p.beta
+        delta = 1e-6 * max(1.0, sigma + b)
+        return np.linspace(-sigma + delta, b - delta, n)
+
     def test_b_sign_structure(self):
         # the imaginary channel parts share their sign across the mid band
         a, b = 2.0, 0.5
@@ -697,35 +737,32 @@ class TestForbiddenBand:
             for s in (1, -1):
                 b_s = -(1.0 / (2.0 * x)).imag + ar.imag * (a / 2.0 + s * b / a)
                 assert (b_s < 0.0) is expect_neg
-        # the scan's real-arithmetic kernel agrees node by node with the
-        # scalar route on the same energies: nu = 1 gives Sigma = beta and no
-        # node below -beta, nu near 1 puts small Im c_+ next to -beta, and
-        # every grid holds -0.0 and +0.0, where the sign of Im xi switches
-        def scalar_route(p, wp, e):
-            a, b = p.alpha, p.beta
-            x = self.band_xi(b, e)
-            ar = self.cut_artanh(a * x)
-            inv = 1.0 / (2.0 * x)
-            cp = wp + inv - (a / 2.0 - b / a) * ar
-            cm = 0.0 + inv - (a / 2.0 + b / a) * ar
-            return -(cm.imag / cp.imag) * (cp.real * cp.real + cm.imag * cm.imag)
-
+        # each kernel agrees node by node with the scalar route on its
+        # sub-band: Re c_+ below -beta, the gamma above it.  nu = 1 gives
+        # Sigma = beta and no node below -beta, nu near 1 puts small Im c_+
+        # next to -beta, and every grid holds -0.0 and +0.0, where the sign
+        # of Im xi switches, and -beta itself
         rng = np.random.default_rng(47)
         for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4),
                    *10.0 ** rng.uniform(1.0, 4.0, 3)):
             b = float(rng.uniform(0.05, 1.0))
             p = SystemParams(nu * math.sqrt(2.0 * b), b)
-            sigma = threshold_sigma(p)
-            delta = 1e-6 * max(1.0, sigma + b)
+            a, kp = p.alpha, p.alpha / 2.0 - b / p.alpha
             wp = float(rng.uniform(-3.0, 3.0))
             for n in (1000, 10000):
-                grid = np.linspace(-sigma + delta, b - delta, n)
+                grid = self.scan_grid(p, n)
                 assert np.any(grid <= -b) == (nu >= 1.2)
                 extra = [-0.0, 0.0] + ([-b] if nu >= 1.2 else [])
                 grid = np.sort(np.concatenate([grid, extra]))
                 assert np.any(grid == -b) == (nu >= 1.2)
-                got = spectrum._gamma_required(p, wp, grid)
-                ref = np.array([scalar_route(p, wp, float(e)) for e in grid])
+                below, mid = grid[grid <= -b], grid[grid > -b]
+                for e in below:
+                    re_ref, g_ref = self.scalar_route(p, wp, float(e))
+                    got = spectrum._re_c_plus_below(a, b, kp, wp, float(e))
+                    assert abs(got - re_ref) <= 1e-12 * (1.0 + abs(re_ref))
+                    assert g_ref < 0.0
+                got = spectrum._gamma_required_mid(a, b, wp, mid)
+                ref = np.array([self.scalar_route(p, wp, float(e))[1] for e in mid])
                 assert np.all(got < 0.0)
                 assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
 
@@ -733,11 +770,63 @@ class TestForbiddenBand:
         params = SystemParams(2.0, 0.5)
         eff = EffectiveCouplings(0.4, -0.7, 0.3)
         rep = forbidden_band_scan(params, eff)
-        sigma, b = -rep.band[0], rep.band[1]
-        delta = 1e-6 * max(1.0, sigma + b)
-        fine = np.linspace(-sigma + delta, b - delta, 10000)
-        r2 = float(np.max(spectrum._gamma_required(params, eff.omega_plus, fine)))
+        fine = self.scan_grid(params, 10000)
+        r2 = max(self.scalar_route(params, eff.omega_plus, float(e))[1] for e in fine)
         assert rep.grid_size == 1000 and abs(rep.max_gamma_required - r2) < 1e-8
+
+    @pytest.mark.parametrize("where", ["inside", "positive", "negative"])
+    def test_search_below_minus_beta_finds_the_maximum(self, where, monkeypatch):
+        # Re c_+ changes sign inside (-Sigma, -beta], or keeps one sign there:
+        # the search's maximum is the scalar route's over every node, and it
+        # evaluates at most ceil(log2 n) + 2 of the n nodes
+        p = SystemParams(2.0, 0.5)
+        a, b = p.alpha, p.beta
+        grid = self.scan_grid(p)
+        below, mid = grid[grid <= -b], grid[grid > -b]
+        n = len(below)
+        assert n > 300
+        f_lo = self.scalar_route(p, 0.0, float(below[0]))[0]
+        f_hi = self.scalar_route(p, 0.0, float(below[-1]))[0]
+        assert f_lo < f_hi
+        wp = {"inside": -0.5 * (f_lo + f_hi), "positive": 1.0 - f_lo,
+              "negative": -1.0 - f_hi}[where]
+        signs = {math.copysign(1.0, self.scalar_route(p, wp, float(e))[0]) for e in below}
+        assert len(signs) == (2 if where == "inside" else 1)
+        ref = max(self.scalar_route(p, wp, float(e))[1] for e in below)
+        assert spectrum._max_gamma_below(a, b, wp, below) == pytest.approx(ref, rel=1e-12)
+
+        calls = []
+        kernel = spectrum._re_c_plus_below
+
+        def counted(*args):
+            calls.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(spectrum, "_re_c_plus_below", counted)
+        rep = forbidden_band_scan(p, EffectiveCouplings(wp, 0.0, 0.0))
+        assert set(calls) <= set(below.tolist())
+        assert len(calls) <= math.ceil(math.log2(n)) + 2
+        worst = max(ref, *(self.scalar_route(p, wp, float(e))[1] for e in mid))
+        assert rep.max_gamma_required == pytest.approx(worst, rel=1e-12)
+
+    def test_one_sub_band_only(self):
+        # nu = 1: Sigma = beta, so no node lies below -beta; nu = 1e3 with
+        # beta = 1e-7: delta = 1e-6 > 2 beta, so no node lies in (-beta, beta)
+        for nu, b, n_below in ((1.0, 0.5, 0), (1e3, 1e-7, 1000)):
+            p = SystemParams(nu * math.sqrt(2.0 * b), b)
+            assert int(np.sum(self.scan_grid(p) <= -b)) == n_below
+            wp = 0.3
+            rep = forbidden_band_scan(p, EffectiveCouplings(wp, 0.0, 0.0))
+            ref = max(self.scalar_route(p, wp, float(e))[1] for e in self.scan_grid(p))
+            assert rep.max_gamma_required == pytest.approx(ref, rel=1e-12)
+            assert rep.max_gamma_required < 0.0
+
+    def test_band_narrower_than_the_margins(self):
+        # Sigma + beta < 2e-6 leaves the grid's ends outside the band
+        b = 1e-8
+        with pytest.raises(DomainError, match="narrower"):
+            forbidden_band_scan(SystemParams(2.0 * math.sqrt(2.0 * b), b),
+                                EffectiveCouplings(0.1, 0.0, 0.1))
 
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
