@@ -6,9 +6,15 @@ coordinates; no closed-form Green value is reused anywhere, so agreement with
 the analytic module is a genuine two-route check.
 
 The azimuthal angle integrates out exactly (the integrands depend only on
-p_perp^2 and p_z^2), leaving an iterated 2D integral.  The radial half-line is
-mapped onto (0,1) by rho = t/(1-t); the mapped integrands tend to finite
-limits at t = 1 because the renormalized combinations decay like rho^-4.
+p_perp^2 and p_z^2).  For the Green values so does the polar angle: in
+c = cos(theta), D = K + B c^2 with B = alpha^2 rho^2, and the integral of 1/D
+over c in [0, 1] is elementary (``_atan_h``), which leaves one radial
+integral per spin.  The deficiency norms keep the iterated 2D integral: the
+closed polar form of |1/D|^2 is -Im(1/D)/Im(D), the integrand-level form of
+the identity ||phi||^2 = Im Q/Im z that the norm check exists to test.  The
+radial half-line is mapped onto (0,1) by rho = t/(1-t); the mapped integrands
+tend to finite limits at t = 1 because the renormalized combinations decay
+like rho^-4.
 
 The two spin channels share the denominator, so both spins of one
 (params, z, tol) are integrated as one batch, each on its own mesh and with its
@@ -27,8 +33,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extension import normalization
-from .greens import _check_spin
-from .model import SystemParams, threshold_sigma
+from .greens import _check_real_z, _check_spin
+from .model import SystemParams
 from .spectrum import _golden_min
 
 _THETA_MAX = math.pi / 2.0
@@ -38,6 +44,10 @@ _QUAD_LIMIT = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _SPINS = np.array((1, -1))     # integral k of a two-spin batch has spin _SPINS[k]
+# Twice the Taylor coefficients of _atan_h about 0, 2 (-1)^(j+1)/(2j+3), in
+# rows of eight (row i holds j = 8i..8i+7); the first term left out is below
+# 1e-16 at |t1| < 1/2
+_H_BLOCKS = np.array([2.0 * (-1.0) ** (j + 1) / (2 * j + 3) for j in range(48)]).reshape(6, 8)
 
 # The 21-point Gauss-Kronrod rule on [-1, 1] of QUADPACK's qk21 (Piessens et
 # al., 1983).  qk21 lists the abscissae x >= 0 in descending order; the rule
@@ -76,27 +86,71 @@ class QuadratureResult:
     evaluations: int
 
 
-def _reject_on_continuum(params: SystemParams, z: complex) -> None:
-    sigma = threshold_sigma(params)
-    if z.imag == 0.0 and z.real >= -sigma:
-        raise DomainError(
-            f"z = {z.real} lies on the continuous band [-Sigma, inf) with "
-            f"Sigma = {sigma}; the momentum integral is singular there")
+def _atan_h(t):
+    """h(t) = (g(t) - 1)/t with g(t) = atan(sqrt t)/sqrt t, elementwise.
+
+    g is the polar integral: the integral of 1/(1 + t c^2) over c in [0, 1].
+    It is even in sqrt t, so single-valued on C \\ (-inf, -1]; no branch is
+    chosen.  The literal formula cancels in g - 1 = t h and loses up to
+    9e-15 at 0.1 <= |t| <= 1.  So one step of the half-angle identity
+    atan(u) = 2 atan(u/q), q = 1 + sqrt(1 + u^2), comes first:
+    h(t) = (2 h(t1)/q - 1)/q^2 with t1 = t/q^2, and |t1| <= 1.  For
+    |t1| < 1/2, h(t1) is its Taylor series -1/3 + t1/5 - t1^2/7 + ...,
+    48 terms.  The rest has |t| >= 8/9, where g - 1 does not cancel, and
+    there g is taken in closed form: g = log((1 + v)/r)/v with v = sqrt(-t)
+    and r = sqrt(1 + t), which stays accurate next to the branch point t = -1.
+    """
+    shape = np.shape(t)
+    t = np.ravel(np.asarray(t, dtype=complex))
+    r = np.sqrt(1.0 + t)
+    q = 1.0 + r
+    qq = q * q
+    # 2 h(t1) from the series in rows of eight terms: t1^0..t1^7 go through
+    # one real matmul (complex viewed as pairs of floats), then Horner in t1^8
+    powers = np.empty((8, t.size), dtype=complex)
+    powers[0] = 1.0
+    np.divide(t, qq, out=powers[1])
+    for j in range(2, 8):
+        np.multiply(powers[j // 2], powers[j - j // 2], out=powers[j])
+    t1, t8 = powers[1], powers[4] * powers[4]
+    rows = (_H_BLOCKS @ powers.view(float)).view(complex)
+    h = rows[-1] * t8
+    for row in rows[-2:0:-1]:
+        h += row
+        h *= t8
+    h += rows[0]
+    h /= q
+    h -= 1.0
+    h /= qq
+    far = np.flatnonzero(np.abs(t1) >= 0.5)
+    if far.size:
+        tf = t[far]
+        v = np.sqrt(-tf)
+        h[far] = (np.log((1.0 + v) / r[far]) / v - 1.0) / tf
+    return h.reshape(shape)
 
 
-def _gs_integrand(params: SystemParams, s: int, z: complex,
-                  rho: float, sin2: float) -> complex:
-    """Renormalized channel integrand over a common denominator.
+def _gs_radial(params: SystemParams, s, z: complex, rho):
+    """Renormalized channel integrand, integrated over the polar angle.
 
-    (p^2-z-s*b)/D - 1/(p^2-z) = (a^2 p_perp^2 + b^2 - s*b*(p^2-z)) / (D (p^2-z));
-    the combined form cancels exactly at alpha = beta = 0 and decays like rho^-4.
+    (p^2-z-s*b)/D - 1/(p^2-z) = (a^2 p_perp^2 + b^2 - s*b*w) / (D w), w = p^2-z.
+    With c = cos(theta), D = K + B c^2, B = a^2 rho^2, K = w^2 - b^2 - B, and
+    the integral over c in [0, 1] is
+    (b^2 + B - s*b*w + (w - s*b) w t h(t)) / (w K), t = B/K; below, s^2 = 1
+    turns b^2 - s*b*w into -s*b (w - s*b) and w^2 - b^2 into
+    (w - s*b)(w + s*b).  It is exactly 0 at alpha = beta = 0, the integrand
+    itself at alpha = 0, and decays like (2 a^2/3 - s*b)/rho^4.  D has no
+    zero off the band [-Sigma, inf), so t stays off the cut of h there.
     """
     a, b = params.alpha, params.beta
-    p2 = rho * rho
-    pperp2 = p2 * sin2
-    w = p2 - z
-    dd = w * w - a * a * pperp2 - b * b
-    return (a * a * pperp2 + b * b - s * b * w) / (dd * w)
+    rho2 = rho * rho
+    w = rho2 - z
+    bb = (a * a) * rho2
+    sb = s * b
+    ws = w - sb
+    k = ws * (w + sb) - bb
+    t = bb / k
+    return (bb + ws * (w * t * _atan_h(t) - sb)) / (w * k)
 
 
 def _phi_integrand(params: SystemParams, s: int, z: complex,
@@ -189,19 +243,53 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
         err = np.concatenate((err, kid_err[k:]))
 
 
+def _half_line(f, m: int, epsabs, epsrel: float):
+    """Adaptive quadrature of f(k, rho) over rho in [0, inf) for k = 0..m-1,
+    with absolute target epsabs[k] and relative target epsrel.
+
+    rho = t/(1-t) maps the half-line onto (0, 1).  Each integral starts on
+    the quarters of t, (0, 1/4), ..., (3/4, 1), that is rho = 0, 1/3, 1, 3,
+    inf: started on (0, 1) alone, it would bisect down to them in about two
+    rounds anyway.  Returns the values and the error estimates.
+    """
+    j = np.arange(4 * m)
+    a = 0.25 * (j % 4)
+
+    def mapped(k, t):
+        return f(k, t / (1.0 - t)) / (1.0 - t) ** 2
+
+    return _gk21_batch(mapped, j // 4, a, a + 0.25, m, epsabs, epsrel)
+
+
+def _radial_quad(f, spins, tol):
+    """Adaptive quadrature of f(s, rho) * rho^2 over rho in [0, inf), without
+    the overall prefactor, for each spin s of the array spins, with tolerance
+    tol[k] for spin spins[k].  All spins are one batch, each on its own mesh.
+    The target is absolute only: a relative one would end the bisection
+    before a tol far below 1e-10 (1 + |value|) is met.  Returns arrays of
+    values, error estimates and evaluations, one entry per spin.
+    """
+    n = spins.size
+    evals = np.zeros(n, dtype=int)
+
+    def integrand(k, rho):
+        evals[:] += _X21.size * np.bincount(k.ravel(), minlength=n)
+        return f(spins[k], rho) * rho * rho
+
+    val, err = _half_line(integrand, n, np.maximum(tol / 4.0, 1e-13), 0.0)
+    return val, err, evals
+
+
 def _iterated_quad(f2, spins, tol):
     """Iterated adaptive quadrature of f2(s, rho, sin^2 theta) * rho^2 * sin(theta)
     over theta in [0, pi/2], rho in [0, inf), without the overall prefactor,
     for each spin s of the array spins, with tolerance tol[k] for spin spins[k].
 
     The theta integrals of all spins are one adaptive batch; each of its
-    rounds integrates over rho at all of its new theta nodes, of every spin,
-    as one batch.  Each integral keeps its own mesh, so each spin gets the
-    values and counts it would get alone.  Each radial integral starts on the
-    quarters of t, (0, 1/4), ..., (3/4, 1), that is rho = 0, 1/3, 1, 3, inf:
-    started on (0, 1) alone, it would bisect down to them in about two rounds
-    anyway.  Returns arrays of values, error estimates and evaluations, one
-    entry per spin.
+    rounds integrates over rho (``_half_line``) at all of its new theta
+    nodes, of every spin, as one batch.  Each integral keeps its own mesh, so
+    each spin gets the values and counts it would get alone.  Returns arrays
+    of values, error estimates and evaluations, one entry per spin.
     """
     n = spins.size
     inner_eps = np.maximum(tol / 8.0, 1e-13)
@@ -215,16 +303,11 @@ def _iterated_quad(f2, spins, tol):
         sin_t = np.sin(theta).ravel()
         sin2 = sin_t * sin_t
 
-        def mapped(k, t):
+        def integrand(k, rho):
             evals[:] += _X21.size * np.bincount(node_owner[k.ravel()], minlength=n)
-            rho = t / (1.0 - t)
-            return f2(s[k], rho, sin2[k]) * rho * rho * sin_t[k] / (1.0 - t) ** 2
+            return f2(s[k], rho, sin2[k]) * rho * rho * sin_t[k]
 
-        m = sin_t.size
-        j = np.arange(4 * m)
-        a = 0.25 * (j % 4)
-        val, err = _gk21_batch(mapped, j // 4, a, a + 0.25, m,
-                               inner_eps[node_owner], 1e-10)
+        val, err = _half_line(integrand, sin_t.size, inner_eps[node_owner], 1e-10)
         np.maximum.at(worst_inner, node_owner, err)
         return val.reshape(theta.shape)
 
@@ -238,9 +321,10 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol = {tol} must be finite and positive")
 
 
-def _both_spins(f2, raw_tol: np.ndarray, scale: np.ndarray, tol: float):
+def _both_spins(quad, f, raw_tol: np.ndarray, scale: np.ndarray, tol: float):
     """QuadratureResult and convergence flag of s = +1 and of s = -1.
 
+    quad(f, spins, raw_tol) is ``_radial_quad`` or ``_iterated_quad``.
     Spin k's value and error are scale[k] times those of its raw integral,
     integrated at raw tolerance raw_tol[k].  A spin whose error is above
     tol * (1 + |value|) is integrated once more, alone, at raw_tol[k] / 20;
@@ -250,7 +334,7 @@ def _both_spins(f2, raw_tol: np.ndarray, scale: np.ndarray, tol: float):
     evals = [0, 0]
     todo = [0, 1]
     for shrink in (1.0, 20.0):
-        val, err, n = _iterated_quad(f2, _SPINS[todo], raw_tol[todo] / shrink)
+        val, err, n = quad(f, _SPINS[todo], raw_tol[todo] / shrink)
         for k, v, e, nk in zip(todo, (scale[todo] * val).tolist(),
                                (scale[todo] * err).tolist(), n.tolist()):
             evals[k] += nk
@@ -276,10 +360,10 @@ def _unpack(pair, s: int, what: str) -> QuadratureResult:
 # inputs from memory, so a timing of repeated calls would measure the cache.
 @lru_cache(maxsize=1)
 def _gs_pair(params: SystemParams, z: complex, tol: float):
-    def f2(s, rho, sin2):
-        return _gs_integrand(params, s, z, rho, sin2)
+    def f(s, rho):
+        return _gs_radial(params, s, z, rho)
 
-    return _both_spins(f2, np.full(2, tol), np.full(2, _PREFACTOR), tol)
+    return _both_spins(_radial_quad, f, np.full(2, tol), np.full(2, _PREFACTOR), tol)
 
 
 @lru_cache(maxsize=1)
@@ -290,7 +374,7 @@ def _phi_pair(params: SystemParams, z: complex, tol: float):
     nd = normalization(params)
     # the N^2 prefactor scales the raw tolerance target
     scale = np.array([nd.n(s) ** 2 * _PREFACTOR for s in (1, -1)])
-    return _both_spins(f2, tol / scale, scale, tol)
+    return _both_spins(_iterated_quad, f2, tol / scale, scale, tol)
 
 
 def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
@@ -299,7 +383,7 @@ def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
     _check_spin(s)
     _check_tol(tol)
     z = complex(z)
-    _reject_on_continuum(params, z)
+    _check_real_z(params, z)
     if params.alpha == 0.0 and params.beta == 0.0:
         return QuadratureResult(0j, 0.0, 0)
     return _unpack(_gs_pair(params, z, tol), s, "quadrature")
@@ -311,7 +395,7 @@ def phi_norm_quadrature(params: SystemParams, s: int, z: complex,
     _check_spin(s)
     _check_tol(tol)
     z = complex(z)
-    _reject_on_continuum(params, z)
+    _check_real_z(params, z)
     return _unpack(_phi_pair(params, z, tol), s, "norm quadrature")
 
 

@@ -3,34 +3,121 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rashba_contact import (ConvergenceError, DomainError, SystemParams, gs_ren_origin,
-                            gs_ren_quadrature, krein_q, normalization,
+from rashba_contact import (ConvergenceError, DomainError, PoleError, SystemParams,
+                            gs_ren_origin, gs_ren_quadrature, krein_q, normalization,
                             phi_norm_quadrature, phi_norm_sq, sigma_numeric,
                             threshold_sigma)
 from rashba_contact import oracle
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI
-from rashba_contact.oracle import _WG21, _WK21, _X21, _gk21_batch, _gs_integrand
+from rashba_contact.oracle import _WG21, _WK21, _X21, _atan_h, _gk21_batch, _gs_radial
+
+
+class TestAtanH:
+    """h(t) = (atan(sqrt t)/sqrt t - 1)/t against 50-digit mpmath."""
+
+    @staticmethod
+    def worst(t):
+        mpmath = pytest.importorskip("mpmath")
+        got = _atan_h(t)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for ti, hi in zip(t.tolist(), got.tolist()):
+                u = mpmath.sqrt(mpmath.mpc(ti))
+                ref = (mpmath.atan(u) / u - 1) / mpmath.mpc(ti)
+                worst = max(worst, float(abs(hi - ref) / abs(ref)))
+        return worst
+
+    def test_both_sides_of_the_series_switch(self):
+        # the series is taken at |t1| < 1/2, t1 = t/(1 + sqrt(1 + t))^2, that
+        # is t = 4 t1/(1 - t1)^2
+        rng = np.random.default_rng(1)
+        r = np.concatenate(((1.0 + rng.uniform(-1e-3, 1e-3, 100)) / 2.0,
+                            rng.uniform(0.4, 0.6, 100)))
+        t1 = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+        t1 = np.concatenate((t1, r, -r))
+        assert self.worst(4.0 * t1 / (1.0 - t1) ** 2) <= 1e-15
+
+    def test_small_and_moderate_t(self):
+        rng = np.random.default_rng(4)
+        t = 10.0 ** rng.uniform(-6, 1, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+        assert self.worst(t) <= 1e-15
+
+    def test_real_axis(self):
+        rng = np.random.default_rng(2)
+        t = np.concatenate((-rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-3, 6, 200),
+                            [-0.999, -0.5, 1e-20, 1.0, 1e6])) + 0j
+        assert self.worst(t) <= 1e-15
+
+    def test_next_to_the_cut(self):
+        # the cut is (-inf, -1]; h is continuous onto it from either side
+        rng = np.random.default_rng(3)
+        x = -(1.0 + 10.0 ** rng.uniform(-1, 3, 200))
+        y = 10.0 ** rng.uniform(-14, -2, 200) * rng.choice((-1.0, 1.0), 200)
+        assert self.worst(x + 1j * y) <= 1e-15
+
+    def test_free_of_branch_choice(self):
+        # t on either side of the negative axis inside (-1, 0) gives the real h
+        t = np.array([-0.5 + 0j, complex(-0.5, 0.0), complex(-0.5, -0.0)])
+        assert np.all(_atan_h(t) == _atan_h(t)[0])
+        assert _atan_h(np.zeros(1))[0] == -1.0 / 3.0
 
 
 class TestIntegrand:
+    RHO = np.array([0.3, 2.0, 50.0])
+
     def test_decay_is_quartic(self):
-        # s = -1 keeps the leading coefficient alpha^2 sin^2 + beta away from 0
-        p = SystemParams(1.0, 0.5)
-        z = complex(-2.0)
-        for sin2 in (0.1, 0.5, 1.0):
-            f2 = abs(_gs_integrand(p, -1, z, 1e2, sin2))
-            f3 = abs(_gs_integrand(p, -1, z, 1e3, sin2))
+        # s = -1 keeps the leading coefficient 2 alpha^2/3 + beta away from 0
+        for a, b in ((1.0, 0.5), (0.0, 0.5), (2.0, 0.05)):
+            p = SystemParams(a, b)
+            f2, f3 = np.abs(_gs_radial(p, -1, complex(-2.0), np.array([1e2, 1e3])))
             assert 0.5e4 <= f2 / f3 <= 2e4   # rho^-4 within a factor 2
+
+    def test_leading_coefficient(self):
+        p = SystemParams(1.0, 0.5)
+        for s in (1, -1):
+            f = _gs_radial(p, s, complex(-2.0), np.array([1e4]))[0]
+            assert f * 1e16 == pytest.approx(2.0 / 3.0 - s * 0.5, rel=1e-6)
 
     def test_free_case_exactly_zero(self):
         p = SystemParams(0.0, 0.0)
-        for rho in (0.3, 2.0, 50.0):
-            assert _gs_integrand(p, 1, complex(-1.0), rho, 0.7) == 0
+        for s in (1, -1):
+            assert np.all(_gs_radial(p, s, complex(-1.0), self.RHO) == 0)
+
+    def test_alpha_zero_is_the_unintegrated_integrand(self):
+        b, z = 0.5, complex(-1.0, 0.3)
+        for s in (1, -1):
+            w = self.RHO ** 2 - z
+            ref = (b * b - s * b * w) / ((w * w - b * b) * w)
+            got = _gs_radial(SystemParams(0.0, b), s, z, self.RHO)
+            assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_tiny_alpha_matches_alpha_zero(self):
+        z = complex(-1.0, 0.3)
+        tiny, zero = SystemParams(1e-300, 0.5), SystemParams(0.0, 0.5)
+        for s in (1, -1):
+            assert np.all(_gs_radial(tiny, s, z, self.RHO) == _gs_radial(zero, s, z, self.RHO))
+            assert (gs_ren_quadrature(tiny, s, z, tol=1e-8).value
+                    == gs_ren_quadrature(zero, s, z, tol=1e-8).value)
+
+    def test_matches_the_polar_integral(self):
+        # the closed polar integral against a 2D Gauss-Legendre quadrature in
+        # c = cos(theta) of the unintegrated integrand
+        a, b, z = 1.3, 0.4, complex(-0.7, 0.9)
+        c, wc = np.polynomial.legendre.leggauss(60)
+        c, wc = 0.5 * (c + 1.0), 0.5 * wc
+        for s in (1, -1):
+            w = self.RHO[:, None] ** 2 - z
+            pperp2 = self.RHO[:, None] ** 2 * (1.0 - c * c)
+            dd = w * w - a * a * pperp2 - b * b
+            ref = ((a * a * pperp2 + b * b - s * b * w) / (dd * w)) @ wc
+            got = _gs_radial(SystemParams(a, b), s, z, self.RHO)
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def _near_axis_points():
@@ -142,6 +229,31 @@ class TestGreenQuadrature:
         with pytest.raises(DomainError):
             gs_ren_quadrature(p, 1, 0.3)
 
+    def test_pole_guard_raises_at_once(self):
+        # both quadratures take the Green layer's real-axis rule: inside the
+        # pole guard just below -Sigma they raise PoleError before integrating
+        p = SystemParams(2.0, 0.5)
+        e = -threshold_sigma(p) - 1e-12
+        for quad in (gs_ren_quadrature, phi_norm_quadrature):
+            t0 = time.perf_counter()
+            with pytest.raises(PoleError):
+                quad(p, 1, e)
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_matches_closed_form_at_tight_tol(self):
+        # 48 seeded points, off the axis and below the band in turn
+        rng = np.random.default_rng(12)
+        for i in range(48):
+            p = SystemParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 1.0)))
+            if i % 2:
+                z = complex(-threshold_sigma(p) - 10.0 ** float(rng.uniform(-2.0, 0.5)))
+            else:
+                arg = float(rng.uniform(0.1, math.pi - 0.1)) * (1 if rng.uniform() < 0.5 else -1)
+                z = cmath.rect(float(rng.uniform(0.2, 3.0)), arg)
+            for s in (1, -1):
+                ref = gs_ren_origin(p, s, z)
+                assert abs(gs_ren_quadrature(p, s, z, tol=1e-12).value - ref) <= 1e-11 * abs(ref)
+
     def test_q_reconstruction_at_i(self):
         # oracle values pushed through the Q assembly give Q(i) = i
         p = SystemParams(1.0, 0.5)
@@ -241,14 +353,16 @@ class TestBothSpins:
 
     @pytest.mark.parametrize("quad,tol", QUADS)
     def test_second_spin_is_served_from_the_slot(self, empty_memo, monkeypatch, quad, tol):
+        # the Green pair's radial integrator, the norm pair's iterated one
+        integrator = "_radial_quad" if quad is gs_ren_quadrature else "_iterated_quad"
         calls = []
-        real = oracle._iterated_quad
+        real = getattr(oracle, integrator)
 
-        def counted(f2, spins, tol):
+        def counted(f, spins, tol):
             calls.append(spins.size)
-            return real(f2, spins, tol)
+            return real(f, spins, tol)
 
-        monkeypatch.setattr(oracle, "_iterated_quad", counted)
+        monkeypatch.setattr(oracle, integrator, counted)
         p, z = SystemParams(1.0, 0.5), -1.0 + 0.5j
         quad(p, 1, z, tol=tol)
         quad(p, -1, z, tol=tol)
@@ -288,7 +402,9 @@ class TestBothSpins:
 def test_integrand_evaluations_stay_under_ceiling():
     # A count, unlike a time, does not depend on the machine: fewer evaluations
     # pass and a regression fails.  The sum was 234654 when each radial
-    # integral started on the single interval (0, 1).
+    # integral started on the single interval (0, 1), and 183246 when the
+    # Green values took the iterated 2D quadrature (the norms' share, 78876,
+    # is unchanged since).
     rng = np.random.default_rng(16)
     total = 0
     for _ in range(16):
@@ -298,7 +414,7 @@ def test_integrand_evaluations_stay_under_ceiling():
         for s in (1, -1):
             total += gs_ren_quadrature(p, s, z, tol=1e-7).evaluations
             total += phi_norm_quadrature(p, s, z, tol=1e-6).evaluations
-    assert total <= 198324
+    assert total <= 83790
 
 
 def test_import_leaves_scipy_integrate_out():
