@@ -16,6 +16,12 @@ radial half-line is mapped onto (0,1) by rho = t/(1-t); the mapped integrands
 tend to finite limits at t = 1 because the renormalized combinations decay
 like rho^-4.
 
+Each round of the adaptive G10/K21 rule makes one kernel call on its new
+nodes, the map, its Jacobian and the rho^2 (sin theta) weight included.  Both
+pairs take the absolute raw target tol/scale, scale being the factor from the
+raw integral to the result.  An integral that starts on N0 intervals and ends
+on N has evaluated 21 (2 N - N0) nodes; evaluations are counted so.
+
 The two spin channels share the denominator, so both spins of one
 (params, z, tol) are integrated as one batch, each on its own mesh and with its
 own error estimate.  The latest point is kept in a single slot: the second
@@ -100,8 +106,9 @@ def _atan_h(t):
     there g is taken in closed form: g = log((1 + v)/r)/v with v = sqrt(-t)
     and r = sqrt(1 + t), which stays accurate next to the branch point t = -1.
     """
-    shape = np.shape(t)
-    t = np.ravel(np.asarray(t, dtype=complex))
+    t = np.asarray(t, dtype=complex)
+    shape = t.shape
+    t = t.ravel()
     r = np.sqrt(1.0 + t)
     q = 1.0 + r
     qq = q * q
@@ -122,7 +129,7 @@ def _atan_h(t):
     h /= q
     h -= 1.0
     h /= qq
-    far = np.flatnonzero(np.abs(t1) >= 0.5)
+    far = (np.abs(t1) >= 0.5).nonzero()[0]
     if far.size:
         tf = t[far]
         v = np.sqrt(-tf)
@@ -153,16 +160,17 @@ def _gs_radial(params: SystemParams, s, z: complex, rho):
     return (bb + ws * (w * t * _atan_h(t) - sb)) / (w * k)
 
 
-def _phi_integrand(params: SystemParams, s: int, z: complex,
-                   rho: float, sin2: float) -> float:
-    """|(p^2-z-s*b)/D|^2 + alpha^2 p_perp^2 |1/D|^2, the channel density."""
+def _phi_integrand(params: SystemParams, s, z: complex, rho, sin2):
+    """|(p^2-z-s*b)/D|^2 + alpha^2 p_perp^2 |1/D|^2, the channel density, in
+    real arithmetic: with z = x + iy and u = p^2 - x, p^2 - z = u - iy and
+    D = (u^2 - y^2 - a^2 p_perp^2 - b^2) - 2iuy."""
     a, b = params.alpha, params.beta
     p2 = rho * rho
-    pperp2 = p2 * sin2
-    w = p2 - z
-    dd = w * w - a * a * pperp2 - b * b
-    dd2 = abs(dd) ** 2
-    return (abs(w - s * b) ** 2 + a * a * pperp2) / dd2
+    q = p2 * (a * a * sin2) + z.imag * z.imag        # a^2 p_perp^2 + y^2
+    u = p2 - z.real
+    uu = u * u
+    re = uu - q - b * b
+    return ((u - s * b) ** 2 + q) / (re * re + uu * (4.0 * z.imag * z.imag))
 
 
 def _sum_by(owner, x, n: int):
@@ -175,21 +183,21 @@ def _qk21(f, owner, a, b):
     """K21 value and error estimate on each interval (a[k], b[k]) of owner[k].
 
     The error of a complex integrand is the sum of the estimates of its real
-    and imaginary parts; the two parts are stacked and go through QUADPACK's
-    qk21 estimate in one pass.
+    and imaginary parts, which go through QUADPACK's qk21 estimate stacked.
     """
     half = 0.5 * (b - a)
     fx = f(owner[:, None], (0.5 * (a + b))[:, None] + half[:, None] * _X21)
-    parts = np.stack((fx.real, fx.imag)) if fx.dtype.kind == "c" else fx[None]
+    parts = np.array((fx.real, fx.imag)) if fx.dtype.kind == "c" else fx[None]
     kg = parts @ _W21
-    resk, resg = kg[..., 0], kg[..., 1]
+    resk = kg[..., 0]
     resabs = np.abs(parts) @ _WK21 * half
     resasc = np.abs(parts - 0.5 * resk[..., None]) @ _WK21 * half
-    err = np.abs(resk - resg) * half
-    both = (resasc != 0.0) & (err != 0.0)
-    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=both)
-    err = np.where(both, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    err = np.abs(resk - kg[..., 1]) * half
+    # where resasc is 0 the estimate stays; where only err is, the scaling keeps it 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc != 0.0, scaled, err)
+    np.maximum(err, 50.0 * _EPS * resabs, out=err, where=resabs > _TINY / (50.0 * _EPS))
     if len(parts) == 2:
         return (resk[0] + 1j * resk[1]) * half, err[0] + err[1]
     return resk[0] * half, err[0]
@@ -199,142 +207,135 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
     """Adaptive G10/K21 quadrature of n integrals at once.
 
     Interval k, (a[k], b[k]), of the numpy arrays owner, a and b belongs to
-    integral owner[k].  f(owner, x) takes an (m, 1) array of owners and an
-    (m, 21) array of nodes and returns the integrand there, real or complex.
-    Each round evaluates all new intervals in one call of f and estimates
-    their errors in one pass.  Then, in each integral whose summed error is
+    integral owner[k]; each integral starts on at most _QUAD_LIMIT of them.
+    f(owner, x) takes (m, 1) owners and (m, 21) nodes and returns the
+    integrand there, real or complex; each round evaluates all of its new
+    intervals in one call.  Then, in each integral whose summed error is
     above max(epsabs, epsrel |I|), it bisects every interval whose error per
     unit length is above that target over the integral's length (by
     pigeonhole at least one is), worst first, up to _QUAD_LIMIT intervals per
-    integral.  A bisected interval keeps its slot for its left half; the
-    right halves are appended.  Returns the values and the error estimates.
+    integral.  The intervals fill a flat buffer of n * _QUAD_LIMIT slots in
+    place: a bisected interval keeps its slot for its left half, and the
+    right halves are appended in that order.  Returns the values, the error
+    estimates and each integral's final number of intervals.
     """
-    b = np.array(b, dtype=float)              # bisection writes into it
+    m = owner.size
+    val0, err0 = _qk21(f, owner, a, b)
     length = np.bincount(owner, b - a, n)
-    val, err = _qk21(f, owner, a, b)
+    own, lo, hi, val, err = (np.empty(max(n * _QUAD_LIMIT, m), dtype) for dtype in
+                             (owner.dtype, float, float, val0.dtype, float))
+    own[:m], lo[:m], hi[:m], val[:m], err[:m] = owner, a, b, val0, err0
     while True:
-        total = _sum_by(owner, val, n)
-        errsum = np.bincount(owner, err, n)
-        target = np.maximum(epsabs, epsrel * np.abs(total))
-        density = err / (b - a)
-        cand = np.flatnonzero((errsum > target)[owner]
-                              & (density > (target / length)[owner]))
-        if cand.size == 0:
-            return total, errsum
-        cand = cand[np.lexsort((-density[cand], owner[cand]))]
-        group = owner[cand]
-        rank = np.arange(group.size) - np.searchsorted(group, group)
-        split = cand[rank < _QUAD_LIMIT - np.bincount(owner, minlength=n)[group]]
+        o, e = own[:m], err[:m]
+        errsum = np.bincount(o, e, n)
+        target = np.maximum(epsabs, epsrel * np.abs(_sum_by(o, val[:m], n))) if epsrel else epsabs
+        density = e / (hi[:m] - lo[:m])
+        split = ((errsum > target)[o] & (density > (target / length)[o])).nonzero()[0]
+        if split.size:
+            split = split[np.lexsort((-density[split], o[split]))]
+            if m + split.size > _QUAD_LIMIT:      # the cap may bind
+                count = np.bincount(o, minlength=n)
+                group = o[split]
+                rank = np.arange(group.size) - group.searchsorted(group)
+                split = split[rank < _QUAD_LIMIT - count[group]]
         if split.size == 0:
-            return total, errsum
+            return _sum_by(o, val[:m], n), errsum, np.bincount(o, minlength=n)
         k = split.size
-        mid = 0.5 * (a[split] + b[split])
-        kid_owner = np.concatenate((owner[split], owner[split]))
-        kid_a = np.concatenate((a[split], mid))
-        kid_b = np.concatenate((mid, b[split]))
-        kid_val, kid_err = _qk21(f, kid_owner, kid_a, kid_b)
-        b[split] = mid
-        val[split] = kid_val[:k]
-        err[split] = kid_err[:k]
-        owner = np.concatenate((owner, kid_owner[k:]))
-        a = np.concatenate((a, mid))
-        b = np.concatenate((b, kid_b[k:]))
-        val = np.concatenate((val, kid_val[k:]))
-        err = np.concatenate((err, kid_err[k:]))
+        kid_owner, left, right = o[split], lo[split], hi[split]
+        mid = 0.5 * (left + right)
+        kid_val, kid_err = _qk21(f, np.concatenate((kid_owner, kid_owner)),
+                                 np.concatenate((left, mid)), np.concatenate((mid, right)))
+        hi[split], val[split], err[split] = mid, kid_val[:k], kid_err[:k]
+        new = slice(m, m + k)
+        own[new], lo[new], hi[new] = kid_owner, mid, right
+        val[new], err[new] = kid_val[k:], kid_err[k:]
+        m += k
 
 
 def _half_line(f, m: int, epsabs, epsrel: float):
-    """Adaptive quadrature of f(k, rho) over rho in [0, inf) for k = 0..m-1,
-    with absolute target epsabs[k] and relative target epsrel.
+    """Adaptive quadrature over rho in [0, inf) of integrals k = 0..m-1, with
+    absolute target epsabs[k] and relative target epsrel.
 
-    rho = t/(1-t) maps the half-line onto (0, 1).  Each integral starts on
-    the quarters of t, (0, 1/4), ..., (3/4, 1), that is rho = 0, 1/3, 1, 3,
-    inf: started on (0, 1) alone, it would bisect down to them in about two
-    rounds anyway.  Returns the values and the error estimates.
+    The kernel f(k, t) is integral k's integrand at rho = t/(1-t) times
+    d rho/dt = 1/(1-t)^2.  Each integral starts on the quarters of t, that is
+    rho = 0, 1/3, 1, 3, inf: from (0, 1) alone it would bisect down to them
+    in about two rounds anyway.  A bisection adds one interval and evaluates
+    two, so an integral that ends on N intervals evaluated 21 (2 N - 4)
+    nodes.  Returns the values, the error estimates and those evaluations.
     """
     j = np.arange(4 * m)
     a = 0.25 * (j % 4)
-
-    def mapped(k, t):
-        return f(k, t / (1.0 - t)) / (1.0 - t) ** 2
-
-    return _gk21_batch(mapped, j // 4, a, a + 0.25, m, epsabs, epsrel)
+    val, err, count = _gk21_batch(f, j // 4, a, a + 0.25, m, epsabs, epsrel)
+    return val, err, _X21.size * (2 * count - 4)
 
 
 def _radial_quad(f, spins, tol):
-    """Adaptive quadrature of f(s, rho) * rho^2 over rho in [0, inf), without
-    the overall prefactor, for each spin s of the array spins, with tolerance
-    tol[k] for spin spins[k].  All spins are one batch, each on its own mesh.
-    The target is absolute only: a relative one would end the bisection
-    before a tol far below 1e-10 (1 + |value|) is met.  Returns arrays of
-    values, error estimates and evaluations, one entry per spin.
+    """Radial quadrature of the ``_half_line`` kernel f(s, t) for each spin
+    s of the array spins, at tolerance tol[k] for spin spins[k], as one batch
+    with a mesh per spin.  The target is absolute only: a relative one would
+    end the bisection before a tol far below 1e-10 (1 + |value|) is met.
+    Returns arrays of values, error estimates and evaluations, one per spin.
     """
-    n = spins.size
-    evals = np.zeros(n, dtype=int)
-
-    def integrand(k, rho):
-        evals[:] += _X21.size * np.bincount(k.ravel(), minlength=n)
-        return f(spins[k], rho) * rho * rho
-
-    val, err = _half_line(integrand, n, np.maximum(tol / 4.0, 1e-13), 0.0)
-    return val, err, evals
+    return _half_line(lambda k, t: f(spins[k], t), spins.size,
+                      np.maximum(tol / 4.0, 1e-13), 0.0)
 
 
 def _iterated_quad(f2, spins, tol):
-    """Iterated adaptive quadrature of f2(s, rho, sin^2 theta) * rho^2 * sin(theta)
-    over theta in [0, pi/2], rho in [0, inf), without the overall prefactor,
-    for each spin s of the array spins, with tolerance tol[k] for spin spins[k].
+    """Iterated quadrature over theta in [0, pi/2], rho in [0, inf) for
+    each spin s of the array spins, at tolerance tol[k] for spin spins[k].
+    f2(s, sin_t, t) is the ``_half_line`` kernel at spin s and
+    sin(theta) = sin_t, the sin(theta) weight included.
 
     The theta integrals of all spins are one adaptive batch; each of its
-    rounds integrates over rho (``_half_line``) at all of its new theta
-    nodes, of every spin, as one batch.  Each integral keeps its own mesh, so
-    each spin gets the values and counts it would get alone.  Returns arrays
-    of values, error estimates and evaluations, one entry per spin.
+    rounds integrates over rho at all of its new theta nodes, of every spin,
+    as one batch, each integral on its own mesh, so each spin gets the values
+    and counts it would get alone.  Both levels take absolute targets only.
+    Returns values, error estimates and evaluations, one per spin.
     """
     n = spins.size
-    inner_eps = np.maximum(tol / 8.0, 1e-13)
-    outer_eps = np.maximum(tol / 4.0, 1e-13)
+    inner_eps, outer_eps = np.maximum(tol / 8.0, 1e-13), np.maximum(tol / 4.0, 1e-13)
     evals = np.zeros(n, dtype=int)
     worst_inner = np.zeros(n)
 
     def inner(owner, theta):
-        node_owner = np.repeat(owner.ravel(), theta.shape[1])
-        s = spins[node_owner]
-        sin_t = np.sin(theta).ravel()
-        sin2 = sin_t * sin_t
-
-        def integrand(k, rho):
-            evals[:] += _X21.size * np.bincount(node_owner[k.ravel()], minlength=n)
-            return f2(s[k], rho, sin2[k]) * rho * rho * sin_t[k]
-
-        val, err = _half_line(integrand, sin_t.size, inner_eps[node_owner], 1e-10)
+        node_owner = owner.repeat(theta.shape[1])
+        s, sin_t = spins[node_owner], np.sin(theta).ravel()
+        val, err, ev = _half_line(lambda k, t: f2(s[k], sin_t[k], t), sin_t.size,
+                                  inner_eps[node_owner], 0.0)
+        np.add.at(evals, node_owner, ev)
         np.maximum.at(worst_inner, node_owner, err)
         return val.reshape(theta.shape)
 
-    val, err = _gk21_batch(inner, np.arange(n), np.zeros(n), np.full(n, _THETA_MAX),
-                           n, outer_eps, 1e-10)
+    val, err, _ = _gk21_batch(inner, np.arange(n), np.zeros(n), np.full(n, _THETA_MAX),
+                              n, outer_eps, 0.0)
     return val, err + _THETA_MAX * worst_inner, evals
 
 
-def _check_tol(tol: float) -> None:
+def _checked_z(params: SystemParams, s: int, z: complex, tol: float) -> complex:
+    """z as a complex number, once s, tol and the real-axis rule are checked."""
+    _check_spin(s)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol = {tol} must be finite and positive")
+    z = complex(z)
+    _check_real_z(params, z)
+    return z
 
 
-def _both_spins(quad, f, raw_tol: np.ndarray, scale: np.ndarray, tol: float):
+def _both_spins(quad, f, scale: np.ndarray, tol: float):
     """QuadratureResult and convergence flag of s = +1 and of s = -1.
 
     quad(f, spins, raw_tol) is ``_radial_quad`` or ``_iterated_quad``.
     Spin k's value and error are scale[k] times those of its raw integral,
-    integrated at raw tolerance raw_tol[k].  A spin whose error is above
-    tol * (1 + |value|) is integrated once more, alone, at raw_tol[k] / 20;
-    its result is then the second attempt's, with the evaluations of both.
+    integrated at raw tolerance tol/scale[k], the target that the acceptance
+    test below sets.  A spin whose error is above tol * (1 + |value|) is
+    integrated once more, alone, at a raw tolerance 20 times smaller; its
+    result is then the second attempt's, with the evaluations of both.
     """
     out = [None, None]
     evals = [0, 0]
     todo = [0, 1]
     for shrink in (1.0, 20.0):
-        val, err, n = quad(f, _SPINS[todo], raw_tol[todo] / shrink)
+        val, err, n = quad(f, _SPINS[todo], tol / scale[todo] / shrink)
         for k, v, e, nk in zip(todo, (scale[todo] * val).tolist(),
                                (scale[todo] * err).tolist(), n.tolist()):
             evals[k] += nk
@@ -360,30 +361,29 @@ def _unpack(pair, s: int, what: str) -> QuadratureResult:
 # inputs from memory, so a timing of repeated calls would measure the cache.
 @lru_cache(maxsize=1)
 def _gs_pair(params: SystemParams, z: complex, tol: float):
-    def f(s, rho):
-        return _gs_radial(params, s, z, rho)
+    def f(s, t):
+        u = 1.0 - t
+        rho = t / u
+        return _gs_radial(params, s, z, rho) * rho * rho / (u * u)
 
-    return _both_spins(_radial_quad, f, np.full(2, tol), np.full(2, _PREFACTOR), tol)
+    return _both_spins(_radial_quad, f, np.full(2, _PREFACTOR), tol)
 
 
 @lru_cache(maxsize=1)
 def _phi_pair(params: SystemParams, z: complex, tol: float):
-    def f2(s, rho, sin2):
-        return _phi_integrand(params, s, z, rho, sin2)
+    def f2(s, sin_t, t):
+        u = 1.0 - t
+        rho = t / u
+        return _phi_integrand(params, s, z, rho, sin_t * sin_t) * rho * rho * sin_t / (u * u)
 
     nd = normalization(params)
-    # the N^2 prefactor scales the raw tolerance target
-    scale = np.array([nd.n(s) ** 2 * _PREFACTOR for s in (1, -1)])
-    return _both_spins(_iterated_quad, f2, tol / scale, scale, tol)
+    return _both_spins(_iterated_quad, f2, np.array([nd.n(1), nd.n(-1)]) ** 2 * _PREFACTOR, tol)
 
 
 def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
                       tol: float = 1e-8) -> QuadratureResult:
     """Quadrature estimate of the renormalized channel Green value at the origin."""
-    _check_spin(s)
-    _check_tol(tol)
-    z = complex(z)
-    _check_real_z(params, z)
+    z = _checked_z(params, s, z, tol)
     if params.alpha == 0.0 and params.beta == 0.0:
         return QuadratureResult(0j, 0.0, 0)
     return _unpack(_gs_pair(params, z, tol), s, "quadrature")
@@ -392,10 +392,7 @@ def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
 def phi_norm_quadrature(params: SystemParams, s: int, z: complex,
                         tol: float = 1e-6) -> QuadratureResult:
     """Quadrature estimate of the squared deficiency-element norm at energy z."""
-    _check_spin(s)
-    _check_tol(tol)
-    z = complex(z)
-    _check_real_z(params, z)
+    z = _checked_z(params, s, z, tol)
     return _unpack(_phi_pair(params, z, tol), s, "norm quadrature")
 
 

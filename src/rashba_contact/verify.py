@@ -167,14 +167,17 @@ def check_norm_identities() -> list[CheckResult]:
     return out
 
 
+# (alpha, beta) points of the oracle checks: CaseA, CaseB, CaseC
+_ORACLE_GRID = ([(0.0, b) for b in (0.0, 0.3, 0.6, 1.0)]
+                + [(0.2, 0.4), (0.3, 0.6), (0.5, 0.9)] + [(2.0, 0.5), (1.5, 0.3), (1.2, 0.2)])
+_ORACLE_OFF_AXIS = (1j, -1.0 + 0.8j)
+
+
 def check_oracle_gs() -> CheckResult:
     """Closed form vs momentum quadrature on 40 regime-spanning triples."""
     from .greens import gs_ren_origin
-    case_a = [(0.0, b) for b in (0.0, 0.3, 0.6, 1.0)]
-    case_b = [(0.2, 0.4), (0.3, 0.6), (0.5, 0.9)]
-    case_c = [(2.0, 0.5), (1.5, 0.3), (1.2, 0.2)]
-    zs = [complex(-1.5), complex(-3.0), 1j, -1.0 + 0.8j]
-    triples = [(a, b, z) for a, b in case_a + case_b + case_c for z in zs]
+    zs = [complex(-1.5), complex(-3.0), *_ORACLE_OFF_AXIS]
+    triples = [(a, b, z) for a, b in _ORACLE_GRID for z in zs]
     worst, used = 0.0, 0
     for a, b, z in triples:
         params = SystemParams(a, b)
@@ -191,18 +194,24 @@ def check_oracle_gs() -> CheckResult:
 
 
 def check_oracle_phi_norm() -> CheckResult:
-    """||phi_s(E)||^2 in closed form vs momentum quadrature below the band,
-    both spins at each energy."""
+    """||phi_s(z)||^2 in closed form vs momentum quadrature, both spins at
+    each z: five energies below the band at (2, 1/2), and the off-axis z of
+    ``check_oracle_gs`` at its grid points inside the series region."""
     params = SystemParams(2.0, 0.5)
     sigma = threshold_sigma(params)
+    below = [(params, complex(float(e))) for e in np.linspace(-sigma - 0.3, -sigma - 2.5, 5)]
+    off_axis = [(SystemParams(a, b), z) for a, b in _ORACLE_GRID for z in _ORACLE_OFF_AXIS]
+    off_axis = [(p, z) for p, z in off_axis if series_validity(p, z).any]
     worst = 0.0
-    for e in np.linspace(-sigma - 0.3, -sigma - 2.5, 5):
-        z = complex(float(e))
+    for p, z in below + off_axis:
         for s in (1, -1):
-            got = oracle.phi_norm_quadrature(params, s, z, tol=1e-6).value.real
-            ref = phi_norm_sq(params, s, z)
+            got = oracle.phi_norm_quadrature(p, s, z, tol=1e-6).value.real
+            ref = phi_norm_sq(p, s, z)
             worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
-    return _bound("oracle-phi-norm-agreement", worst, 1e-5)
+    return _bound("oracle-phi-norm-agreement", worst, 1e-5,
+                  detail=f"{len(below)} energies below the band at (2, 1/2) and "
+                         f"{len(off_axis)} off-axis points inside the series region; "
+                         "pass iff measured <= expected")
 
 
 def check_oracle_sigma() -> CheckResult:

@@ -152,27 +152,28 @@ class TestGK21:
         assert _WG21 @ _X21 ** 18 == pytest.approx(2.0 / 19.0, rel=1e-14)
         assert _WK21 @ _X21 ** 30 == pytest.approx(2.0 / 31.0, rel=1e-14)
         f, evals = counted(lambda k, x: x ** 30)
-        val, err = _gk21_batch(f, np.zeros(1, dtype=int), -np.ones(1), np.ones(1),
-                               1, 1.0, 0.0)
-        assert evals.sum() == 21
+        val, err, count = _gk21_batch(f, np.zeros(1, dtype=int), -np.ones(1), np.ones(1),
+                                     1, 1.0, 0.0)
+        assert evals.sum() == 21 and count.tolist() == [1]
         assert val[0] == pytest.approx(2.0 / 31.0, rel=1e-14) and err[0] <= 1.0
 
     def test_each_integral_of_a_batch_adapts_on_its_own(self):
         eps = 1e-3
         f, evals = counted(
             lambda k, x: np.where(k == 0, np.cos(x), 1j / ((x - 0.3) ** 2 + eps * eps)))
-        val, err = _gk21_batch(f, np.arange(2), np.zeros(2), np.ones(2), 2,
-                               1e-12, 1e-10)
+        val, err, count = _gk21_batch(f, np.arange(2), np.zeros(2), np.ones(2), 2,
+                                     1e-12, 1e-10)
         exact = (math.sin(1.0), 1j * (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps)
         for v, e, ref in zip(val, err, exact):
             assert abs(v - ref) <= e <= max(1e-12, 1e-10 * abs(v))
         assert evals[0] == 21 and evals[1] > 21
+        assert (evals == 21 * (2 * count - 1)).all()
 
     def test_unreachable_target_stops_at_interval_cap(self):
         f, evals = counted(lambda k, x: (x > 1.0 / 3.0) * 1.0)
-        val, err = _gk21_batch(f, np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
-                               1, 1e-16, 0.0)
-        assert evals.sum() == 21 * (2 * 200 - 1)
+        val, err, count = _gk21_batch(f, np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
+                                     1, 1e-16, 0.0)
+        assert evals.sum() == 21 * (2 * 200 - 1) and count.tolist() == [200]
         assert err[0] > 1e-16 and abs(val[0] - 2.0 / 3.0) <= err[0]
 
 
@@ -323,6 +324,15 @@ class TestPhiNormQuadrature:
                 res = phi_norm_quadrature(p, s, z, tol=1e-6)
                 assert abs(res.value - phi_norm_sq(p, s, z)) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_tight_tol_converges(self, tol):
+        # both levels take absolute targets only; with a relative target of
+        # 1e-10 the bisection stopped at an estimate of 2.2e-10 here
+        p, z = SystemParams(2.0, 0.5), complex(-1.5)
+        for s in (1, -1):
+            res = phi_norm_quadrature(p, s, z, tol=tol)
+            assert abs(res.value - phi_norm_sq(p, s, z)) <= res.abs_error_estimate
+
 
 @pytest.fixture
 def empty_memo():
@@ -399,12 +409,52 @@ class TestBothSpins:
         assert quad(p, 1, z, tol=tol) == alone
 
 
+class TestEvaluationCounts:
+    """Evaluations are derived from interval tallies; they must equal the
+    nodes the integrand was called on, spin by spin."""
+
+    PAIRS = ((oracle._gs_pair, "_gs_radial", "_radial_quad", 1e-7),
+             (oracle._phi_pair, "_phi_integrand", "_iterated_quad", 1e-6))
+
+    @pytest.mark.parametrize("pair,integrand,integrator,tol", PAIRS)
+    def test_counts_are_the_evaluated_nodes(self, empty_memo, monkeypatch,
+                                            pair, integrand, integrator, tol):
+        nodes, calls = {}, []
+        real_f, real_quad = getattr(oracle, integrand), getattr(oracle, integrator)
+
+        def counted_f(params, s, z, rho, *rest):
+            for spin in (1, -1):
+                nodes[spin] += int(np.count_nonzero(np.broadcast_to(s == spin, rho.shape)))
+            return real_f(params, s, z, rho, *rest)
+
+        def counted_quad(f, spins, tol):
+            calls.append(spins.tolist())
+            return real_quad(f, spins, tol)
+
+        monkeypatch.setattr(oracle, integrand, counted_f)
+        monkeypatch.setattr(oracle, integrator, counted_quad)
+        # with at most 8 intervals, s = -1 at the last point misses its target
+        # and is integrated once more at tol/20
+        cases = [(p, z, 200) for p, z in _near_axis_points()[:3]]
+        cases.append((SystemParams(0.0, 1.0), -0.5 + 1e-3j, 8))
+        for p, z, limit in cases:
+            monkeypatch.setattr(oracle, "_QUAD_LIMIT", limit)
+            nodes.update({1: 0, -1: 0})
+            calls.clear()
+            results = pair(p, complex(z), tol)
+            for (res, _), spin in zip(results, (1, -1)):
+                assert res.evaluations == nodes[spin] > 0
+        assert calls == [[1, -1], [-1]]
+
+
 def test_integrand_evaluations_stay_under_ceiling():
     # A count, unlike a time, does not depend on the machine: fewer evaluations
     # pass and a regression fails.  The sum was 234654 when each radial
-    # integral started on the single interval (0, 1), and 183246 when the
-    # Green values took the iterated 2D quadrature (the norms' share, 78876,
-    # is unchanged since).
+    # integral started on the single interval (0, 1), 183246 when the Green
+    # values took the iterated 2D quadrature, and 83790 when the Green pair
+    # integrated to a raw target of tol, 20 times tighter than its acceptance
+    # test tol (1 + |value|) needs at the prefactor 1/(2 pi^2) (the norms'
+    # share, 78876, is unchanged since the iterated Green values).
     rng = np.random.default_rng(16)
     total = 0
     for _ in range(16):
@@ -414,7 +464,7 @@ def test_integrand_evaluations_stay_under_ceiling():
         for s in (1, -1):
             total += gs_ren_quadrature(p, s, z, tol=1e-7).evaluations
             total += phi_norm_quadrature(p, s, z, tol=1e-6).evaluations
-    assert total <= 83790
+    assert total <= 83160
 
 
 def test_import_leaves_scipy_integrate_out():
