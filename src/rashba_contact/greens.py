@@ -71,10 +71,10 @@ def _sqrt_e2_minus_b2(e: float, b: float) -> float:
 def _xi_real(beta: float, e: float) -> complex:
     """Real positive xi at E <= -beta (E < 0 at beta = 0)."""
     if beta == 0.0:
-        if e >= 0.0:
+        if not e < 0.0:
             raise DomainError("xi with beta = 0 requires E < 0")
         return complex(1.0 / (2.0 * math.sqrt(-e)))
-    if e > -beta:
+    if not e <= -beta:
         raise DomainError(f"real xi requires E <= -beta = {-beta}, got {e}")
     big = -e + _sqrt_e2_minus_b2(e, beta)
     return complex(1.0 / math.sqrt(2.0 * big))

@@ -23,10 +23,12 @@ raw integral to the result.  An integral that starts on N0 intervals and ends
 on N has evaluated 21 (2 N - N0) nodes; evaluations are counted so.
 
 The two spin channels share the denominator, so both spins of one
-(params, z, tol) are integrated as one batch, each on its own mesh and with its
-own error estimate.  The latest point is kept in a single slot: the second
-spin's call at the same point costs nothing, and a return to an earlier point
-recomputes.
+(params, z, tol) are integrated once, as one batch, each on its own mesh and
+with its own error estimate.  A spin misses the acceptance test only where an
+integral stopped at the _QUAD_LIMIT interval cap or at the 1e-13 floor of its
+raw target, and then raises with the estimate of that one attempt.  The
+latest point is kept in a single slot: the second spin's call at the same
+point costs nothing, and a return to an earlier point recomputes.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _qk21(f, owner, a, b):
     return resk[0] * half, err[0]
 
 
-def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
+def _gk21_batch(f, owner, a, b, n: int, epsabs):
     """Adaptive G10/K21 quadrature of n integrals at once.
 
     Interval k, (a[k], b[k]), of the numpy arrays owner, a and b belongs to
@@ -211,13 +213,15 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
     f(owner, x) takes (m, 1) owners and (m, 21) nodes and returns the
     integrand there, real or complex; each round evaluates all of its new
     intervals in one call.  Then, in each integral whose summed error is
-    above max(epsabs, epsrel |I|), it bisects every interval whose error per
-    unit length is above that target over the integral's length (by
-    pigeonhole at least one is), worst first, up to _QUAD_LIMIT intervals per
-    integral.  The intervals fill a flat buffer of n * _QUAD_LIMIT slots in
-    place: a bisected interval keeps its slot for its left half, and the
-    right halves are appended in that order.  Returns the values, the error
-    estimates and each integral's final number of intervals.
+    above its absolute target epsabs (a scalar, or one per integral), it
+    bisects every interval whose error per unit length is above that target
+    over the integral's length (by pigeonhole at least one is), worst first,
+    up to _QUAD_LIMIT intervals per integral.  So an integral stops either
+    with its target met or on _QUAD_LIMIT intervals.  The intervals fill a
+    flat buffer of n * _QUAD_LIMIT slots in place: a bisected interval keeps
+    its slot for its left half, and the right halves are appended in that
+    order.  Returns the values, the error estimates and each integral's final
+    number of intervals.
     """
     m = owner.size
     val0, err0 = _qk21(f, owner, a, b)
@@ -228,9 +232,8 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
     while True:
         o, e = own[:m], err[:m]
         errsum = np.bincount(o, e, n)
-        target = np.maximum(epsabs, epsrel * np.abs(_sum_by(o, val[:m], n))) if epsrel else epsabs
         density = e / (hi[:m] - lo[:m])
-        split = ((errsum > target)[o] & (density > (target / length)[o])).nonzero()[0]
+        split = ((errsum > epsabs)[o] & (density > (epsabs / length)[o])).nonzero()[0]
         if split.size:
             split = split[np.lexsort((-density[split], o[split]))]
             if m + split.size > _QUAD_LIMIT:      # the cap may bind
@@ -252,9 +255,9 @@ def _gk21_batch(f, owner, a, b, n: int, epsabs: float, epsrel: float):
         m += k
 
 
-def _half_line(f, m: int, epsabs, epsrel: float):
+def _half_line(f, m: int, epsabs):
     """Adaptive quadrature over rho in [0, inf) of integrals k = 0..m-1, with
-    absolute target epsabs[k] and relative target epsrel.
+    absolute target epsabs[k].
 
     The kernel f(k, t) is integral k's integrand at rho = t/(1-t) times
     d rho/dt = 1/(1-t)^2.  Each integral starts on the quarters of t, that is
@@ -265,49 +268,50 @@ def _half_line(f, m: int, epsabs, epsrel: float):
     """
     j = np.arange(4 * m)
     a = 0.25 * (j % 4)
-    val, err, count = _gk21_batch(f, j // 4, a, a + 0.25, m, epsabs, epsrel)
+    val, err, count = _gk21_batch(f, j // 4, a, a + 0.25, m, epsabs)
     return val, err, _X21.size * (2 * count - 4)
 
 
-def _radial_quad(f, spins, tol):
+def _radial_quad(f, tol):
     """Radial quadrature of the ``_half_line`` kernel f(s, t) for each spin
-    s of the array spins, at tolerance tol[k] for spin spins[k], as one batch
+    s of ``_SPINS``, at tolerance tol[k] for spin _SPINS[k], as one batch
     with a mesh per spin.  The target is absolute only: a relative one would
     end the bisection before a tol far below 1e-10 (1 + |value|) is met.
     Returns arrays of values, error estimates and evaluations, one per spin.
     """
-    return _half_line(lambda k, t: f(spins[k], t), spins.size,
-                      np.maximum(tol / 4.0, 1e-13), 0.0)
+    return _half_line(lambda k, t: f(_SPINS[k], t), _SPINS.size, np.maximum(tol / 4.0, 1e-13))
 
 
-def _iterated_quad(f2, spins, tol):
+def _iterated_quad(f2, tol):
     """Iterated quadrature over theta in [0, pi/2], rho in [0, inf) for
-    each spin s of the array spins, at tolerance tol[k] for spin spins[k].
+    each spin s of ``_SPINS``, at tolerance tol[k] for spin _SPINS[k].
     f2(s, sin_t, t) is the ``_half_line`` kernel at spin s and
     sin(theta) = sin_t, the sin(theta) weight included.
 
-    The theta integrals of all spins are one adaptive batch; each of its
-    rounds integrates over rho at all of its new theta nodes, of every spin,
+    The theta integrals of both spins are one adaptive batch; each of its
+    rounds integrates over rho at all of its new theta nodes, of both spins,
     as one batch, each integral on its own mesh, so each spin gets the values
-    and counts it would get alone.  Both levels take absolute targets only.
-    Returns values, error estimates and evaluations, one per spin.
+    and counts it would get alone.  Both levels take absolute targets only,
+    tol/8 inside and tol/4 outside, so an error estimate that meets both is
+    at most tol (1/4 + pi/16) < tol.  Returns values, error estimates and
+    evaluations, one per spin.
     """
-    n = spins.size
+    n = _SPINS.size
     inner_eps, outer_eps = np.maximum(tol / 8.0, 1e-13), np.maximum(tol / 4.0, 1e-13)
     evals = np.zeros(n, dtype=int)
     worst_inner = np.zeros(n)
 
     def inner(owner, theta):
         node_owner = owner.repeat(theta.shape[1])
-        s, sin_t = spins[node_owner], np.sin(theta).ravel()
+        s, sin_t = _SPINS[node_owner], np.sin(theta).ravel()
         val, err, ev = _half_line(lambda k, t: f2(s[k], sin_t[k], t), sin_t.size,
-                                  inner_eps[node_owner], 0.0)
+                                  inner_eps[node_owner])
         np.add.at(evals, node_owner, ev)
         np.maximum.at(worst_inner, node_owner, err)
         return val.reshape(theta.shape)
 
     val, err, _ = _gk21_batch(inner, np.arange(n), np.zeros(n), np.full(n, _THETA_MAX),
-                              n, outer_eps, 0.0)
+                              n, outer_eps)
     return val, err + _THETA_MAX * worst_inner, evals
 
 
@@ -324,26 +328,18 @@ def _checked_z(params: SystemParams, s: int, z: complex, tol: float) -> complex:
 def _both_spins(quad, f, scale: np.ndarray, tol: float):
     """QuadratureResult and convergence flag of s = +1 and of s = -1.
 
-    quad(f, spins, raw_tol) is ``_radial_quad`` or ``_iterated_quad``.
+    quad(f, raw_tol) is ``_radial_quad`` or ``_iterated_quad``, called once.
     Spin k's value and error are scale[k] times those of its raw integral,
     integrated at raw tolerance tol/scale[k], the target that the acceptance
-    test below sets.  A spin whose error is above tol * (1 + |value|) is
-    integrated once more, alone, at a raw tolerance 20 times smaller; its
-    result is then the second attempt's, with the evaluations of both.
+    test error <= tol (1 + |value|) sets.  An integral that meets its target
+    passes that test, so a spin fails it only where an integral stopped on
+    _QUAD_LIMIT intervals (or at the 1e-13 floor of the raw target); a tighter
+    target under the same cap and floor would not rescue it.
     """
-    out = [None, None]
-    evals = [0, 0]
-    todo = [0, 1]
-    for shrink in (1.0, 20.0):
-        val, err, n = quad(f, _SPINS[todo], tol / scale[todo] / shrink)
-        for k, v, e, nk in zip(todo, (scale[todo] * val).tolist(),
-                               (scale[todo] * err).tolist(), n.tolist()):
-            evals[k] += nk
-            out[k] = (QuadratureResult(complex(v), e, evals[k]), e <= tol * (1.0 + abs(v)))
-        todo = [k for k in todo if not out[k][1]]
-        if not todo:
-            break
-    return tuple(out)
+    val, err, evals = quad(f, tol / scale)
+    return tuple((QuadratureResult(complex(v), e, n), e <= tol * (1.0 + abs(v)))
+                 for v, e, n in zip((scale * val).tolist(), (scale * err).tolist(),
+                                    evals.tolist()))
 
 
 def _unpack(pair, s: int, what: str) -> QuadratureResult:

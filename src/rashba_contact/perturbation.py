@@ -91,8 +91,8 @@ def _series_scalars(beta: float):
 def expansion_coefficients(beta: float, gamma_matrix: Hermitian2) -> PerturbationCoefficients:
     """All closed-form series coefficients for the given beta and coupling."""
     beta = float(beta)
-    if beta <= 0.0:
-        raise DomainError("series coefficients require beta > 0")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"series coefficients require finite beta > 0, got {beta}")
     n0, n1, l0, l1, eta = _series_scalars(beta)
     eta_pm = n1[1] / n0[1] + n1[-1] / n0[-1]
     gt0 = {1: gamma_matrix.pp / n0[1] ** 2, -1: gamma_matrix.mm / n0[-1] ** 2}
@@ -118,7 +118,7 @@ def q0(beta: float, omega1_s: float, s: int, e0: float) -> float:
         raise DomainError("q0 requires beta > 0")
     _check_spin(s)
     e0 = float(e0)
-    if e0 > -beta:
+    if not e0 <= -beta:
         raise DomainError(f"q0 requires E0 <= -beta so that xi is real, got {e0}")
     x = xi(SystemParams(0.0, beta), complex(e0)).real
     return omega1_s - x * (0.5 - s * beta * x * x / 3.0)
@@ -152,7 +152,7 @@ def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue
     beta = float(beta)
     e0 = float(e0)
     co = expansion_coefficients(beta, gamma_matrix)
-    if e0 >= -beta:
+    if not e0 < -beta:
         raise DomainError(f"e2 requires E0 < -beta, got {e0}")
     if abs(e0 + beta) < _THRESHOLD_GAP:
         raise DomainError("E0 at the threshold -beta: the quotient degenerates; "
@@ -210,8 +210,8 @@ def cnd0(beta: float) -> float:
     Its negativity is what rules out eigenvalues just off -beta.
     """
     beta = float(beta)
-    if beta <= 0.0:
-        raise DomainError("cnd0 requires beta > 0")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"cnd0 requires finite beta > 0, got {beta}")
     _, _, l0, l1, eta = _series_scalars(beta)
     eta_pp = eta[1]
     root2b = math.sqrt(2.0 * beta)

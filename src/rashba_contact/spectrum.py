@@ -309,8 +309,8 @@ def embedded_alpha0(beta: float, eff: EffectiveCouplings) -> tuple[EmbeddedRoot,
     1 + |gamma| for the first.
     """
     beta = float(beta)
-    if beta < 0.0:
-        raise DomainError("beta must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"beta must be finite and nonnegative, got {beta}")
     if beta == 0.0:
         return ()
     wp, wm, g = eff.omega_plus, eff.omega_minus, eff.gamma
@@ -353,7 +353,7 @@ def e_nu(beta: float, nu: float, x: float) -> float:
     Taken as (c nu/x)^2 + (c x/nu)^2 with c = sqrt(beta/2), which does not
     overflow where nu^4 would (nu > 1e77).
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError("E_nu requires beta > 0")
     _check_uvx(nu, x)
     c = math.sqrt(0.5 * beta)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rashba_contact import (Branch, DomainError, Hermitian2, RegimeError,
-                            SystemParams, asymptotic_eigenvalues, cnd0,
-                            cnd0_max, discrete_eigenvalues, e2,
-                            effective_couplings, expansion_coefficients,
-                            gamma_for_couplings, normalization, q0)
+from rashba_contact import (Branch, DomainError, EffectiveCouplings, Hermitian2,
+                            RegimeError, SystemParams, asymptotic_eigenvalues,
+                            cnd0, cnd0_max, discrete_eigenvalues, e2, e_nu,
+                            effective_couplings, embedded_alpha0,
+                            expansion_coefficients, gamma_for_couplings,
+                            normalization, q0, xi)
 from rashba_contact.perturbation import _circle_coefficients, threshold_persistence
 from rashba_contact.spectrum import _golden_min
 
@@ -17,6 +18,29 @@ N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)
 def _diagonal_gamma(beta: float, w0p: float, w0m: float) -> Hermitian2:
     """Diagonal coupling whose zeroth-order effective couplings are (w0p, w0m)."""
     return gamma_for_couplings(SystemParams(0.0, beta), w0p, w0m, 0.0)
+
+
+_EFF = EffectiveCouplings(0.5, -0.25, 0.1)
+
+
+@pytest.mark.parametrize("f,args", [
+    (xi, (SystemParams(1.0, 0.5), math.nan)),
+    (xi, (SystemParams(1.0, 0.0), math.nan)),
+    (q0, (0.5, 0.1, 1, math.nan)),
+    (e2, (0.5, Hermitian2.scalar(1.0), math.nan)),
+    (cnd0, (math.nan,)),
+    (cnd0, (math.inf,)),
+    (expansion_coefficients, (math.nan, Hermitian2.scalar(1.0))),
+    (expansion_coefficients, (math.inf, Hermitian2.scalar(1.0))),
+    (embedded_alpha0, (math.nan, _EFF)),
+    (embedded_alpha0, (math.inf, _EFF)),
+    (e_nu, (math.nan, 2.0, 1.0)),
+], ids=["xi", "xi-beta0", "q0", "e2", "cnd0-nan", "cnd0-inf", "coefficients-nan",
+        "coefficients-inf", "embedded_alpha0-nan", "embedded_alpha0-inf", "e_nu"])
+def test_non_finite_inputs_fail_the_domain_guards(f, args):
+    # a guard written as `if x > bound: raise` lets NaN through
+    with pytest.raises(DomainError):
+        f(*args)
 
 
 class TestCoefficients:
