@@ -387,7 +387,13 @@ def gs_ren_quadrature(params: SystemParams, s: int, z: complex,
 
 def phi_norm_quadrature(params: SystemParams, s: int, z: complex,
                         tol: float = 1e-6) -> QuadratureResult:
-    """Quadrature estimate of the squared deficiency-element norm at energy z."""
+    """Quadrature estimate of the squared deficiency-element norm at energy z.
+
+    Close to the real axis the iterated quadrature needs many intervals: at
+    tol <= 1e-9 and |Im z| up to about 5e-4, an integral of the pair can stop
+    on the ``_QUAD_LIMIT`` of 200 intervals and the spin then raises
+    ConvergenceError, although the rule itself is accurate enough there.
+    """
     z = _checked_z(params, s, z, tol)
     return _unpack(_phi_pair(params, z, tol), s, "norm quadrature")
 

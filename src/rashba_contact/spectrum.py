@@ -13,7 +13,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +32,9 @@ _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
 _GOLDEN_ITERS = 100
 _EPS = np.finfo(float).eps
-# relative slack within which a level counts as met at a bracket end
-_LEVEL_ROUNDING = 4.0 * _EPS
+# relative rounding slack: a level within it of a bracket end's value is met
+# there, and a channel factor within it of zero at the band edge is zero
+_ROUNDING = 4.0 * _EPS
 # relative distance within which the two branch roots are one even-order root
 _EVEN_ORDER_RESOLUTION = 1e-9
 # acceptance of the Theorem-1 conditions, scaled by 1 + |gamma| where gamma enters
@@ -139,33 +140,60 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
-    """Bisection on a sign-change bracket, then one guarded secant polish.
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of f on the bracket [a, b] by Brent's method.
 
-    Bisects to a width of 1e-15*max(1, |E|), so that the residual stays at
-    the noise floor even where the derivative is large, e.g. next to the
-    band-edge pole.  Only the sign of f_lo is read.  f is evaluated once
-    per point: the final f(a) and the secant's point can repeat a midpoint.
+    fa and fb are f at the ends, of opposite signs or one of them zero; the
+    ends are not evaluated again.  Each step takes an inverse-quadratic or
+    secant point, or bisects where that point would leave the bracket's
+    inner three quarters or shrink the steps too slowly (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), so the
+    bracket is kept and it never needs many more steps than bisection.
+    Every point lies strictly inside the bracket, at least one
+    ulp(max(1, |x|)) from its ends, so f is evaluated once per point.  It
+    stops once the bracket is at most one ulp(max(1, |x|)) wide, adjacent
+    floats for |x| >= 1, so the sign change of f is resolved to rounding
+    also where its derivative is large, e.g. next to the band-edge pole,
+    and returns the end with the smaller |f|.  Ends of one sign, a touching
+    zero within rounding, give the end with the smaller |f| at once.
     """
-    fv = cache(f)
-    neg = f_lo < 0.0
-    a, b = lo, hi
+    if (fa > 0.0) == (fb > 0.0) and fa != 0.0 and fb != 0.0:
+        return a if abs(fa) < abs(fb) else b
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(200):
-        m = 0.5 * (a + b)
-        if b - a <= 1e-15 * max(1.0, abs(m)):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = math.ulp(max(1.0, abs(b)))
+        xm = 0.5 * (c - b)
+        if abs(xm) <= 0.5 * tol or fb == 0.0:
             break
-        if (fv(m) < 0.0) == neg:
-            a = m
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * xm * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            b = m
-    m = 0.5 * (a + b)
-    fm = fv(m)
-    fa = fv(a)
-    if fm != fa and math.isfinite(fm) and math.isfinite(fa):
-        sec = m - fm * (m - a) / (fm - fa)
-        if lo <= sec <= hi and abs(fv(sec)) < abs(fm):
-            return sec
-    return m
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, xm)
+        fb = f(b)
+    return b
 
 
 def _golden_min(g, lo: float, hi: float) -> float:
@@ -193,6 +221,50 @@ def _golden_min(g, lo: float, hi: float) -> float:
     return min((lo, hi, 0.5 * (a + b)), key=g)
 
 
+def _edge_count(params: SystemParams, eff: EffectiveCouplings) -> tuple[int, str]:
+    """The number of discrete eigenvalues, and its reason.
+
+    Gamma - Q(E) is congruent to C = [[c_+, sqrt(gamma)], [sqrt(gamma), c_-]]
+    (``_channel_factors``), which rises in u = 1/(2 xi) as E falls, so the
+    count is the number of negative eigenvalues of C at the band edge:
+    - with the pole (alpha > 0, alpha^2 >= 2 beta), u_edge = alpha/2 and
+      k_- = alpha/2 + beta/alpha > 0 sends c_- to -inf.  Off the seam
+      alpha^2 = 2 beta, k_+ > 0 sends c_+ there too: 2.  On the seam k_+ = 0
+      and c_+ = omega_+ + alpha/2 at the edge: 2 if that is negative, else 1.
+    - without the pole, u_edge = sqrt(beta/2) and C(u_edge) is finite: its
+      inertia.
+    An eigenvalue that is zero, to within the rounding of the terms of
+    c_s (4 eps each), is a root at -Sigma itself, not below it: uncounted.
+    """
+    a, b = params.alpha, params.beta
+    wp, wm, g = eff.omega_plus, eff.omega_minus, eff.gamma
+    if params._pole_guard > 0.0:
+        if a * a != 2.0 * b:
+            return 2, "c_+ and c_- tend to -inf at the band edge"
+        cp = wp + 0.5 * a
+        neg = cp < -_ROUNDING * (abs(wp) + 0.5 * a)
+        return (2 if neg else 1), (f"on the seam c_- tends to -inf at the band edge, and "
+                                   f"c_+ = {cp:.6g} is {'' if neg else 'not '}negative there")
+    u = math.sqrt(0.5 * b)
+    if b == 0.0:
+        cp, cm = wp, wm                     # alpha = beta = 0: c_s = omega_s + u at u = 0
+    else:
+        cp, cm = (c.real for c in _channel_factors(params, 1.0 / math.sqrt(2.0 * b), wp, wm))
+    # the rounding of each factor's terms omega_s, u and its artanh tail
+    tp = _ROUNDING * (abs(wp) + u + abs(wp + u - cp))
+    tm = _ROUNDING * (abs(wm) + u + abs(wm + u - cm))
+    det, trace = cp * cm - g, cp + cm
+    ddet = abs(cm) * tp + abs(cp) * tm + _ROUNDING * (abs(cp * cm) + g)
+    if det < -ddet:
+        count = 1
+    elif trace < -(tp + tm):
+        count = 2 if det > ddet else 1
+    else:
+        count = 0
+    return count, (f"C at the band edge has {count} negative eigenvalues "
+                   f"(c_+ = {cp:.6g}, c_- = {cm:.6g}, gamma = {g:.6g})")
+
+
 def discrete_eigenvalues(params: SystemParams,
                          gamma_matrix: Hermitian2) -> tuple[DiscreteRoot, ...]:
     """All real zeros of det(Gamma - Q(E)) below -Sigma.
@@ -202,22 +274,26 @@ def discrete_eigenvalues(params: SystemParams,
     lambda_-/+ = h -/+ sqrt(d^2 + |Gamma_pm|^2) (h, d the half sum and half
     difference of the diagonal).  Each branch has at most one root, and det is
     their product.  Each branch is bracketed at its sign change on a grid
-    log-spaced in the distance to the band edge (roots accumulate there) and
-    bisected to a width of 1e-15*max(1,|E|).  Only the nodes that decide a
-    bracket are evaluated: both ends of the grid first, and then, from the
-    lower end up, the nodes up to the first one where each branch that is
-    <= 0 at the upper end is <= 0.  As the branches decrease, a branch
-    positive at the upper end has no sign change on the grid, and no later
-    node can move a bracket already found.  Branch roots closer than the
-    fixed resolution 1e-9*max(1,|E|) are reported once, as an EVEN_ORDER
-    root at their midpoint.
+    log-spaced in the distance to the band edge (roots accumulate there), and
+    its root is found in that cell by Brent's method (``_brent``) from the
+    two node values, to a width of 1e-15*max(1,|E|).  Only the nodes that
+    decide a bracket are evaluated: both ends of the grid first, then, from
+    the lower end up, the nodes up to the first one where lambda_- is <= 0,
+    and on from there to the first where lambda_+ is, for each branch that
+    is <= 0 at the upper end.  As the branches decrease, a branch positive
+    at the upper end has no sign change on the grid, and lambda_- <=
+    lambda_+ is <= 0 first.  Branch roots closer than the fixed resolution
+    1e-9*max(1,|E|) are reported once, as an EVEN_ORDER root at their
+    midpoint.
 
     The grid ends twice the pole guard, 2e-10*max(1, Sigma), below -Sigma
     where artanh has its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and
-    1e-14*max(1, Sigma) below it elsewhere.  Next to the pole lambda_- (and
-    lambda_+, off the seam alpha^2 = 2 beta) tends to -inf, so a branch still
-    positive at the last node has a root inside the pole guard; that root is
-    not reported, and one UserWarning, naming every such branch, says so.
+    1e-14*max(1, Sigma) below it elsewhere.  The number of roots is known
+    without evaluating Q: the inertia of the channel matrix at the band edge
+    (``_edge_count``).  Roots that the count holds and the grid does not lie
+    between its last node and -Sigma (inside the pole guard, where there is
+    one); they are not reported, and one UserWarning, naming every such
+    branch, says so.  A walk that finds more roots than the count is an error.
 
     The grid starts at e_min = -max(100, 10 (1 + Sigma + w^2)), with
     w = max(|omega_+|, |omega_-|, sqrt(gamma)), and no root lies below it:
@@ -251,12 +327,11 @@ def discrete_eigenvalues(params: SystemParams,
                           "Gamma is too large")
 
     pole = params._pole_guard > 0.0
-    seam = params.alpha * params.alpha == 2.0 * params.beta
-    pm = abs(gamma_matrix.pm)
+    pp, mm, pm = gamma_matrix.pp, gamma_matrix.mm, abs(gamma_matrix.pm)
 
     def branches(e: float) -> tuple[float, float]:
         q = krein_q(params, complex(e))
-        m11, m22 = gamma_matrix.pp - q.q_pp.real, gamma_matrix.mm - q.q_mm.real
+        m11, m22 = pp - q.q_pp.real, mm - q.q_mm.real
         h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), pm)
         return h - r, h + r
 
@@ -267,22 +342,25 @@ def discrete_eigenvalues(params: SystemParams,
     for k in (0, 1):
         if first[k] <= 0.0:
             raise AssertionError(f"{names[k]} <= 0 at e_min = {e_min}, against the bound")
-    unreported = [names[k] for k in (0, 1)
-                  if not last[k] <= 0.0 and pole and (k == 0 or not seam)]
-    # walk up to the first node where each branch with a sign change is <= 0
-    found, pending = [], [k for k in (0, 1) if last[k] <= 0.0]
-    prev, i = first, 0
-    while pending:
-        i += 1
-        cur = last if i == len(grid) - 1 else branches(grid[i])
-        for k in [k for k in pending if cur[k] <= 0.0]:
-            pending.remove(k)
-            found.append(grid[i] if cur[k] == 0.0 else _bisect(
-                lambda e, k=k: branches(e)[k], grid[i - 1], grid[i], prev[k]))
-        prev = cur
-    if unreported:
-        _warn(f"the root of {' and '.join(unreported)} within {edge:.3g} of the band "
-              f"edge {-sigma} lies inside the pole guard; it is not reported")
+    # lambda_- <= lambda_+, so lambda_- is <= 0 first: walk it up to its first
+    # node <= 0, then lambda_+ on from there
+    found, i, prev, cur = [], 0, first, first
+    for k in (0, 1):
+        if not last[k] <= 0.0:
+            break
+        while not cur[k] <= 0.0:
+            i += 1
+            prev, cur = cur, last if i == len(grid) - 1 else branches(grid[i])
+        found.append(grid[i] if cur[k] == 0.0 else _brent(
+            lambda e, k=k: branches(e)[k], grid[i - 1], grid[i], prev[k], cur[k]))
+    count, reason = _edge_count(params, eff)
+    if len(found) > count:
+        raise AssertionError(f"{len(found)} roots found against the edge count {count}: "
+                             f"{reason}")
+    if len(found) < count:
+        where = "inside the pole guard" if pole else "above the grid's last node"
+        _warn(f"the root of {' and '.join(names[len(found):count])} within {edge:.3g} "
+              f"of the band edge {-sigma} lies {where}; it is not reported")
 
     method = RootMethod.SIGN_CHANGE
     if (len(found) == 2 and abs(found[0] - found[1])
@@ -376,7 +454,7 @@ def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
     at lo would be.
     """
     f_lo, f_hi = lo * math.atan(lo), hi * math.atan(hi)
-    if not f_lo * (1.0 - _LEVEL_ROUNDING) <= level <= f_hi * (1.0 + _LEVEL_ROUNDING):
+    if not f_lo * (1.0 - _ROUNDING) <= level <= f_hi * (1.0 + _ROUNDING):
         return None
     if level <= f_lo:
         return lo
@@ -445,7 +523,8 @@ def embedded_large_alpha(params: SystemParams,
     x arctan(x), so it has at most one root, and none for A = 0.
 
     When both omegas vanish the constraint always holds and the gamma
-    condition is solved directly.  V_nu vanishes at x_{nu,1} and x_{nu,2},
+    condition is solved directly, by Brent's method (``_brent``) on each
+    side of the peak.  V_nu vanishes at x_{nu,1} and x_{nu,2},
     has a single peak between them and is negative beyond x_{nu,2}, so the
     condition has one root on each side of the peak or none.  (dV_nu/dx has
     the sign of phi = (1 - m s) x s' - s (2 - m s) with s = x^2 U_nu and
@@ -466,13 +545,15 @@ def embedded_large_alpha(params: SystemParams,
     if abs(wm) <= 1e-14 * wscale and abs(acoef) <= 1e-14 * wscale * n2:
         hi = nu if ctx.x_nu_2 is None else ctx.x_nu_2
         xp = _golden_min(gamma_gap, x1, hi)     # hi when V_nu still rises at nu
-        slack = _LEVEL_ROUNDING * g
-        if gamma_gap(xp) <= slack:
+        slack = _ROUNDING * g
+        gap_p = gamma_gap(xp)
+        if gap_p <= slack:
             # the gap falls from g - wp*wm >= 0 at x_{nu,1} to the peak and
             # rises back to that value at x_{nu,2}; at nu it may stay negative
-            xs.append(_bisect(gamma_gap, x1, xp, 1.0))
-            if xp < hi and (ctx.x_nu_2 is not None or gamma_gap(nu) >= -slack):
-                xs.append(_bisect(gamma_gap, xp, hi, -1.0))
+            xs.append(_brent(gamma_gap, x1, xp, gamma_gap(x1), gap_p))
+            gap_hi = gamma_gap(hi)
+            if xp < hi and (ctx.x_nu_2 is not None or gap_hi >= -slack):
+                xs.append(_brent(gamma_gap, xp, hi, gap_p, gap_hi))
     elif acoef != 0.0:
         x = _xatan_inverse((2.0 * wm / acoef + 1.0) * n2 / (n2 + 1.0), x1, nu)
         if x is not None:
@@ -623,9 +704,9 @@ def solve_spectrum(params: SystemParams,
     """Full classified point spectrum for one coupling.
 
     The discrete roots are every root below -Sigma outside the pole guard
-    (``discrete_eigenvalues`` proves its window holds them all), bisected to
-    1e-15 relative and resolved as two roots when more than 1e-9 relative
-    apart; the embedded roots are accepted at the fixed levels of
+    (``discrete_eigenvalues`` proves its window holds them all and counts
+    them at the band edge), found by Brent's method to 1e-15 relative and
+    resolved as two roots when more than 1e-9 relative apart; the embedded roots are accepted at the fixed levels of
     ``embedded_alpha0`` (1e-10) and ``embedded_large_alpha`` (1e-8).  The
     trivial and Friedrichs extensions bypass the secular machinery: their
     spectrum is purely continuous, so the report carries only the band edge.

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,21 +91,21 @@ def _full_grid_solve(p, gm):
         return h - r, h + r
 
     vals = np.array([branches(float(e)) for e in grid])
-    found, unreported, messages = [], [], []
-    for k, name in enumerate(("lambda_-", "lambda_+")):
+    names, found, messages = ("lambda_-", "lambda_+"), [], []
+    for k in (0, 1):
         below = np.flatnonzero(vals[:, k] <= 0.0)
         if below.size == 0:
-            if pole and (k == 0 or p.alpha * p.alpha != 2.0 * p.beta):
-                unreported.append(name)
             continue
         i = int(below[0])
         assert i > 0
-        found.append(float(grid[i]) if vals[i, k] == 0.0 else spectrum._bisect(
+        found.append(float(grid[i]) if vals[i, k] == 0.0 else spectrum._brent(
             lambda e, k=k: branches(e)[k], float(grid[i - 1]), float(grid[i]),
-            vals[i - 1, k]))
-    if unreported:
-        messages.append(f"the root of {' and '.join(unreported)} within {edge:.3g} of the "
-                        f"band edge {-sigma} lies inside the pole guard; it is not reported")
+            vals[i - 1, k], vals[i, k]))
+    count = spectrum._edge_count(p, eff)[0]
+    if len(found) < count:
+        where = "inside the pole guard" if pole else "above the grid's last node"
+        messages.append(f"the root of {' and '.join(names[len(found):count])} within "
+                        f"{edge:.3g} of the band edge {-sigma} lies {where}; it is not reported")
     method = RootMethod.SIGN_CHANGE
     if (len(found) == 2 and abs(found[0] - found[1])
             <= spectrum._EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
@@ -285,6 +286,19 @@ class TestDiscrete:
             with pytest.raises(AssertionError, match="lambda_- <= 0 at e_min"):
                 discrete_eigenvalues(SystemParams(1.0, 0.5), Hermitian2.scalar(0.1))
 
+    def test_more_roots_than_the_edge_count_is_an_error(self, monkeypatch):
+        # C at the band edge of this CaseB point is positive definite, so no
+        # root exists; a Q that gives the walk two must not pass in silence
+        def fake_q(p, z):
+            q = complex(-1e9 if z.real < -99.0 else 1e9)
+            return KreinQ(q, q)
+
+        p, gm = SystemParams(0.3, 0.5), Hermitian2.scalar(50.0)
+        assert spectrum._edge_count(p, effective_couplings(p, gm))[0] == 0
+        monkeypatch.setattr(spectrum, "krein_q", fake_q)
+        with pytest.raises(AssertionError, match="2 roots found against the edge count 0"):
+            discrete_eigenvalues(p, gm)
+
     def test_q_evaluations_stop_at_the_deciding_nodes(self, monkeypatch):
         calls = []
         monkeypatch.setattr(spectrum, "krein_q", lambda p, z: calls.append(z) or krein_q(p, z))
@@ -296,18 +310,41 @@ class TestDiscrete:
         gm = gamma_from_cr(Hermitian2.scalar(-50.0), Hermitian2.scalar(-0.17850))
         assert len(discrete_eigenvalues(SystemParams(2.0, 0.5), gm)) == 2
         assert len(calls) < spectrum._GRID_NODES // 2
+        # its two roots take a few Brent steps each beyond the walk's nodes
+        assert len(calls) <= 456
 
-    def test_bisect_evaluates_no_point_twice(self):
-        # the value at the bracket's low end comes from the loop once that end
-        # has moved; f_lo may be a sign token, so f(lo) is called when it has not
-        for f_lo, f, want in ((-1.0, lambda x: x * x - 2.0, math.sqrt(2.0)),
-                              (-1.0, lambda x: x - 1e-16, 1e-16),
-                              (1.0, lambda x: math.exp(-x) - 0.5, math.log(2.0))):
+    def test_brent_evaluates_no_point_twice(self):
+        # the ends' values are passed in, so f is never called at an end, and
+        # no point is evaluated twice; 1e-15*max(1, |x|) accuracy in a few
+        # steps on smooth functions
+        for f, want in ((lambda x: x * x - 2.0, math.sqrt(2.0)),
+                        (lambda x: x - 1e-16, 1e-16),
+                        (lambda x: math.exp(-x) - 0.5, math.log(2.0))):
             calls = []
-            got = spectrum._bisect(lambda x: calls.append(x) or f(x), 0.0, 2.0, f_lo)
+            got = spectrum._brent(lambda x: calls.append(x) or f(x), 0.0, 2.0, f(0.0), f(2.0))
             assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
-            assert len(set(calls)) == len(calls), f_lo
-            assert (0.0 in calls) == (want < 1e-15)
+            assert len(set(calls)) == len(calls) <= 10
+            assert 0.0 not in calls and 2.0 not in calls
+
+    def test_brent_bisects_next_to_a_log_pole(self):
+        # 1 + log(x)/20 on [1e-300, 1] is flat at the upper end and falls to
+        # -33.5 at the lower one: secant steps from the upper end would creep,
+        # so the guard bisects, and the root 2.06e-9 comes in no more steps
+        # than plain bisection to 1e-15 takes (50)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 + 0.05 * math.log(x)
+
+        got = spectrum._brent(f, 1e-300, 1.0, f(1e-300), f(1.0))
+        calls = calls[2:]
+        assert abs(got - math.exp(-20.0)) <= 1e-15
+        assert len(set(calls)) == len(calls) <= 50
+        assert 1e-300 not in calls and 1.0 not in calls
+        # ends of one sign: the one nearer a touching zero, with no evaluation
+        calls.clear()
+        assert spectrum._brent(f, 1.0, 2.0, 1e-17, 0.5) == 1.0 and not calls
 
     def test_theorem1_closure(self):
         rng = np.random.default_rng(31)
@@ -426,6 +463,84 @@ class TestDiscrete:
             seen.update(r.method for r in got)
             seen.update("pole guard" for m in messages if "pole guard" in m)
         assert seen == {RootMethod.SIGN_CHANGE, RootMethod.EVEN_ORDER, "pole guard"}
+
+
+def _unreported(records):
+    """The number of branches the solver's warnings name as not reported."""
+    return sum(str(w.message).count("lambda_") for w in records
+               if "not reported" in str(w.message))
+
+
+class TestEdgeCount:
+    @pytest.mark.parametrize("workload", ["solve-mixed", "coupling-sweep"])
+    def test_found_and_warned_roots_equal_the_edge_count(self, workload, monkeypatch):
+        # the roots the walk finds (an EVEN_ORDER root twice) and the ones it
+        # warns about are those the inertia of C at the band edge counts, on
+        # the benchmark's pools of seeds 1-2: CaseA/B/C, the seam, roots
+        # within 1e-6 Sigma of the edge and inside the pole guard.  The rule
+        # the count replaced gives the same warnings there: a branch positive
+        # at the grid's last node, next to the pole, lambda_+ not on the seam
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        counts, warned_inputs = set(), 0
+        for seed in (1, 2):
+            for inp in workloads.WORKLOADS[workload].make_inputs(seed):
+                p = inp.params
+                with warnings.catch_warnings(record=True) as rec:
+                    warnings.simplefilter("always")
+                    roots = discrete_eigenvalues(p, inp.gamma)
+                found = sum(2 if r.method is RootMethod.EVEN_ORDER else 1 for r in roots)
+                count, reason = spectrum._edge_count(p, effective_couplings(p, inp.gamma))
+                assert found + _unreported(rec) == count, (inp, reason)
+                # found counts the branches <= 0 at the last node, lambda_- first
+                pole, seam = p._pole_guard > 0.0, p.alpha * p.alpha == 2.0 * p.beta
+                old_rule = 2 - found if pole and not seam else int(pole and found == 0)
+                assert _unreported(rec) == old_rule, (inp, reason)
+                counts.add(count)
+                warned_inputs += _unreported(rec) > 0
+        assert counts == {0, 1, 2}
+        assert warned_inputs > 0 or workload == "coupling-sweep"
+
+    def test_reasons(self):
+        p = SystemParams(2.0, 0.5)
+        assert spectrum._edge_count(p, EffectiveCouplings(5.0, 5.0, 0.0)) == (
+            2, "c_+ and c_- tend to -inf at the band edge")
+        count, reason = spectrum._edge_count(SystemParams(0.3, 0.5),
+                                             EffectiveCouplings(5.0, 5.0, 0.0))
+        assert count == 0 and reason.startswith("C at the band edge has 0 negative")
+
+    @pytest.mark.parametrize("shift,want", [(-1e-3, 2), (0.0, 1), (1e-3, 1)])
+    def test_zero_at_the_edge_on_the_seam(self, shift, want):
+        # on the seam c_+ = omega_+ + u has no pole: with gamma = 0 its root
+        # is at u = -omega_+, at -Sigma itself for omega_+ = -alpha/2, and
+        # below it by about (2 shift)^2 for omega_+ = -alpha/2 + shift < that
+        a = 1.5
+        p = SystemParams(a, a * a / 2.0)
+        gm = gamma_for_couplings(p, -a / 2.0 + shift, 1.0, 0.0)
+        count, reason = spectrum._edge_count(p, effective_couplings(p, gm))
+        assert count == want and reason.startswith("on the seam")
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            roots = discrete_eigenvalues(p, gm)
+        assert len(roots) == want and not rec
+
+    @pytest.mark.parametrize("a,g,want", [(0.0, 0.0, 1), (0.5, 0.0, 1), (0.5, 2.0, 1),
+                                          (0.5, 2.0 * (1.0 - 1e-4), 2)])
+    def test_zero_at_the_edge_without_the_pole(self, a, g, want):
+        # C(u_edge) = [[-1, sqrt(g)], [sqrt(g), c_-]] with c_- = 0 for g = 0
+        # and -2 otherwise: singular for g = 0 and g = 2, where the zero
+        # eigenvalue is a root at -Sigma itself, not counted and not warned of
+        b = 0.5
+        p = SystemParams(a, b)
+        x_edge = 1.0 / math.sqrt(2.0 * b)
+        c0p, c0m = (c.real for c in spectrum._channel_factors(p, x_edge, 0.0, 0.0))
+        cm = 0.0 if g == 0.0 else -2.0
+        gm = gamma_for_couplings(p, -1.0 - c0p, cm - c0m, g)
+        assert spectrum._edge_count(p, effective_couplings(p, gm))[0] == want
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            roots = discrete_eigenvalues(p, gm)
+        assert len(roots) == want and not rec
 
 
 class TestEmbeddedAlpha0:
