@@ -182,9 +182,19 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     z = complex(z)
     # the real-axis rule runs in g2ren_origin, and in g1_origin when beta != 0
     nd = normalization(params)
-    sq = cmath.sqrt(-z) / FOUR_PI
-    return KreinQ(q_pp=nd.n_plus ** 2 * (gs_ren_origin(params, 1, z) - sq - nd.lambda_plus),
-                  q_mm=nd.n_minus ** 2 * (gs_ren_origin(params, -1, z) - sq - nd.lambda_minus))
+    g_p, g_m = gs_ren_origin(params, 1, z), gs_ren_origin(params, -1, z)
+    real = z.imag == 0.0
+    if real:
+        # below the band: float arithmetic, complex only at the return
+        g_p, g_m, sq = g_p.real, g_m.real, math.sqrt(-z.real)
+    else:
+        sq = cmath.sqrt(-z)
+    sq /= FOUR_PI
+    q_pp = nd.n_plus ** 2 * (g_p - sq - nd.lambda_plus)
+    q_mm = nd.n_minus ** 2 * (g_m - sq - nd.lambda_minus)
+    if real:
+        q_pp, q_mm = complex(q_pp), complex(q_mm)
+    return KreinQ(q_pp=q_pp, q_mm=q_mm)
 
 
 def secular_det(params: SystemParams, gamma_matrix: Hermitian2, z: complex) -> complex:

@@ -6,7 +6,9 @@ On the real axis they are taken only below the band [-Sigma, inf), where the
 discrete eigenvalues lie and xi is real and positive.  Real z has one rule
 (``_check_real_z``): PoleError inside the pole guard around -Sigma, where
 artanh(alpha*xi) diverges, and DomainError elsewhere on the band, where Q
-has no single real-axis value.
+has no single real-axis value.  Below the band the Green values (and Q) are
+computed in float arithmetic, by the same formulas with the real sqrt and
+artanh, and returned as complex numbers.
 """
 
 from __future__ import annotations
@@ -38,18 +40,23 @@ def _check_spin(s: int) -> None:
         raise DomainError(f"spin index must be +1 or -1, got {s!r}")
 
 
+def _artanh_real(x: float) -> float:
+    """The real artanh on (-1, 1): x = +-1 raises PoleError, and real |x| > 1
+    lies on the cuts and raises DomainError."""
+    if -1.0 < x < 1.0:
+        return math.atanh(x)
+    if x == 1.0 or x == -1.0:
+        raise PoleError("artanh is defined on C \\ {-1, 1}")
+    raise DomainError(f"artanh is not taken on its real cuts |w| > 1, got w = {x}")
+
+
 def artanh_branch(w: complex) -> complex:
     """Inverse hyperbolic tangent: the principal value off the real axis and
     the real artanh on (-1, 1).  Real w = +-1 raises PoleError; real |w| > 1
     lies on the cuts and raises DomainError."""
     w = complex(w)
     if w.imag == 0.0:
-        x = w.real
-        if x == 1.0 or x == -1.0:
-            raise PoleError("artanh is defined on C \\ {-1, 1}")
-        if not -1.0 < x < 1.0:
-            raise DomainError(f"artanh is not taken on its real cuts |w| > 1, got w = {x}")
-        return complex(math.atanh(x))
+        return complex(_artanh_real(w.real))
     return cmath.atanh(w)
 
 
@@ -133,12 +140,20 @@ def g1_origin(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     _check_real_z(params, z)
-    x = xi(params, z)
+    x, real = xi(params, z), z.imag == 0.0
+    if real:
+        x, atanh = x.real, _artanh_real
+    else:
+        atanh = artanh_branch
     a = params.alpha
     w = a * x
     if abs(w) < _SMALL_ARG:
-        return x * (1.0 + w * w / 3.0 + w ** 4 / 5.0) / FOUR_PI
-    return artanh_branch(w) / (FOUR_PI * a)
+        # w2 * w2 is the complex w ** 4 (repeated squaring) also for a float w
+        w2 = w * w
+        g = x * (1.0 + w2 / 3.0 + w2 * w2 / 5.0) / FOUR_PI
+    else:
+        g = atanh(w) / (FOUR_PI * a)
+    return complex(g) if real else g
 
 
 def g2ren_origin(params: SystemParams, z: complex) -> complex:
@@ -153,13 +168,17 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex:
     a, b = params.alpha, params.beta
     if a == 0.0 and b == 0.0:
         return 0j
-    x = xi(params, z)
-    out = 0j
+    x, real = xi(params, z), z.imag == 0.0
+    if real:
+        x, sqrt, atanh, mz = x.real, math.sqrt, _artanh_real, -z.real
+    else:
+        sqrt, atanh, mz = cmath.sqrt, artanh_branch, -z
+    out = 0.0
     if b != 0.0:
-        out = (cmath.sqrt(-z) - 1.0 / (2.0 * x)) / FOUR_PI
+        out = (sqrt(mz) - 1.0 / (2.0 * x)) / FOUR_PI
     if a != 0.0:
-        out += a * artanh_branch(a * x) / EIGHT_PI
-    return out
+        out += a * atanh(a * x) / EIGHT_PI
+    return complex(out) if real else out
 
 
 def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex:

@@ -293,7 +293,8 @@ def discrete_eigenvalues(params: SystemParams,
     (``_edge_count``).  Roots that the count holds and the grid does not lie
     between its last node and -Sigma (inside the pole guard, where there is
     one); they are not reported, and one UserWarning, naming every such
-    branch, says so.  A walk that finds more roots than the count is an error.
+    branch and giving the count's reason, says so.  A walk that finds more
+    roots than the count is an error.
 
     The grid starts at e_min = -max(100, 10 (1 + Sigma + w^2)), with
     w = max(|omega_+|, |omega_-|, sqrt(gamma)), and no root lies below it:
@@ -360,7 +361,8 @@ def discrete_eigenvalues(params: SystemParams,
     if len(found) < count:
         where = "inside the pole guard" if pole else "above the grid's last node"
         _warn(f"the root of {' and '.join(names[len(found):count])} within {edge:.3g} "
-              f"of the band edge {-sigma} lies {where}; it is not reported")
+              f"of the band edge {-sigma} lies {where}; it is not reported "
+              f"(edge count {count}: {reason})")
 
     method = RootMethod.SIGN_CHANGE
     if (len(found) == 2 and abs(found[0] - found[1])

@@ -7,14 +7,15 @@ Two suites: "paper" pins the reference constants of the model (distinguished
 zeros, limiting eigenvalues, the obstruction maximum); "invariants" exercises
 structural identities (normalization of Q at +-i, the Herglotz property, norm
 identities, cross-route agreement with the quadrature oracle, the band-edge
-identities, the Theorem-1 classification and the perturbation-order
-behaviour).
+identities, the Theorem-1 classification, the perturbation-order
+behaviour and the root count from the band edge).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from . import oracle, perturbation, spectrum
 from .extension import (EffectiveCouplings, Hermitian2, effective_couplings,
                         gamma_for_couplings, krein_q, normalization, phi_norm_sq)
+from .greens import xi
 from .model import SystemParams, series_validity, threshold_sigma
 
 SUITES = ("paper", "invariants", "all")
@@ -310,6 +312,97 @@ def check_perturbation_order() -> list[CheckResult]:
                    detail="largest odd-term contribution over the alpha^2 one at alpha = 0.2")]
 
 
+def _edge_count_inputs() -> list[tuple[SystemParams, Hermitian2, int]]:
+    """60 seeded (params, Gamma, the number of roots it was built to have).
+
+    CaseA, CaseB, CaseC and the seam in turn, and every fifth input a root
+    1e-12 to 1e-6 max(1, Sigma) below the edge in each channel (gamma = 0),
+    next to the pole partly inside its guard; every other one of these puts
+    both channel roots at one energy, a root of even order.  The channel
+    matrix C rises as E falls, so the count is fixed at the edge: off the
+    seam with the pole it is 2; on the seam c_- tends to -inf and c_+ =
+    omega_+ + alpha/2 is drawn with either sign; without the pole C at the
+    edge is drawn with 0, 1 or 2 negative eigenvalues."""
+    rng = np.random.default_rng(41)
+    out = []
+    for k in range(60):
+        kind = ("A", "B", "C", "seam", "edge")[k % 5]
+        case = ("A", "B", "C", "seam")[k // 5 % 4] if kind == "edge" else kind
+        b = float(rng.uniform(0.05, 1.0))
+        if case == "A":
+            a = 0.0
+        elif case == "B":
+            a = math.sqrt(2.0 * b) * float(rng.uniform(0.1, 0.9))
+        elif case == "C":
+            a = math.sqrt(2.0 * b) * float(rng.uniform(1.1, 2.5))
+        else:
+            a = float(rng.uniform(0.3, 2.0))
+            b = a * a / 2.0
+        p = SystemParams(a, b)
+        sigma = threshold_sigma(p)
+        if kind == "edge":
+            d_p = float(10.0 ** rng.uniform(-12.0, -6.0))
+            d_m = d_p if k // 5 % 2 else float(10.0 ** rng.uniform(-12.0, -6.0))
+            xp, xm = (xi(p, complex(-sigma - d * max(1.0, sigma))) for d in (d_p, d_m))
+            wp = -spectrum._channel_factors(p, xp, 0.0, 0.0)[0].real
+            wm = -spectrum._channel_factors(p, xm, 0.0, 0.0)[1].real
+            g, want = 0.0, 2
+        elif case == "C":
+            wp, wm = float(rng.uniform(-2.0, 1.0)), float(rng.uniform(-2.0, 1.0))
+            g, want = float(rng.uniform(0.0, 1.5)), 2
+        elif case == "seam":
+            want = 1 + k // 5 % 2
+            wp = -0.5 * a + (1.0 if want == 1 else -1.0) * float(rng.uniform(0.1, 1.0))
+            wm, g = float(rng.uniform(-2.0, 1.0)), float(rng.uniform(0.0, 1.5))
+        else:
+            want = k // 5 % 3
+            if want == 1:
+                cp, cm = (float(c) for c in rng.uniform(-1.0, 1.0, 2))
+                g = max(cp * cm, 0.0) + float(rng.uniform(0.1, 1.0))
+            else:
+                sign = 1.0 if want == 0 else -1.0
+                cp, cm = (sign * float(c) for c in rng.uniform(0.1, 1.0, 2))
+                g = float(rng.uniform(0.0, 0.9)) * cp * cm
+            c0p, c0m = spectrum._channel_factors(p, xi(p, complex(-sigma)), 0.0, 0.0)
+            wp, wm = cp - c0p.real, cm - c0m.real
+        out.append((p, gamma_for_couplings(p, wp, wm, g), want))
+    return out
+
+
+def _unreported_branches(records) -> int:
+    """The number of branches that the solver's warnings name as not reported."""
+    return sum(str(w.message).count("lambda_") for w in records
+               if "not reported" in str(w.message))
+
+
+def check_root_count() -> CheckResult:
+    """Found roots (an EVEN_ORDER root twice) plus the roots the solver warns
+    of equal the inertia of the channel matrix at the band edge
+    (``spectrum._edge_count``, which needs no Q evaluation), and that count
+    is the one each input was built to have."""
+    inputs = _edge_count_inputs()
+    bad, counts, warned, even = 0, [0, 0, 0], 0, 0
+    for p, gm, want in inputs:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            try:
+                roots = spectrum.discrete_eigenvalues(p, gm)
+            except AssertionError:          # more roots found than counted
+                bad += 1
+                continue
+        found = sum(2 if r.method is spectrum.RootMethod.EVEN_ORDER else 1 for r in roots)
+        count = spectrum._edge_count(p, effective_couplings(p, gm))[0]
+        unreported = _unreported_branches(rec)
+        bad += found + unreported != count or count != want
+        counts[count] += 1
+        warned += unreported > 0
+        even += found > len(roots)
+    return _bound("root-count-equals-edge-inertia", bad, 0,
+                  detail=f"inputs where found + warned != count or count != built, "
+                         f"of {len(inputs)}; counts 0/1/2 on {counts[0]}/{counts[1]}/{counts[2]}, "
+                         f"{warned} with a warned root, {even} with an even-order root")
+
+
 PAPER_CHECKS = (check_threshold_17_16, check_large_coupling_constants,
                 check_embedded_074, check_symmetric_eigenvalue,
                 check_r_map_constant, check_two_channel_pair, check_cnd0_max)
@@ -318,7 +411,7 @@ INVARIANT_CHECKS = (check_q_unit_grid, check_classical_q, check_nevanlinna,
                     check_norm_identities, check_oracle_gs, check_oracle_phi_norm,
                     check_oracle_sigma, check_threshold_e_nu, check_theorem1_random,
                     check_embedded_alpha0, check_forbidden_band,
-                    check_perturbation_order)
+                    check_perturbation_order, check_root_count)
 
 
 def run_checks(funcs) -> list[CheckResult]:

@@ -32,6 +32,7 @@ ACCEPTANCE = {
                              verify.check_oracle_phi_norm)),
     12: ("threshold-identities", (verify.check_oracle_sigma,
                                   verify.check_threshold_e_nu)),
+    13: ("root-count-reasons", (verify.check_root_count,)),
 }
 
 
@@ -95,6 +96,10 @@ def test_11_norm_identities():
 
 def test_12_threshold_identities():
     _accept(12)
+
+
+def test_13_root_count_reasons():
+    _accept(13)
 
 
 def test_table_runs_every_check_once():

@@ -42,6 +42,16 @@ class TestQfunc:
         data = json.loads(out)
         assert data["det_re"] == pytest.approx(2.25, abs=1e-10)
 
+    @pytest.mark.parametrize("argv,golden", [
+        (["--alpha", "2", "--beta", "0.5", "--z-re", "-3"], "qfunc_real.json"),
+        (["--alpha", "1", "--beta", "0.5", "--z-re", "0", "--z-im", "1"], "readme_qfunc.json")])
+    def test_output_is_byte_stable(self, capsys, argv, golden):
+        # the stored bytes carry the sign of every zero: below the band Q is
+        # computed in float arithmetic and its imaginary parts print as 0.0
+        code, out, _ = run(capsys, "qfunc", *argv)
+        assert code == 0
+        assert out.encode() == (DATA / golden).read_bytes()
+
     def test_missing_alpha_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["qfunc", "--beta", "0", "--z-re", "-2"])

@@ -219,6 +219,52 @@ class TestKreinQ:
                     ref = q_mp(a, b, s, z)
                     assert abs(q.entry(s) - ref) <= 5e-14 * abs(ref), (a, b, z, s)
 
+    @staticmethod
+    def _real_axis_points(n=400, seed=31):
+        """Seeded (params, E) below -Sigma: CaseA, CaseB, CaseC, the seam and
+        alpha in [1e-6, 1e-3] in turn, alternately 1e-2 to 1e2 and 1e-6 to
+        1e-2 times max(1, Sigma) below the edge."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in range(n):
+            kind = ("A", "B", "C", "seam", "small")[k % 5]
+            b = float(rng.uniform(0.05, 2.0))
+            if kind == "A":
+                a = 0.0
+            elif kind == "B":
+                a = math.sqrt(2.0 * b) * float(rng.uniform(0.05, 0.95))
+            elif kind == "C":
+                a = math.sqrt(2.0 * b) * float(rng.uniform(1.05, 3.0))
+            elif kind == "seam":
+                a = float(rng.uniform(0.3, 2.0))
+                b = a * a / 2.0
+            else:
+                a = float(10.0 ** rng.uniform(-6.0, -3.0))
+            p = SystemParams(a, b)
+            sigma = threshold_sigma(p)
+            near = k // 5 % 2 == 1
+            d = float(10.0 ** (rng.uniform(-6.0, -2.0) if near else rng.uniform(-2.0, 2.0)))
+            out.append((near, p, -sigma - d * max(1.0, sigma)))
+        return out
+
+    def test_real_axis_matches_mpmath(self):
+        # below the band Q is real and computed in float arithmetic; next to
+        # the edge the error is the conditioning of artanh by its pole.  The
+        # small alpha put |alpha xi| on both sides of G_1's series switch
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import q_mp
+
+        worst = {False: 0.0, True: 0.0}
+        with mpmath.workdps(50):
+            for near, p, e in self._real_axis_points():
+                q = krein_q(p, complex(e))
+                for s in (1, -1):
+                    got = q.entry(s)
+                    assert type(got) is complex and got.imag == 0.0
+                    ref = q_mp(p.alpha, p.beta, s, e)
+                    worst[near] = max(worst[near], float(abs(got.real - ref) / abs(ref)))
+        assert worst[False] <= 1e-13 and worst[True] <= 1.5e-11, worst
+
     def test_formula_equivalence(self):
         # 4 pi (Gamma~_ss - Q_ss/N_s^2) = omega_s + sqrt(-z) - 4 pi G_s^ren(0;z)
         rng = np.random.default_rng(13)

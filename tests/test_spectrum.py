@@ -16,7 +16,7 @@ from rashba_contact import (DomainError, EffectiveCouplings,
                             large_coupling_context, normalization, secular_det,
                             secular_function, solve_spectrum,
                             threshold_sigma, u_nu, v_nu, xi)
-from rashba_contact import model, spectrum
+from rashba_contact import model, spectrum, verify
 
 
 class TestSecularFunction:
@@ -101,11 +101,12 @@ def _full_grid_solve(p, gm):
         found.append(float(grid[i]) if vals[i, k] == 0.0 else spectrum._brent(
             lambda e, k=k: branches(e)[k], float(grid[i - 1]), float(grid[i]),
             vals[i - 1, k], vals[i, k]))
-    count = spectrum._edge_count(p, eff)[0]
+    count, reason = spectrum._edge_count(p, eff)
     if len(found) < count:
         where = "inside the pole guard" if pole else "above the grid's last node"
         messages.append(f"the root of {' and '.join(names[len(found):count])} within "
-                        f"{edge:.3g} of the band edge {-sigma} lies {where}; it is not reported")
+                        f"{edge:.3g} of the band edge {-sigma} lies {where}; it is not reported "
+                        f"(edge count {count}: {reason})")
     method = RootMethod.SIGN_CHANGE
     if (len(found) == 2 and abs(found[0] - found[1])
             <= spectrum._EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
@@ -465,12 +466,6 @@ class TestDiscrete:
         assert seen == {RootMethod.SIGN_CHANGE, RootMethod.EVEN_ORDER, "pole guard"}
 
 
-def _unreported(records):
-    """The number of branches the solver's warnings name as not reported."""
-    return sum(str(w.message).count("lambda_") for w in records
-               if "not reported" in str(w.message))
-
-
 class TestEdgeCount:
     @pytest.mark.parametrize("workload", ["solve-mixed", "coupling-sweep"])
     def test_found_and_warned_roots_equal_the_edge_count(self, workload, monkeypatch):
@@ -491,13 +486,14 @@ class TestEdgeCount:
                     roots = discrete_eigenvalues(p, inp.gamma)
                 found = sum(2 if r.method is RootMethod.EVEN_ORDER else 1 for r in roots)
                 count, reason = spectrum._edge_count(p, effective_couplings(p, inp.gamma))
-                assert found + _unreported(rec) == count, (inp, reason)
+                unreported = verify._unreported_branches(rec)
+                assert found + unreported == count, (inp, reason)
                 # found counts the branches <= 0 at the last node, lambda_- first
                 pole, seam = p._pole_guard > 0.0, p.alpha * p.alpha == 2.0 * p.beta
                 old_rule = 2 - found if pole and not seam else int(pole and found == 0)
-                assert _unreported(rec) == old_rule, (inp, reason)
+                assert unreported == old_rule, (inp, reason)
                 counts.add(count)
-                warned_inputs += _unreported(rec) > 0
+                warned_inputs += unreported > 0
         assert counts == {0, 1, 2}
         assert warned_inputs > 0 or workload == "coupling-sweep"
 
