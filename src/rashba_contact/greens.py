@@ -75,16 +75,16 @@ def _sqrt_e2_minus_b2(e: float, b: float) -> float:
     return math.sqrt(-e - b) * math.sqrt(-e + b)
 
 
-def _xi_real(beta: float, e: float) -> complex:
-    """Real positive xi at E <= -beta (E < 0 at beta = 0)."""
+def _xi_real(beta: float, e: float) -> float:
+    """Real positive xi at E <= -beta (E < 0 at beta = 0), as a float."""
     if beta == 0.0:
         if not e < 0.0:
             raise DomainError("xi with beta = 0 requires E < 0")
-        return complex(1.0 / (2.0 * math.sqrt(-e)))
+        return 1.0 / (2.0 * math.sqrt(-e))
     if not e <= -beta:
         raise DomainError(f"real xi requires E <= -beta = {-beta}, got {e}")
     big = -e + _sqrt_e2_minus_b2(e, beta)
-    return complex(1.0 / math.sqrt(2.0 * big))
+    return 1.0 / math.sqrt(2.0 * big)
 
 
 def xi(params: SystemParams, z: complex) -> complex:
@@ -99,7 +99,7 @@ def xi(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     if z.imag == 0.0:
-        return _xi_real(params.beta, z.real)
+        return complex(_xi_real(params.beta, z.real))
     b = params.beta
     if b == 0.0:
         return 1.0 / (2.0 * cmath.sqrt(-z))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError, SingularMatrixError
 from .extension import Hermitian2
-from .greens import FOUR_PI, _check_spin, xi
+from .greens import FOUR_PI, _check_spin, _xi_real
 from .model import Regime, SystemParams, classify_regime
 from . import spectrum as _spectrum
 
@@ -120,7 +120,7 @@ def q0(beta: float, omega1_s: float, s: int, e0: float) -> float:
     e0 = float(e0)
     if not e0 <= -beta:
         raise DomainError(f"q0 requires E0 <= -beta so that xi is real, got {e0}")
-    x = xi(SystemParams(0.0, beta), complex(e0)).real
+    x = _xi_real(beta, e0)
     return omega1_s - x * (0.5 - s * beta * x * x / 3.0)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
-from .greens import _check_real_z, _xi_real, artanh_branch, xi
+from .greens import _artanh_real, _check_real_z, _xi_real
 from .model import (Regime, RegimeInfo, SystemParams, classify_regime, series_validity,
                     threshold_sigma)
 
@@ -77,7 +77,9 @@ class LargeCouplingContext:
 
 @dataclass(frozen=True)
 class ForbiddenBandReport:
-    """Largest gamma the band (-Sigma, beta) would require; negative means empty."""
+    """Grid maximum of the gamma the band (-Sigma, beta) would require over
+    the scan's nodes; negative means empty there.  It is not the supremum,
+    which can lie between nodes, above the grid maximum."""
 
     max_gamma_required: float
     band: tuple[float, float]
@@ -101,21 +103,59 @@ class SpectrumReport:
         }
 
 
-def _channel_factors(params: SystemParams, x: complex, omega_plus: float,
-                     omega_minus: float) -> tuple[complex, complex]:
-    """The channel factors (c_+, c_-) at xi = x.
+def _channel_slopes(a: float, b: float) -> tuple[float, float]:
+    """(k_+, k_-), k_s = alpha/2 - s*beta/alpha, the weights of artanh(alpha*xi)
+    in the channel factors (alpha > 0)."""
+    return a / 2.0 - b / a, a / 2.0 + b / a
 
-    c_s = omega_s + 1/(2 x) - (alpha/2 - s*beta/alpha) artanh(alpha*x), and
-    at alpha = 0 the artanh term is replaced by its limit -s*beta*x.
+
+def _channel_factors(a: float, b: float, x: float, omega_plus: float, omega_minus: float,
+                     art: float | None = None) -> tuple[float, float]:
+    """The channel factors (c_+, c_-) at real xi = x, in float arithmetic.
+
+    c_s = omega_s + 1/(2 x) - k_s A (``_channel_slopes``); at alpha = 0 the
+    tail k_s A is its limit -s*beta*x.  A = Re artanh(alpha*x) is ``art``
+    where the caller holds it more accurately (``_edge_factors``), else
+    artanh itself for alpha*x < 1, below the band (``_artanh_real``:
+    PoleError at 1), and on the cut alpha*x > 1 of (-Sigma, -beta] the real
+    part log1p(2/(alpha x - 1))/2 of its continuation r - i*pi/2, where
+    c_s stands for Re c_s.
     """
-    a, b = params.alpha, params.beta
     inv = 1.0 / (2.0 * x)
     if a == 0.0:
         tail_p, tail_m = -b * x, b * x
     else:
-        ar = artanh_branch(a * x)
-        tail_p, tail_m = (a / 2.0 - b / a) * ar, (a / 2.0 + b / a) * ar
+        if art is None:
+            w = a * x
+            art = 0.5 * math.log1p(2.0 / (w - 1.0)) if w > 1.0 else _artanh_real(w)
+        kp, km = _channel_slopes(a, b)
+        tail_p, tail_m = kp * art, km * art
     return omega_plus + inv - tail_p, omega_minus + inv - tail_m
+
+
+def _edge_factors(a: float, b: float, omega_plus: float,
+                  omega_minus: float) -> tuple[float, float]:
+    """The channel factors (c_+, c_-) at the band edge -Sigma = -beta without
+    the pole (alpha^2 < 2 beta), where xi = 1/sqrt(2 beta).
+
+    artanh(alpha/sqrt(2 beta)) is taken as the cancellation-free
+    log1p(2 alpha (sqrt(2 beta) + alpha)/(2 beta - alpha^2))/2, with
+    2 beta - alpha^2 exact up to one rounding: Dekker's product splits
+    alpha^2 into its float and its exact error (T. J. Dekker, Numer. Math.
+    18, 1971).  artanh of the rounded alpha*xi would lose the digits of
+    1 - alpha*xi, and a few ulps below the seam that product rounds to 1.
+    At alpha = beta = 0 the edge is u = 0 and c_s = omega_s.
+    """
+    if b == 0.0:
+        return omega_plus, omega_minus
+    r = math.sqrt(2.0 * b)
+    sq = a * a
+    c = 134217729.0 * a                 # 2^27 + 1 splits a into two 26-bit halves
+    hi = c - (c - a)
+    lo = a - hi
+    err = (((hi * hi - sq) + hi * lo) + lo * hi) + lo * lo
+    art = 0.5 * math.log1p(2.0 * a * (r + a) / ((2.0 * b - sq) - err))
+    return _channel_factors(a, b, 1.0 / r, omega_plus, omega_minus, art)
 
 
 def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) -> complex:
@@ -123,12 +163,14 @@ def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) ->
 
     Zeros coincide with those of det(Gamma - Q(E)).  E must lie below the
     band, as for every real-axis Green value: PoleError inside the pole
-    guard around -Sigma, DomainError elsewhere on [-Sigma, inf).
+    guard around -Sigma, DomainError elsewhere on [-Sigma, inf).  The value
+    is real; it is returned as a complex number.
     """
-    z = complex(float(e))
-    _check_real_z(params, z)
-    cp, cm = _channel_factors(params, xi(params, z), eff.omega_plus, eff.omega_minus)
-    return eff.gamma - cp * cm
+    e = float(e)
+    _check_real_z(params, complex(e))
+    cp, cm = _channel_factors(params.alpha, params.beta, _xi_real(params.beta, e),
+                              eff.omega_plus, eff.omega_minus)
+    return complex(eff.gamma - cp * cm)
 
 
 def _warn(message: str) -> None:
@@ -232,9 +274,17 @@ def _edge_count(params: SystemParams, eff: EffectiveCouplings) -> tuple[int, str
       alpha^2 = 2 beta, k_+ > 0 sends c_+ there too: 2.  On the seam k_+ = 0
       and c_+ = omega_+ + alpha/2 at the edge: 2 if that is negative, else 1.
     - without the pole, u_edge = sqrt(beta/2) and C(u_edge) is finite: its
-      inertia.
+      inertia.  C(u_edge) comes from ``_edge_factors``, which takes
+      A = artanh(alpha xi) as the cancellation-free
+      log1p(2 alpha (sqrt(2 beta) + alpha)/(2 beta - alpha^2))/2 with
+      2 beta - alpha^2 exact up to one rounding, so A keeps a few eps of
+      relative accuracy up to the seam, where artanh of the rounded
+      alpha*xi(-Sigma) would lose every digit or hit its pole.
     An eigenvalue that is zero, to within the rounding of the terms of
-    c_s (4 eps each), is a root at -Sigma itself, not below it: uncounted.
+    c_s = omega_s + u - (alpha/2) A + s (beta/alpha) A (4 eps each), is a
+    root at -Sigma itself, not below it: uncounted.  The two parts of the
+    tail are counted apart because k_+ = alpha/2 - beta/alpha cancels near
+    the seam.
     """
     a, b = params.alpha, params.beta
     wp, wm, g = eff.omega_plus, eff.omega_minus, eff.gamma
@@ -246,13 +296,13 @@ def _edge_count(params: SystemParams, eff: EffectiveCouplings) -> tuple[int, str
         return (2 if neg else 1), (f"on the seam c_- tends to -inf at the band edge, and "
                                    f"c_+ = {cp:.6g} is {'' if neg else 'not '}negative there")
     u = math.sqrt(0.5 * b)
-    if b == 0.0:
-        cp, cm = wp, wm                     # alpha = beta = 0: c_s = omega_s + u at u = 0
-    else:
-        cp, cm = (c.real for c in _channel_factors(params, 1.0 / math.sqrt(2.0 * b), wp, wm))
-    # the rounding of each factor's terms omega_s, u and its artanh tail
-    tp = _ROUNDING * (abs(wp) + u + abs(wp + u - cp))
-    tm = _ROUNDING * (abs(wm) + u + abs(wm + u - cm))
+    cp, cm = _edge_factors(a, b, wp, wm)
+    # the rounding of each factor's terms omega_s, u and the two parts
+    # alpha A/2 and beta A/alpha of its tail k_s A: their magnitudes sum to
+    # the tail of c_- (k_- A, or beta x at alpha = 0), also where k_+ cancels
+    tail = abs(wm + u - cm)
+    tp = _ROUNDING * (abs(wp) + u + tail)
+    tm = _ROUNDING * (abs(wm) + u + tail)
     det, trace = cp * cm - g, cp + cm
     ddet = abs(cm) * tp + abs(cp) * tm + _ROUNDING * (abs(cp * cm) + g)
     if det < -ddet:
@@ -571,21 +621,8 @@ def embedded_large_alpha(params: SystemParams,
     return tuple(sorted(out, key=lambda r: r.energy))
 
 
-def _re_c_plus_below(a: float, b: float, kp: float, wp: float, e: float) -> float:
-    """Re c_+ at one energy E of (-Sigma, -beta], for CaseC params with
-    k_+ = alpha/2 - beta/alpha.
-
-    xi is real there (``_xi_real``) and alpha*xi > 1 lies on the artanh cut,
-    continued as r - i*pi/2 with r = log1p(2/(alpha xi - 1))/2, so
-    Re c_+ = omega_+ + 1/(2 xi) - (k_+/2) log1p(2/(alpha xi - 1)).  It does
-    not decrease in E (``_max_gamma_below``).
-    """
-    x = _xi_real(b, e).real
-    return (wp + 0.5 / x) - (0.5 * kp) * math.log1p(2.0 / (a * x - 1.0))
-
-
 def _max_gamma_below(a: float, b: float, wp: float, e: np.ndarray) -> float:
-    """The largest gamma the phase constraint requires over the ascending
+    """The largest gamma the phase constraint requires at the ascending
     nodes ``e`` in (-Sigma, -beta], for CaseC params with nu > 1.
 
     There alpha*xi lies on the artanh cut, so Im c_s = k_s pi/2 is constant,
@@ -597,26 +634,30 @@ def _max_gamma_below(a: float, b: float, wp: float, e: np.ndarray) -> float:
                 = (1 - 2 beta x^2)/(2 x^2 (alpha^2 x^2 - 1)) >= 0
     there.  So the largest gamma is at one of the two nodes around the sign
     change of Re c_+, or at the end nearer it when it keeps one sign.  Both
-    ends are evaluated first (``_re_c_plus_below``), and a bisection over the
-    node indices finds the change: at most ceil(log2 n) + 2 evaluations.
+    ends are evaluated first (``_channel_factors`` on the cut), and a
+    bisection over the node indices finds the change: at most
+    ceil(log2 n) + 2 evaluations.
     """
     # k_+ = 0 on the seam nu = 1, where this sub-band holds no node
-    kp, km = a / 2.0 - b / a, a / 2.0 + b / a
+    kp, km = _channel_slopes(a, b)
     im_m = 0.5 * math.pi * km
 
     def gamma(re_p: float) -> float:
         return -km * (re_p * re_p + im_m * im_m) / kp
 
+    def re_c_plus(i: int) -> float:
+        return _channel_factors(a, b, _xi_real(b, float(e[i])), wp, 0.0)[0]
+
     lo, hi = 0, len(e) - 1
-    re_lo = _re_c_plus_below(a, b, kp, wp, float(e[lo]))
+    re_lo = re_c_plus(lo)
     if re_lo >= 0.0:
         return gamma(re_lo)
-    re_hi = _re_c_plus_below(a, b, kp, wp, float(e[hi]))
+    re_hi = re_c_plus(hi)
     if re_hi <= 0.0:
         return gamma(re_hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        re_mid = _re_c_plus_below(a, b, kp, wp, float(e[mid]))
+        re_mid = re_c_plus(mid)
         if re_mid < 0.0:
             lo, re_lo = mid, re_mid
         else:
@@ -643,7 +684,7 @@ def _gamma_required_mid(a: float, b: float, wp: float, e: np.ndarray) -> np.ndar
     formed per node: the constant 1 - nu^2 is as accurate, but rounds
     differently and moves the scan's maximum by up to 1.3e-15 relative.
     """
-    kp, km = a / 2.0 - b / a, a / 2.0 + b / a
+    kp, km = _channel_slopes(a, b)
     r = np.sqrt(b - e)
     q = np.sqrt(b + e)
     scale = a / (2.0 * b)
@@ -659,13 +700,15 @@ def _gamma_required_mid(a: float, b: float, wp: float, e: np.ndarray) -> np.ndar
 
 
 def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> ForbiddenBandReport:
-    """Scan (-Sigma, beta) and report the largest gamma the constraints would
-    require; a negative maximum certifies the band holds no eigenvalue for
-    any admissible gamma >= 0.
+    """Scan (-Sigma, beta) and report the grid maximum of the gamma the
+    constraints would require; a negative maximum says that no node of the
+    band holds an eigenvalue for any admissible gamma >= 0.  It is the
+    maximum over the nodes, not the supremum between them, which can be
+    larger.
 
-    The one place where the channel factors
+    The channel factors
     c_s = omega_s + 1/(2 xi) - k_s artanh(alpha*xi), k_s = alpha/2 - s*beta/alpha,
-    are continued onto the band.  The grid is
+    continued onto the band.  The grid is
     linspace(-Sigma + delta, beta - delta, 1000), delta = 1e-6*max(1, Sigma + beta),
     built from a fixed arange.  Only the nodes that decide the maximum are
     evaluated, one sub-band at a time:
@@ -673,9 +716,11 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
       decrease in E, since d Re c_+/dx = (1 - 2 beta x^2)/(2 x^2 (alpha^2 x^2 - 1))
       >= 0 for x = xi(E) in (1/alpha, 1/sqrt(2 beta)].  So a bisection over
       the node indices finds the nodes around the sign change of Re c_+,
-      where the gamma peaks (``_max_gamma_below``, ``_re_c_plus_below``).
-    - (-beta, beta): every node, in one array pass (``_gamma_required_mid``),
-      with artanh at alpha*xi = u + iv on the circle u^2 + v^2 = nu^2, where
+      where the gamma peaks (``_max_gamma_below``); Re c_+ comes from the
+      real-axis kernel ``_channel_factors`` on the artanh cut.
+    - (-beta, beta): every node, in one array pass (``_gamma_required_mid``,
+      the one continuation kept apart from that kernel), with artanh at
+      alpha*xi = u + iv on the circle u^2 + v^2 = nu^2, where
       (1-u)^2 + v^2 = 1 + nu^2 - 2u > 0 and (1-u)(1+u) - v^2 = 1 - nu^2.
     A band narrower than 2 delta leaves no grid inside it: DomainError.
     """

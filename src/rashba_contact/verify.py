@@ -23,7 +23,7 @@ import numpy as np
 from . import oracle, perturbation, spectrum
 from .extension import (EffectiveCouplings, Hermitian2, effective_couplings,
                         gamma_for_couplings, krein_q, normalization, phi_norm_sq)
-from .greens import xi
+from .greens import _xi_real
 from .model import SystemParams, series_validity, threshold_sigma
 
 SUITES = ("paper", "invariants", "all")
@@ -313,7 +313,7 @@ def check_perturbation_order() -> list[CheckResult]:
 
 
 def _edge_count_inputs() -> list[tuple[SystemParams, Hermitian2, int]]:
-    """60 seeded (params, Gamma, the number of roots it was built to have).
+    """68 seeded (params, Gamma, the number of roots it was built to have).
 
     CaseA, CaseB, CaseC and the seam in turn, and every fifth input a root
     1e-12 to 1e-6 max(1, Sigma) below the edge in each channel (gamma = 0),
@@ -322,7 +322,10 @@ def _edge_count_inputs() -> list[tuple[SystemParams, Hermitian2, int]]:
     matrix C rises as E falls, so the count is fixed at the edge: off the
     seam with the pole it is 2; on the seam c_- tends to -inf and c_+ =
     omega_+ + alpha/2 is drawn with either sign; without the pole C at the
-    edge is drawn with 0, 1 or 2 negative eigenvalues."""
+    edge is drawn with 0, 1 or 2 negative eigenvalues (``_built_at_edge``).
+    The last 8 are CaseB with alpha 1 to 3 ulps below sqrt(2 beta), where
+    alpha*xi(-Sigma) rounds to 1 or close to it, built as CaseB: the first
+    two are inputs where it rounds to 1, then 6 seeded ones."""
     rng = np.random.default_rng(41)
     out = []
     for k in range(60):
@@ -343,9 +346,9 @@ def _edge_count_inputs() -> list[tuple[SystemParams, Hermitian2, int]]:
         if kind == "edge":
             d_p = float(10.0 ** rng.uniform(-12.0, -6.0))
             d_m = d_p if k // 5 % 2 else float(10.0 ** rng.uniform(-12.0, -6.0))
-            xp, xm = (xi(p, complex(-sigma - d * max(1.0, sigma))) for d in (d_p, d_m))
-            wp = -spectrum._channel_factors(p, xp, 0.0, 0.0)[0].real
-            wm = -spectrum._channel_factors(p, xm, 0.0, 0.0)[1].real
+            xp, xm = (_xi_real(b, -sigma - d * max(1.0, sigma)) for d in (d_p, d_m))
+            wp = -spectrum._channel_factors(a, b, xp, 0.0, 0.0)[0]
+            wm = -spectrum._channel_factors(a, b, xm, 0.0, 0.0)[1]
             g, want = 0.0, 2
         elif case == "C":
             wp, wm = float(rng.uniform(-2.0, 1.0)), float(rng.uniform(-2.0, 1.0))
@@ -356,17 +359,37 @@ def _edge_count_inputs() -> list[tuple[SystemParams, Hermitian2, int]]:
             wm, g = float(rng.uniform(-2.0, 1.0)), float(rng.uniform(0.0, 1.5))
         else:
             want = k // 5 % 3
-            if want == 1:
-                cp, cm = (float(c) for c in rng.uniform(-1.0, 1.0, 2))
-                g = max(cp * cm, 0.0) + float(rng.uniform(0.1, 1.0))
-            else:
-                sign = 1.0 if want == 0 else -1.0
-                cp, cm = (sign * float(c) for c in rng.uniform(0.1, 1.0, 2))
-                g = float(rng.uniform(0.0, 0.9)) * cp * cm
-            c0p, c0m = spectrum._channel_factors(p, xi(p, complex(-sigma)), 0.0, 0.0)
-            wp, wm = cp - c0p.real, cm - c0m.real
+            wp, wm, g = _built_at_edge(rng, p, want)
         out.append((p, gamma_for_couplings(p, wp, wm, g), want))
+    near_seam = [(1.8347014526009928, 1.6830647100880969),
+                 (0.47004875356927067, 0.11047291536601249)]
+    while len(near_seam) < 8:
+        b = float(rng.uniform(0.05, 1.0))
+        a = math.sqrt(2.0 * b)
+        for _ in range(len(near_seam) % 3 + 1):
+            a = math.nextafter(a, 0.0)
+        if a * a < 2.0 * b:             # no pole in floats: CaseB
+            near_seam.append((a, b))
+    for k, (a, b) in enumerate(near_seam):
+        p = SystemParams(a, b)
+        out.append((p, gamma_for_couplings(p, *_built_at_edge(rng, p, k % 3)), k % 3))
     return out
+
+
+def _built_at_edge(rng: np.random.Generator, p: SystemParams,
+                   want: int) -> tuple[float, float, float]:
+    """(omega_+, omega_-, gamma) drawn so that C at the band edge, without
+    the pole, has ``want`` negative eigenvalues; the channel factors there
+    come from ``spectrum._edge_factors``."""
+    if want == 1:
+        cp, cm = (float(c) for c in rng.uniform(-1.0, 1.0, 2))
+        g = max(cp * cm, 0.0) + float(rng.uniform(0.1, 1.0))
+    else:
+        sign = 1.0 if want == 0 else -1.0
+        cp, cm = (sign * float(c) for c in rng.uniform(0.1, 1.0, 2))
+        g = float(rng.uniform(0.0, 0.9)) * cp * cm
+    c0p, c0m = spectrum._edge_factors(p.alpha, p.beta, 0.0, 0.0)
+    return cp - c0p, cm - c0m, g
 
 
 def _unreported_branches(records) -> int:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import warnings
 from pathlib import Path
@@ -9,17 +10,35 @@ import pytest
 from rashba_contact import (DomainError, EffectiveCouplings,
                             ExtensionKind, Hermitian2, KreinQ, PoleError,
                             RegimeError, RootMethod, SystemParams,
-                            artanh_branch, discrete_eigenvalues, e_nu,
+                            discrete_eigenvalues, e_nu,
                             effective_couplings, embedded_alpha0,
                             embedded_large_alpha, forbidden_band_scan,
                             gamma_for_couplings, gamma_from_cr, krein_q,
                             large_coupling_context, normalization, secular_det,
                             secular_function, solve_spectrum,
-                            threshold_sigma, u_nu, v_nu, xi)
+                            threshold_sigma, u_nu, v_nu)
 from rashba_contact import model, spectrum, verify
+from rashba_contact.greens import _xi_real
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# float.hex values written by the complex-arithmetic channel factors, at
+# seeded points and on the aux-scans pool: the float kernel keeps them all
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data"
+                     / "channel_factor_golden.json").read_text())
 
 
 class TestSecularFunction:
+    def test_values_match_the_golden_bit_for_bit(self):
+        # 200 seeded points below the band, 1e-9 to 1e2 max(1, Sigma) from the
+        # edge: CaseA, CaseB, CaseC, the seam and beta = 0 in turn
+        kinds = set()
+        for kind, *point, want_re, want_im in GOLDEN["secular_function"]:
+            a, b, wp, wm, g, e = (float.fromhex(h) for h in point)
+            v = secular_function(SystemParams(a, b), EffectiveCouplings(wp, wm, g), e)
+            assert (v.real.hex(), v.imag.hex()) == (want_re, want_im), (kind, point)
+            kinds.add(kind)
+        assert kinds == {"A", "B", "C", "seam", "beta0"}
+
     def test_free_symmetric_zero(self):
         p = SystemParams(0.0, 0.0)
         eff = EffectiveCouplings(-1.0, -1.0, 0.0)
@@ -59,16 +78,10 @@ class TestSecularFunction:
             p = SystemParams(a, b)
             sigma = threshold_sigma(p)
             es = -sigma - np.geomspace(1e-4, 20.0, 60)
-            for s in (1, -1):
-                vals = []
-                for e in es:
-                    x = xi(p, complex(float(e)))
-                    if a == 0.0:
-                        tail = -s * b * x
-                    else:
-                        tail = (a / 2.0 - s * b / a) * artanh_branch(a * x)
-                    vals.append((1.0 / (2.0 * x) - tail).real)
-                diffs = np.diff(vals)
+            vals = np.array([spectrum._channel_factors(a, b, _xi_real(b, float(e)), 0.0, 0.0)
+                             for e in es])
+            for k in (0, 1):
+                diffs = np.diff(vals[:, k])
                 assert np.all(diffs > 0) or np.all(diffs < 0)
 
 
@@ -475,7 +488,7 @@ class TestEdgeCount:
         # within 1e-6 Sigma of the edge and inside the pole guard.  The rule
         # the count replaced gives the same warnings there: a branch positive
         # at the grid's last node, next to the pole, lambda_+ not on the seam
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
         counts, warned_inputs = set(), 0
         for seed in (1, 2):
@@ -528,8 +541,7 @@ class TestEdgeCount:
         # eigenvalue is a root at -Sigma itself, not counted and not warned of
         b = 0.5
         p = SystemParams(a, b)
-        x_edge = 1.0 / math.sqrt(2.0 * b)
-        c0p, c0m = (c.real for c in spectrum._channel_factors(p, x_edge, 0.0, 0.0))
+        c0p, c0m = spectrum._edge_factors(a, b, 0.0, 0.0)
         cm = 0.0 if g == 0.0 else -2.0
         gm = gamma_for_couplings(p, -1.0 - c0p, cm - c0m, g)
         assert spectrum._edge_count(p, effective_couplings(p, gm))[0] == want
@@ -537,6 +549,58 @@ class TestEdgeCount:
             warnings.simplefilter("always")
             roots = discrete_eigenvalues(p, gm)
         assert len(roots) == want and not rec
+
+    def test_edge_factors_within_the_counts_slack(self):
+        # C at the edge without the pole against 50 digits, 1-5 ulps below
+        # the seam and in generic CaseB: each factor lies within the rounding
+        # slack that _edge_count allows it, 4 eps for each term of
+        # c_s = u - (alpha/2) A + s (beta/alpha) A at omega_s = 0
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import c0_mp
+        rng = np.random.default_rng(61)
+        points = [(1.8347014526009928, 1.6830647100880969),
+                  (0.47004875356927067, 0.11047291536601249)]
+        for k in range(40):
+            b = float(10.0 ** rng.uniform(-3.0, 1.0))
+            a = math.sqrt(2.0 * b) * (float(rng.uniform(0.01, 0.99)) if k % 2 else 1.0)
+            for _ in range(0 if k % 2 else 1 + k % 5):
+                a = math.nextafter(a, 0.0)
+            if a * a < 2.0 * b:
+                points.append((a, b))
+        assert len(points) > 30
+        with mpmath.workdps(50):
+            for a, b in points:
+                cp, cm = spectrum._edge_factors(a, b, 0.0, 0.0)
+                u = math.sqrt(0.5 * b)
+                slack = spectrum._ROUNDING * (u + abs(u - cm))
+                x = 1 / mpmath.sqrt(2 * mpmath.mpf(b))
+                for s, c in ((1, cp), (-1, cm)):
+                    assert abs(c - c0_mp(a, b, s, x)) <= slack, (a, b, s)
+
+    @pytest.mark.parametrize("a,b,g,want", [
+        (1.8347014526009928, 1.6830647100880969, 0.3, 1),
+        (1.8347014526009928, 1.6830647100880969, -2.0, 2),
+        (1.8347014526009928, 1.6830647100880969, 5.0, 1),
+        (0.47004875356927067, 0.11047291536601249, 0.3, 2),
+        (0.47004875356927067, 0.11047291536601249, -2.0, 2),
+        (0.47004875356927067, 0.11047291536601249, 5.0, 1)])
+    def test_a_few_ulps_below_the_seam(self, a, b, g, want):
+        # CaseB with alpha^2 < 2 beta in floats, no pole, but alpha*xi(-Sigma)
+        # = alpha/sqrt(2 beta) rounds to 1: the edge count takes artanh from
+        # 2 beta - alpha^2 and matches the 60-digit mpmath inertia of C at
+        # the edge (want), and the walk finds or warns of exactly those roots.
+        # The root for g = 5 at the second point lies 7e-14 below the edge,
+        # where the secular residual check warns that the formulations disagree
+        p = SystemParams(a, b)
+        assert p._pole_guard == 0.0 and a * (1.0 / math.sqrt(2.0 * b)) == 1.0
+        gm = Hermitian2.scalar(g)
+        count = spectrum._edge_count(p, effective_couplings(p, gm))[0]
+        assert count == want
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            roots = discrete_eigenvalues(p, gm)
+        found = sum(2 if r.method is RootMethod.EVEN_ORDER else 1 for r in roots)
+        assert found + verify._unreported_branches(rec) == count
 
 
 class TestEmbeddedAlpha0:
@@ -858,7 +922,7 @@ class TestForbiddenBand:
                    *10.0 ** rng.uniform(1.0, 4.0, 3)):
             b = float(rng.uniform(0.05, 1.0))
             p = SystemParams(nu * math.sqrt(2.0 * b), b)
-            a, kp = p.alpha, p.alpha / 2.0 - b / p.alpha
+            a = p.alpha
             wp = float(rng.uniform(-3.0, 3.0))
             for n in (1000, 10000):
                 grid = self.scan_grid(p, n)
@@ -869,7 +933,7 @@ class TestForbiddenBand:
                 below, mid = grid[grid <= -b], grid[grid > -b]
                 for e in below:
                     re_ref, g_ref = self.scalar_route(p, wp, float(e))
-                    got = spectrum._re_c_plus_below(a, b, kp, wp, float(e))
+                    got = spectrum._channel_factors(a, b, _xi_real(b, float(e)), wp, 0.0)[0]
                     assert abs(got - re_ref) <= 1e-12 * (1.0 + abs(re_ref))
                     assert g_ref < 0.0
                 got = spectrum._gamma_required_mid(a, b, wp, mid)
@@ -907,15 +971,15 @@ class TestForbiddenBand:
         assert spectrum._max_gamma_below(a, b, wp, below) == pytest.approx(ref, rel=1e-12)
 
         calls = []
-        kernel = spectrum._re_c_plus_below
+        kernel = spectrum._channel_factors
 
-        def counted(*args):
-            calls.append(args[-1])
-            return kernel(*args)
+        def counted(a, b, x, *args):
+            calls.append(x)
+            return kernel(a, b, x, *args)
 
-        monkeypatch.setattr(spectrum, "_re_c_plus_below", counted)
+        monkeypatch.setattr(spectrum, "_channel_factors", counted)
         rep = forbidden_band_scan(p, EffectiveCouplings(wp, 0.0, 0.0))
-        assert set(calls) <= set(below.tolist())
+        assert set(calls) <= {_xi_real(b, float(e)) for e in below}
         assert len(calls) <= math.ceil(math.log2(n)) + 2
         worst = max(ref, *(self.scalar_route(p, wp, float(e))[1] for e in mid))
         assert rep.max_gamma_required == pytest.approx(worst, rel=1e-12)
@@ -931,6 +995,14 @@ class TestForbiddenBand:
             ref = max(self.scalar_route(p, wp, float(e))[1] for e in self.scan_grid(p))
             assert rep.max_gamma_required == pytest.approx(ref, rel=1e-12)
             assert rep.max_gamma_required < 0.0
+
+    def test_maxima_on_the_aux_scans_pool_match_the_golden(self, monkeypatch):
+        # the grid maxima of the benchmark's seed-1 aux-scans pool, bit for bit
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        got = [forbidden_band_scan(inp.params, effective_couplings(inp.params, inp.gamma))
+               .max_gamma_required.hex() for inp in workloads.aux_inputs(1)]
+        assert got == GOLDEN["forbidden_band_max_seed1"]
 
     def test_band_narrower_than_the_margins(self):
         # Sigma + beta < 2e-6 leaves the grid's ends outside the band
