@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin,
-                     _sqrt_e2_minus_b2, g1_origin, g2ren_origin, gs_ren_origin, xi)
+from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _gs_ren,
+                     _sqrt_e2_minus_b2, _xi_real, g1_origin, g2ren_origin)
 from .model import SystemParams
 
 
@@ -180,13 +180,13 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     error is PoleError, elsewhere DomainError.
     """
     z = complex(z)
-    # the real-axis rule runs in g2ren_origin, and in g1_origin when beta != 0
     nd = normalization(params)
-    g_p, g_m = gs_ren_origin(params, 1, z), gs_ren_origin(params, -1, z)
+    _check_real_z(params, z)
+    g_p, g_m = _gs_ren(params, 1, z), _gs_ren(params, -1, z)
     real = z.imag == 0.0
     if real:
         # below the band: float arithmetic, complex only at the return
-        g_p, g_m, sq = g_p.real, g_m.real, math.sqrt(-z.real)
+        sq = math.sqrt(-z.real)
     else:
         sq = cmath.sqrt(-z)
     sq /= FOUR_PI
@@ -239,7 +239,7 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     nd = normalization(params)
     n2 = nd.n(s) ** 2
     if z.imag != 0.0:
-        g = gs_ren_origin(params, s, z)
+        g = _gs_ren(params, s, z)
         norm_sq = n2 * (g - cmath.sqrt(-z) / FOUR_PI).imag / z.imag
         if not math.isfinite(norm_sq):
             # Im Q/Im z grows like 1/Im z next to the band
@@ -249,7 +249,7 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     _check_real_z(params, z)
     e = z.real
     a, b = params.alpha, params.beta
-    x = xi(params, z).real
+    x = _xi_real(b, e)
     w = _sqrt_e2_minus_b2(e, b)
     return n2 / (16.0 * math.pi * w) * (
         1.0 / x + (a * a - 2.0 * s * b) * x / (1.0 - a * a * x * x))

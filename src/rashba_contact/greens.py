@@ -6,9 +6,11 @@ On the real axis they are taken only below the band [-Sigma, inf), where the
 discrete eigenvalues lie and xi is real and positive.  Real z has one rule
 (``_check_real_z``): PoleError inside the pole guard around -Sigma, where
 artanh(alpha*xi) diverges, and DomainError elsewhere on the band, where Q
-has no single real-axis value.  Below the band the Green values (and Q) are
-computed in float arithmetic, by the same formulas with the real sqrt and
-artanh, and returned as complex numbers.
+has no single real-axis value.  Each public entry point applies it once;
+the private kernels (``_g1``, ``_g2ren``, ``_gs_ren``) hold the one body of
+each Green value and take a z that has passed it.  Below the band the
+kernels compute in float arithmetic, by the same formulas with the real
+sqrt and artanh, and the public values return complex numbers.
 """
 
 from __future__ import annotations
@@ -132,6 +134,59 @@ def _check_real_z(params: SystemParams, z: complex) -> None:
                 f"z = {e} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}")
 
 
+def _g1(params: SystemParams, z: complex) -> complex | float:
+    """G_1(0;z) at a complex z that has passed ``_check_real_z``; a float on
+    the real axis.
+
+    On the real axis the check has put E below -Sigma, so 0 <= alpha*xi < 1
+    and math.atanh cannot fail there: xi grows with E up to the band edge,
+    alpha*xi reaches 1 only at -Sigma and only when alpha^2 >= 2*beta, and
+    the pole guard keeps E at least 1e-10 relative below that pole, far more
+    than rounding can make up.
+    """
+    x = xi(params, z)
+    if z.imag == 0.0:
+        x, atanh = x.real, math.atanh
+    else:
+        atanh = artanh_branch
+    a = params.alpha
+    w = a * x
+    if abs(w) < _SMALL_ARG:
+        # w2 * w2 is the complex w ** 4 (repeated squaring) also for a float w
+        w2 = w * w
+        return x * (1.0 + w2 / 3.0 + w2 * w2 / 5.0) / FOUR_PI
+    return atanh(w) / (FOUR_PI * a)
+
+
+def _g2ren(params: SystemParams, z: complex) -> complex | float:
+    """G_2^ren(0;z) at a complex z that has passed ``_check_real_z``; a float
+    on the real axis (and the zero at alpha = beta = 0), where math.atanh is
+    safe for the reason given in ``_g1`` and -z > Sigma >= 0."""
+    a, b = params.alpha, params.beta
+    if a == 0.0 and b == 0.0:
+        return 0.0
+    x = xi(params, z)
+    if z.imag == 0.0:
+        x, sqrt, atanh, mz = x.real, math.sqrt, math.atanh, -z.real
+    else:
+        sqrt, atanh, mz = cmath.sqrt, artanh_branch, -z
+    out = 0.0
+    if b != 0.0:
+        out = (sqrt(mz) - 1.0 / (2.0 * x)) / FOUR_PI
+    if a != 0.0:
+        out += a * atanh(a * x) / EIGHT_PI
+    return out
+
+
+def _gs_ren(params: SystemParams, s: int, z: complex) -> complex | float:
+    """G_s^ren(0;z) at a spin s = +-1 and a complex z that have passed their
+    checks; a float on the real axis."""
+    g2 = _g2ren(params, z)
+    if params.beta == 0.0:
+        return g2
+    return g2 - s * params.beta * _g1(params, z)
+
+
 def g1_origin(params: SystemParams, z: complex) -> complex:
     """artanh(alpha*xi(z))/(4*pi*alpha); alpha -> 0 limit xi(z)/(4*pi).
 
@@ -140,20 +195,7 @@ def g1_origin(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     _check_real_z(params, z)
-    x, real = xi(params, z), z.imag == 0.0
-    if real:
-        x, atanh = x.real, _artanh_real
-    else:
-        atanh = artanh_branch
-    a = params.alpha
-    w = a * x
-    if abs(w) < _SMALL_ARG:
-        # w2 * w2 is the complex w ** 4 (repeated squaring) also for a float w
-        w2 = w * w
-        g = x * (1.0 + w2 / 3.0 + w2 * w2 / 5.0) / FOUR_PI
-    else:
-        g = atanh(w) / (FOUR_PI * a)
-    return complex(g) if real else g
+    return complex(_g1(params, z))
 
 
 def g2ren_origin(params: SystemParams, z: complex) -> complex:
@@ -165,26 +207,12 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     _check_real_z(params, z)
-    a, b = params.alpha, params.beta
-    if a == 0.0 and b == 0.0:
-        return 0j
-    x, real = xi(params, z), z.imag == 0.0
-    if real:
-        x, sqrt, atanh, mz = x.real, math.sqrt, _artanh_real, -z.real
-    else:
-        sqrt, atanh, mz = cmath.sqrt, artanh_branch, -z
-    out = 0.0
-    if b != 0.0:
-        out = (sqrt(mz) - 1.0 / (2.0 * x)) / FOUR_PI
-    if a != 0.0:
-        out += a * atanh(a * x) / EIGHT_PI
-    return complex(out) if real else out
+    return complex(_g2ren(params, z))
 
 
 def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex:
     """Spin-channel combination G_2^ren(0;z) - s*beta*G_1(0;z), s = +-1."""
     _check_spin(s)
-    g2 = g2ren_origin(params, z)
-    if params.beta == 0.0:
-        return g2
-    return g2 - s * params.beta * g1_origin(params, z)
+    z = complex(z)
+    _check_real_z(params, z)
+    return complex(_gs_ren(params, s, z))

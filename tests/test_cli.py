@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rashba_contact
 from rashba_contact.cli import build_parser, dumps, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -390,10 +394,22 @@ class TestReadme:
 
 
 class TestVerify:
-    def test_unknown_suite_exits_2(self):
+    def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
         assert exc.value.code == 2
+        assert "choose from 'paper', 'invariants', 'all'" in capsys.readouterr().err
+
+    def test_cli_import_leaves_verify_out(self):
+        # only the verify subcommand loads the suites
+        src = str(Path(rashba_contact.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, rashba_contact.cli\n"
+                "print('rashba_contact.verify' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_paper_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "paper")

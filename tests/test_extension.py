@@ -392,6 +392,65 @@ class TestPoleGuard:
         assert calls == []
 
 
+def _bits(c: complex) -> tuple[str, str]:
+    # hex keeps the sign of a zero and tells every float apart
+    return c.real.hex(), c.imag.hex()
+
+
+class TestPublicValuesAgree:
+    """krein_q and each Green value check z once and share one kernel per
+    Green value, so they agree bit for bit, on the real axis and off it."""
+
+    PARAMS = [SystemParams(2.0, 0.5), SystemParams(0.4, 0.5), SystemParams(0.0, 0.5),
+              SystemParams(1.3, 0.0), SystemParams(0.0, 0.0), SystemParams(1.0, 0.5),
+              SystemParams(1e-5, 0.3)]
+
+    @staticmethod
+    def points(p: SystemParams, seed: int) -> list[complex]:
+        rng = np.random.default_rng(seed)
+        sigma, guard = threshold_sigma(p), p._pole_guard
+        # just outside the pole guard, or the first float below a band edge
+        # that has none
+        real = [math.nextafter(-sigma - 2.0 * guard, -math.inf),
+                -sigma - 1e-9 * max(1.0, sigma), -sigma - 1.0]
+        real += list(-sigma - rng.exponential(2.0, 30))
+        cplx = [complex(x, y) for x, y in zip(rng.uniform(-6.0, 6.0, 30),
+                                             rng.choice([-1.0, 1.0], 30)
+                                             * 10.0 ** rng.uniform(-8.0, 1.0, 30))]
+        return [complex(e) for e in real] + cplx + [1j, complex(-sigma, 1e-12)]
+
+    @pytest.mark.parametrize("seed,p", enumerate(PARAMS), ids=repr)
+    def test_krein_q_is_its_channel_formula(self, seed, p):
+        nd = normalization(p)
+        for z in self.points(p, seed):
+            q = krein_q(p, z)
+            for s, lam in ((1, nd.lambda_plus), (-1, nd.lambda_minus)):
+                g = gs_ren_origin(p, s, z)
+                if z.imag == 0.0:
+                    g, sq = g.real, math.sqrt(-z.real)
+                else:
+                    sq = cmath.sqrt(-z)
+                want = complex(nd.n(s) ** 2 * (g - sq / FOUR_PI - lam))
+                assert _bits(q.entry(s)) == _bits(want), (p, z, s)
+
+    @pytest.mark.parametrize("seed,p", enumerate(PARAMS), ids=repr)
+    def test_gs_is_g2_minus_s_beta_g1(self, seed, p):
+        for z in self.points(p, seed):
+            g2, g1 = g2ren_origin(p, z), g1_origin(p, z)
+            for s in (1, -1):
+                want = g2 - s * p.beta * g1
+                assert _bits(gs_ren_origin(p, s, z)) == _bits(want), (p, z, s)
+
+    @pytest.mark.parametrize("p", PARAMS[:2] + PARAMS[3:4], ids=repr)
+    def test_spin_is_checked_before_z(self, p):
+        sigma = threshold_sigma(p)
+        for z in (complex(-sigma + 0.5 * p._pole_guard), complex(-sigma + 1.0),
+                  complex(math.nan), complex(-sigma - 1.0)):
+            for call in (lambda: gs_ren_origin(p, 0, z), lambda: phi_norm_sq(p, 2, z)):
+                with pytest.raises(DomainError, match="spin index"):
+                    call()
+
+
 class TestSecularDet:
     def test_constructed_identity_shift(self):
         p = SystemParams(0.8, 0.6)
