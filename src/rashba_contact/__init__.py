@@ -11,8 +11,7 @@ from .errors import (ConvergenceError, DomainError, PoleError, RegimeError,
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2, KreinQ,
                         NormalizationData, effective_couplings,
                         gamma_for_couplings, gamma_from_cr, krein_q,
-                        normalization, phi_norm_sq, resolvent_correction,
-                        secular_det)
+                        normalization, phi_norm_sq, secular_det)
 from .greens import artanh_branch, g1_origin, g2ren_origin, gs_ren_origin, xi
 from .model import (Regime, RegimeInfo, SystemParams, ValidityReport,
                     classify_regime, series_validity, threshold_sigma)
@@ -44,6 +43,6 @@ __all__ = [
     "gamma_for_couplings", "gamma_from_cr",
     "gs_ren_origin", "gs_ren_quadrature", "krein_q", "large_coupling_context",
     "normalization", "phi_norm_quadrature", "phi_norm_sq", "q0",
-    "resolvent_correction", "secular_det", "secular_function", "series_validity",
+    "secular_det", "secular_function", "series_validity",
     "sigma_numeric", "solve_spectrum", "threshold_sigma", "u_nu", "v_nu", "xi",
 ]

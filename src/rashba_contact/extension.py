@@ -1,6 +1,5 @@
 """Extension data: normalization constants, coupling algebra, the Krein
-Q-matrix, the secular determinant, the resolvent correction weights, and the
-deficiency-element norms."""
+Q-matrix, the secular determinant, and the deficiency-element norms."""
 
 from __future__ import annotations
 
@@ -9,8 +8,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DomainError, SingularMatrixError
 from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _gs_ren,
@@ -92,12 +89,13 @@ class EffectiveCouplings:
 
 @dataclass(frozen=True)
 class KreinQ:
-    """Diagonal Q-matrix entries at one energy."""
+    """Diagonal Q-matrix entries at one energy: floats below the band, where
+    Q is real, and complex numbers off the real axis."""
 
-    q_pp: complex
-    q_mm: complex
+    q_pp: complex | float
+    q_mm: complex | float
 
-    def entry(self, s: int) -> complex:
+    def entry(self, s: int) -> complex | float:
         return self.q_pp if s == 1 else self.q_mm
 
 
@@ -175,6 +173,7 @@ def gamma_for_couplings(params: SystemParams, omega_plus: float, omega_minus: fl
 def krein_q(params: SystemParams, z: complex) -> KreinQ:
     """Diagonal Q entries N_s^2 (G_s^ren(0;z) - sqrt(-z)/(4 pi) - Lambda_s).
 
+    Below the band the entries are floats, computed in float arithmetic.
     Real z on the band [-Sigma, inf) raises, as in every Green value: there Q
     has no single real-axis value.  Inside the pole guard around -Sigma the
     error is PoleError, elsewhere DomainError.
@@ -183,47 +182,18 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     nd = normalization(params)
     _check_real_z(params, z)
     g_p, g_m = _gs_ren(params, 1, z), _gs_ren(params, -1, z)
-    real = z.imag == 0.0
-    if real:
-        # below the band: float arithmetic, complex only at the return
-        sq = math.sqrt(-z.real)
-    else:
-        sq = cmath.sqrt(-z)
-    sq /= FOUR_PI
+    sq = (math.sqrt(-z.real) if z.imag == 0.0 else cmath.sqrt(-z)) / FOUR_PI
     q_pp = nd.n_plus ** 2 * (g_p - sq - nd.lambda_plus)
     q_mm = nd.n_minus ** 2 * (g_m - sq - nd.lambda_minus)
-    if real:
-        q_pp, q_mm = complex(q_pp), complex(q_mm)
     return KreinQ(q_pp=q_pp, q_mm=q_mm)
 
 
-def secular_det(params: SystemParams, gamma_matrix: Hermitian2, z: complex) -> complex:
-    """det(Gamma - Q(z)) with diagonal Q; real on real z below -Sigma."""
+def secular_det(params: SystemParams, gamma_matrix: Hermitian2,
+                z: complex) -> complex | float:
+    """det(Gamma - Q(z)) with diagonal Q; a float on real z below -Sigma."""
     q = krein_q(params, z)
     return ((gamma_matrix.pp - q.q_pp) * (gamma_matrix.mm - q.q_mm)
             - abs(gamma_matrix.pm) ** 2)
-
-
-def resolvent_correction(params: SystemParams, gamma_matrix: Hermitian2,
-                         z: complex) -> np.ndarray:
-    """(Gamma - Q(z))^{-1}, the scalar weights of the rank-two resolvent term.
-
-    Raises SingularMatrixError exactly when z solves the secular equation,
-    which makes the failure mode double as an eigenvalue detector.
-    """
-    q = krein_q(params, z)
-    m11 = gamma_matrix.pp - q.q_pp
-    m22 = gamma_matrix.mm - q.q_mm
-    m12 = gamma_matrix.pm
-    d = m11 * m22 - abs(m12) ** 2
-    # noise floor of d scales with the squared magnitude of the entries that
-    # cancel, not with the differences themselves
-    mag = max(1.0, abs(gamma_matrix.pp), abs(gamma_matrix.mm), abs(gamma_matrix.pm),
-              abs(q.q_pp), abs(q.q_mm))
-    if abs(d) < 1e-25 * mag * mag:
-        raise SingularMatrixError(
-            f"Gamma - Q(z) is singular at z = {z}: z solves the secular equation")
-    return np.array([[m22, -m12], [-m12.conjugate(), m11]], dtype=complex) / d
 
 
 def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:

@@ -10,7 +10,8 @@ has no single real-axis value.  Each public entry point applies it once;
 the private kernels (``_g1``, ``_g2ren``, ``_gs_ren``) hold the one body of
 each Green value and take a z that has passed it.  Below the band the
 kernels compute in float arithmetic, by the same formulas with the real
-sqrt and artanh, and the public values return complex numbers.
+sqrt and artanh, and every value there is a float; off the axis it is
+complex.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _xi_real(beta: float, e: float) -> float:
     return 1.0 / math.sqrt(2.0 * big)
 
 
-def xi(params: SystemParams, z: complex) -> complex:
+def xi(params: SystemParams, z: complex) -> complex | float:
     """xi(z) = sqrt((-z/2)(1 - sqrt(1 - (beta/z)^2)))/beta, principal branches.
 
     Evaluated through the exact rearrangement
@@ -97,11 +98,11 @@ def xi(params: SystemParams, z: complex) -> complex:
     subtractive cancellation of the literal form when |beta/z| is small.
     Where |beta/z| is too large to square, sqrt(1 - w^2) is taken as
     sqrt(1 - w) sqrt(1 + w), the same branch off the real axis.  Real z must
-    lie at or below -beta (below 0 at beta = 0).
+    lie at or below -beta (below 0 at beta = 0), and there xi is a float.
     """
     z = complex(z)
     if z.imag == 0.0:
-        return complex(_xi_real(params.beta, z.real))
+        return _xi_real(params.beta, z.real)
     b = params.beta
     if b == 0.0:
         return 1.0 / (2.0 * cmath.sqrt(-z))
@@ -145,10 +146,7 @@ def _g1(params: SystemParams, z: complex) -> complex | float:
     than rounding can make up.
     """
     x = xi(params, z)
-    if z.imag == 0.0:
-        x, atanh = x.real, math.atanh
-    else:
-        atanh = artanh_branch
+    atanh = math.atanh if z.imag == 0.0 else artanh_branch
     a = params.alpha
     w = a * x
     if abs(w) < _SMALL_ARG:
@@ -160,14 +158,15 @@ def _g1(params: SystemParams, z: complex) -> complex | float:
 
 def _g2ren(params: SystemParams, z: complex) -> complex | float:
     """G_2^ren(0;z) at a complex z that has passed ``_check_real_z``; a float
-    on the real axis (and the zero at alpha = beta = 0), where math.atanh is
-    safe for the reason given in ``_g1`` and -z > Sigma >= 0."""
+    on the real axis, where math.atanh is safe for the reason given in ``_g1``
+    and -z > Sigma >= 0.  At alpha = beta = 0 it is a zero of the same type."""
     a, b = params.alpha, params.beta
+    real = z.imag == 0.0
     if a == 0.0 and b == 0.0:
-        return 0.0
+        return 0.0 if real else 0j
     x = xi(params, z)
-    if z.imag == 0.0:
-        x, sqrt, atanh, mz = x.real, math.sqrt, math.atanh, -z.real
+    if real:
+        sqrt, atanh, mz = math.sqrt, math.atanh, -z.real
     else:
         sqrt, atanh, mz = cmath.sqrt, artanh_branch, -z
     out = 0.0
@@ -187,7 +186,7 @@ def _gs_ren(params: SystemParams, s: int, z: complex) -> complex | float:
     return g2 - s * params.beta * _g1(params, z)
 
 
-def g1_origin(params: SystemParams, z: complex) -> complex:
+def g1_origin(params: SystemParams, z: complex) -> complex | float:
     """artanh(alpha*xi(z))/(4*pi*alpha); alpha -> 0 limit xi(z)/(4*pi).
 
     The small-argument branch uses artanh(w)/w = 1 + w^2/3 + w^4/5 + O(w^6),
@@ -195,10 +194,10 @@ def g1_origin(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     _check_real_z(params, z)
-    return complex(_g1(params, z))
+    return _g1(params, z)
 
 
-def g2ren_origin(params: SystemParams, z: complex) -> complex:
+def g2ren_origin(params: SystemParams, z: complex) -> complex | float:
     """Renormalized second Green value at the origin.
 
     sqrt(-z)/(4 pi) - B(z)/(4 pi) + (alpha/(8 pi)) artanh(alpha xi(z)),
@@ -207,12 +206,12 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex:
     """
     z = complex(z)
     _check_real_z(params, z)
-    return complex(_g2ren(params, z))
+    return _g2ren(params, z)
 
 
-def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex:
+def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex | float:
     """Spin-channel combination G_2^ren(0;z) - s*beta*G_1(0;z), s = +-1."""
     _check_spin(s)
     z = complex(z)
     _check_real_z(params, z)
-    return complex(_gs_ren(params, s, z))
+    return _gs_ren(params, s, z)

@@ -158,19 +158,18 @@ def _edge_factors(a: float, b: float, omega_plus: float,
     return _channel_factors(a, b, 1.0 / r, omega_plus, omega_minus, art)
 
 
-def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) -> complex:
+def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) -> float:
     """gamma minus the product of the two channel factors at real energy E.
 
     Zeros coincide with those of det(Gamma - Q(E)).  E must lie below the
     band, as for every real-axis Green value: PoleError inside the pole
-    guard around -Sigma, DomainError elsewhere on [-Sigma, inf).  The value
-    is real; it is returned as a complex number.
+    guard around -Sigma, DomainError elsewhere on [-Sigma, inf).
     """
     e = float(e)
-    _check_real_z(params, complex(e))
+    _check_real_z(params, e)
     cp, cm = _channel_factors(params.alpha, params.beta, _xi_real(params.beta, e),
                               eff.omega_plus, eff.omega_minus)
-    return complex(eff.gamma - cp * cm)
+    return eff.gamma - cp * cm
 
 
 def _warn(message: str) -> None:
@@ -381,8 +380,8 @@ def discrete_eigenvalues(params: SystemParams,
     pp, mm, pm = gamma_matrix.pp, gamma_matrix.mm, abs(gamma_matrix.pm)
 
     def branches(e: float) -> tuple[float, float]:
-        q = krein_q(params, complex(e))
-        m11, m22 = pp - q.q_pp.real, mm - q.q_mm.real
+        q = krein_q(params, e)
+        m11, m22 = pp - q.q_pp, mm - q.q_mm
         h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), pm)
         return h - r, h + r
 
@@ -418,14 +417,23 @@ def discrete_eigenvalues(params: SystemParams,
     if (len(found) == 2 and abs(found[0] - found[1])
             <= _EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
         found, method = [0.5 * (found[0] + found[1])], RootMethod.EVEN_ORDER
-    roots = tuple(DiscreteRoot(e, abs(secular_det(params, gamma_matrix, complex(e)).real),
-                               method) for e in sorted(found))
+    roots = tuple(DiscreteRoot(e, abs(secular_det(params, gamma_matrix, e)), method)
+                  for e in sorted(found))
 
+    # secular_function agrees at a root that it puts within its noise floor,
+    # or where it changes sign within the even-order resolution; next to the
+    # edge gamma - c_+ c_- can be so steep that a root exact to rounding reads
+    # far from zero.  The window ends at the grid's last node, below -Sigma
+    # and outside the pole guard
     for r in roots:
-        sf = abs(secular_function(params, eff, r.energy))
-        if sf > 1e-5 * (1.0 + abs(eff.gamma)):
-            _warn(f"root {r.energy} has secular residual {sf:.3e}; "
-                  "formulations disagree")
+        e = r.energy
+        sf = abs(secular_function(params, eff, e))
+        if not sf > 1e-5 * (1.0 + abs(eff.gamma)):
+            continue
+        w = _EVEN_ORDER_RESOLUTION * max(1.0, abs(e))
+        lo, hi = (secular_function(params, eff, x) for x in (e - w, min(e + w, grid[-1])))
+        if not min(lo, hi) <= 0.0 <= max(lo, hi):
+            _warn(f"root {e} has secular residual {sf:.3e}; formulations disagree")
     return roots
 
 
@@ -617,7 +625,7 @@ def embedded_large_alpha(params: SystemParams,
         if res <= _T3_ACCEPT * (1.0 + abs(g)):
             e = e_nu(b, nu, x)
             out.append(EmbeddedRoot(e, res, "T3",
-                                    series_valid=series_validity(params, complex(e)).any))
+                                    series_valid=series_validity(params, e).any))
     return tuple(sorted(out, key=lambda r: r.energy))
 
 

@@ -46,6 +46,14 @@ class TestQfunc:
         data = json.loads(out)
         assert data["det_re"] == pytest.approx(2.25, abs=1e-10)
 
+    def test_real_det_prints_a_positive_zero_imaginary_part(self, capsys):
+        # below the band det is a float, so its imaginary part is 0.0 also
+        # where both diagonal entries of Gamma - Q are negative
+        code, out, _ = run(capsys, "qfunc", "--alpha", "2", "--beta", "0.5",
+                           "--z-re", "-3", "--c", "0.5", "--r", "0.2")
+        assert code == 0
+        assert '"det_im":0.0,' in out and '"det_re":2.76399567352138' in out
+
     @pytest.mark.parametrize("argv,golden", [
         (["--alpha", "2", "--beta", "0.5", "--z-re", "-3"], "qfunc_real.json"),
         (["--alpha", "1", "--beta", "0.5", "--z-re", "0", "--z-im", "1"], "readme_qfunc.json")])

@@ -2,8 +2,10 @@
 
 Every Green-layer entry point returns finite values or raises DomainError
 (PoleError is one) for any parameters, any real E and any complex z with
-|z| in [1e-300, 1e300]; off the axis Q is conjugation-symmetric and has
-Im Q > 0 in the upper half-plane, to the rounding of the terms of Q.
+|z| in [1e-300, 1e300]: floats at real E, and complex numbers off the axis
+except the squared norms, which are real.  Off the axis Q is
+conjugation-symmetric and has Im Q > 0 in the upper half-plane, to the
+rounding of the terms of Q.
 """
 
 import cmath
@@ -51,23 +53,25 @@ def _finite(v) -> bool:
 
 
 def _entries(p: SystemParams, z: complex):
-    return (lambda: dataclasses.astuple(krein_q(p, z)),
-            lambda: (g1_origin(p, z),),
-            lambda: (g2ren_origin(p, z),),
-            lambda: (gs_ren_origin(p, 1, z),),
-            lambda: (gs_ren_origin(p, -1, z),),
-            lambda: (phi_norm_sq(p, 1, z),),
-            lambda: (phi_norm_sq(p, -1, z),),
-            lambda: (secular_function(p, EFF, z.real),) if z.imag == 0.0 else ())
+    """Each entry point at z, with the type of the values it returns there."""
+    value = float if z.imag == 0.0 else complex
+    return ((lambda: dataclasses.astuple(krein_q(p, z)), value),
+            (lambda: (g1_origin(p, z),), value),
+            (lambda: (g2ren_origin(p, z),), value),
+            (lambda: (gs_ren_origin(p, 1, z),), value),
+            (lambda: (gs_ren_origin(p, -1, z),), value),
+            (lambda: (phi_norm_sq(p, 1, z),), float),
+            (lambda: (phi_norm_sq(p, -1, z),), float),
+            (lambda: (secular_function(p, EFF, z.real),) if z.imag == 0.0 else (), float))
 
 
 def _check(p: SystemParams, z: complex) -> None:
-    for call in _entries(p, z):
+    for call, kind in _entries(p, z):
         try:
             values = call()
         except DomainError:
             continue
-        assert all(_finite(v) for v in values), (p, z, values)
+        assert all(type(v) is kind and _finite(v) for v in values), (p, z, values)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)

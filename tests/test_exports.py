@@ -4,11 +4,6 @@ from pathlib import Path
 
 import rashba_contact
 
-# public functions with no caller in the package yet: resolvent_correction
-# awaits the limiting-absorption check of embedded roots
-NO_CALLER_YET = {"resolvent_correction"}
-
-
 def test_all_names_resolve_once():
     names = rashba_contact.__all__
     assert len(names) == len(set(names))
@@ -49,7 +44,7 @@ def test_every_public_function_has_a_caller_in_the_package():
                 used.add(node.attr)
     functions = {name for name in rashba_contact.__all__
                  if inspect.isfunction(getattr(rashba_contact, name))}
-    assert functions - used == NO_CALLER_YET
+    assert functions - used == set()
 
 
 def test_every_public_member_is_read_in_the_package():

@@ -127,10 +127,14 @@ def _full_grid_solve(p, gm):
     roots = tuple(spectrum.DiscreteRoot(e, abs(secular_det(p, gm, complex(e)).real), method)
                   for e in sorted(found))
     for r in roots:
-        sf = abs(secular_function(p, eff, r.energy))
-        if sf > 1e-5 * (1.0 + abs(eff.gamma)):
-            messages.append(f"root {r.energy} has secular residual {sf:.3e}; "
-                            "formulations disagree")
+        e = r.energy
+        sf = abs(secular_function(p, eff, e))
+        if not sf > 1e-5 * (1.0 + abs(eff.gamma)):
+            continue
+        w = spectrum._EVEN_ORDER_RESOLUTION * max(1.0, abs(e))
+        lo, hi = (secular_function(p, eff, x) for x in (e - w, min(e + w, float(grid[-1]))))
+        if not min(lo, hi) <= 0.0 <= max(lo, hi):
+            messages.append(f"root {e} has secular residual {sf:.3e}; formulations disagree")
     return roots, messages
 
 
@@ -293,7 +297,7 @@ class TestDiscrete:
         # sign change above e_min = -100
         for q_above_e_min in (1e9, -1e9):
             def fake_q(p, z, q_above_e_min=q_above_e_min):
-                q = complex(1e9 if z.real < -99.0 else q_above_e_min)
+                q = 1e9 if z < -99.0 else q_above_e_min
                 return KreinQ(q, q)
 
             monkeypatch.setattr(spectrum, "krein_q", fake_q)
@@ -304,7 +308,7 @@ class TestDiscrete:
         # C at the band edge of this CaseB point is positive definite, so no
         # root exists; a Q that gives the walk two must not pass in silence
         def fake_q(p, z):
-            q = complex(-1e9 if z.real < -99.0 else 1e9)
+            q = -1e9 if z < -99.0 else 1e9
             return KreinQ(q, q)
 
         p, gm = SystemParams(0.3, 0.5), Hermitian2.scalar(50.0)
@@ -445,6 +449,48 @@ class TestDiscrete:
         assert [r.method for r in roots] == methods
         for r in roots:
             assert r.energy == pytest.approx(e1, rel=2.0 * gap)
+
+    def test_a_root_next_to_a_steep_edge_does_not_warn(self):
+        # a few ulps below the seam gamma - c_+ c_- rises by about 17 over the
+        # last 1e-12 before the edge: at this root, a quarter ulp from the
+        # 60-digit root, secular_function reads -1.2e-5, yet changes sign
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import branch_roots_mp
+
+        a, b = 0.47004875356927067, 0.11047291536601249
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = discrete_eigenvalues(SystemParams(a, b), Hermitian2.scalar(5.0))
+        with mpmath.workdps(60):
+            want = branch_roots_mp(a, b, 5.0, 5.0, 0.0)
+        assert len(roots) == len(want) == 1
+        assert abs(roots[0].energy - want[0]) <= math.ulp(roots[0].energy)
+
+    def test_formulations_that_disagree_warn(self, monkeypatch):
+        # a secular_function with no zero near the root
+        monkeypatch.setattr(spectrum, "secular_function", lambda p, eff, e: 1.0)
+        with pytest.warns(UserWarning, match="formulations disagree"):
+            roots = discrete_eigenvalues(SystemParams(0.0, 0.0), Hermitian2.scalar(0.5))
+        assert len(roots) == 1
+
+    def test_the_agreement_window_ends_at_the_grids_last_node(self, monkeypatch):
+        # a root 3e-10 relative below the pole: its window, 1e-9 relative,
+        # would reach through the pole guard onto the band
+        p = SystemParams(2.0, 0.5)
+        sigma = threshold_sigma(p)
+        e1 = -sigma - 3e-10 * sigma
+        gm = Hermitian2(krein_q(p, e1).q_pp, krein_q(p, -sigma - 1.0).q_mm)
+        seen = []
+
+        def shifted(p, eff, e):
+            seen.append(e)
+            return secular_function(p, eff, e) + 1.0
+
+        monkeypatch.setattr(spectrum, "secular_function", shifted)
+        with pytest.warns(UserWarning, match="formulations disagree"):
+            roots = discrete_eigenvalues(p, gm)
+        assert roots[-1].energy == pytest.approx(e1, rel=1e-12)
+        assert max(seen) == -sigma - 2.0 * p._pole_guard
 
     def test_root_inside_pole_guard_warns(self):
         p = SystemParams(2.0, 0.5)
