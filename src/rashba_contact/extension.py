@@ -8,6 +8,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, SingularMatrixError
 from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _gs_ren,
@@ -87,10 +88,9 @@ class EffectiveCouplings:
     gamma: float
 
 
-@dataclass(frozen=True)
-class KreinQ:
-    """Diagonal Q-matrix entries at one energy: floats below the band, where
-    Q is real, and complex numbers off the real axis."""
+class KreinQ(NamedTuple):
+    """Diagonal Q-matrix entries at one energy as an immutable named pair:
+    floats below the band, where Q is real, and complex off the real axis."""
 
     q_pp: complex | float
     q_mm: complex | float
@@ -173,19 +173,19 @@ def gamma_for_couplings(params: SystemParams, omega_plus: float, omega_minus: fl
 def krein_q(params: SystemParams, z: complex) -> KreinQ:
     """Diagonal Q entries N_s^2 (G_s^ren(0;z) - sqrt(-z)/(4 pi) - Lambda_s).
 
-    Below the band the entries are floats, computed in float arithmetic.
-    Real z on the band [-Sigma, inf) raises, as in every Green value: there Q
-    has no single real-axis value.  Inside the pole guard around -Sigma the
-    error is PoleError, elsewhere DomainError.
+    Returns the immutable named pair ``KreinQ``, of floats below the band
+    (computed in float arithmetic).  Real z on the band [-Sigma, inf) raises,
+    as in every Green value: there Q has no single real-axis value.  Inside
+    the pole guard around -Sigma the error is PoleError, elsewhere DomainError.
     """
     z = complex(z)
-    nd = normalization(params)
+    nd = _normalization_cached(params.alpha, params.beta)
     _check_real_z(params, z)
     g_p, g_m = _gs_ren(params, 1, z), _gs_ren(params, -1, z)
     sq = (math.sqrt(-z.real) if z.imag == 0.0 else cmath.sqrt(-z)) / FOUR_PI
     q_pp = nd.n_plus ** 2 * (g_p - sq - nd.lambda_plus)
     q_mm = nd.n_minus ** 2 * (g_m - sq - nd.lambda_minus)
-    return KreinQ(q_pp=q_pp, q_mm=q_mm)
+    return KreinQ(q_pp, q_mm)
 
 
 def secular_det(params: SystemParams, gamma_matrix: Hermitian2,

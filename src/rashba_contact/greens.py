@@ -79,15 +79,18 @@ def _sqrt_e2_minus_b2(e: float, b: float) -> float:
 
 
 def _xi_real(beta: float, e: float) -> float:
-    """Real positive xi at E <= -beta (E < 0 at beta = 0), as a float."""
+    """Real positive xi at E <= -beta (E < 0 at beta = 0), |E| <= _E_MAX; a float."""
     if beta == 0.0:
         if not e < 0.0:
             raise DomainError("xi with beta = 0 requires E < 0")
+        if -e > _E_MAX:
+            raise DomainError(f"|E| = {-e} is beyond the float range of xi")
         return 1.0 / (2.0 * math.sqrt(-e))
     if not e <= -beta:
         raise DomainError(f"real xi requires E <= -beta = {-beta}, got {e}")
-    big = -e + _sqrt_e2_minus_b2(e, beta)
-    return 1.0 / math.sqrt(2.0 * big)
+    ee = e * e
+    w = math.sqrt(ee - beta * beta) if _TINY <= ee < math.inf else _sqrt_e2_minus_b2(e, beta)
+    return 1.0 / math.sqrt(2.0 * (-e + w))
 
 
 def xi(params: SystemParams, z: complex) -> complex | float:
@@ -158,22 +161,18 @@ def _g1(params: SystemParams, z: complex) -> complex | float:
 
 def _g2ren(params: SystemParams, z: complex) -> complex | float:
     """G_2^ren(0;z) at a complex z that has passed ``_check_real_z``; a float
-    on the real axis, where math.atanh is safe for the reason given in ``_g1``
-    and -z > Sigma >= 0.  At alpha = beta = 0 it is a zero of the same type."""
+    on the real axis, where -z > Sigma >= 0 and math.atanh is safe (``_g1``).
+    At alpha = beta = 0 a zero of z's type, once xi has checked z's range."""
     a, b = params.alpha, params.beta
     real = z.imag == 0.0
+    x = xi(params, z)
     if a == 0.0 and b == 0.0:
         return 0.0 if real else 0j
-    x = xi(params, z)
-    if real:
-        sqrt, atanh, mz = math.sqrt, math.atanh, -z.real
-    else:
-        sqrt, atanh, mz = cmath.sqrt, artanh_branch, -z
     out = 0.0
     if b != 0.0:
-        out = (sqrt(mz) - 1.0 / (2.0 * x)) / FOUR_PI
+        out = ((math.sqrt(-z.real) if real else cmath.sqrt(-z)) - 1.0 / (2.0 * x)) / FOUR_PI
     if a != 0.0:
-        out += a * atanh(a * x) / EIGHT_PI
+        out += a * (math.atanh(a * x) if real else artanh_branch(a * x)) / EIGHT_PI
     return out
 
 

@@ -26,7 +26,8 @@ from .model import (Regime, RegimeInfo, SystemParams, classify_regime, series_va
 
 _GRID_NODES = 2048
 _SCAN_NODES = 1000
-# the scan grid is linspace built by hand from this: same nodes, no per-call setup
+# the geomspace and linspace grids built by hand: same nodes, no per-call setup
+_GRID_STEPS = np.arange(_GRID_NODES, dtype=float)
 _SCAN_STEPS = np.arange(_SCAN_NODES, dtype=float)
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
@@ -170,6 +171,16 @@ def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) ->
     cp, cm = _channel_factors(params.alpha, params.beta, _xi_real(params.beta, e),
                               eff.omega_plus, eff.omega_minus)
     return eff.gamma - cp * cm
+
+
+def _geomspace(start: float, stop: float) -> np.ndarray:
+    """np.geomspace(start, stop, _GRID_NODES) bit for bit, from ``_GRID_STEPS``."""
+    lo, hi = np.log10(start), np.log10(stop)
+    y = _GRID_STEPS * ((hi - lo) / (_GRID_NODES - 1)) + lo
+    y[-1] = hi
+    out = np.power(10.0, y)
+    out[0], out[-1] = start, stop
+    return out
 
 
 def _warn(message: str) -> None:
@@ -386,7 +397,7 @@ def discrete_eigenvalues(params: SystemParams,
         return h - r, h + r
 
     edge = 2.0 * params._pole_guard if pole else 1e-14 * max(1.0, sigma)
-    grid = (-sigma - np.geomspace(edge, -e_min - sigma, _GRID_NODES))[::-1].tolist()
+    grid = (-sigma - _geomspace(edge, -e_min - sigma))[::-1].tolist()
     names = ("lambda_-", "lambda_+")
     first, last = branches(grid[0]), branches(grid[-1])
     for k in (0, 1):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from rashba_contact import (DomainError, EffectiveCouplings, ExtensionKind,
-                            Hermitian2, PoleError, SingularMatrixError,
+                            Hermitian2, KreinQ, PoleError, SingularMatrixError,
                             SystemParams, effective_couplings, g1_origin,
                             g2ren_origin, gamma_for_couplings, gamma_from_cr,
                             gs_ren_origin, krein_q, normalization,
                             phi_norm_sq, secular_det,
-                            secular_function, threshold_sigma)
+                            secular_function, threshold_sigma, xi)
 from rashba_contact import model
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI
 
@@ -187,6 +187,26 @@ class TestKreinQ:
             q = krein_q(p, z)
             assert q.q_pp.imag > 0.0 and q.q_mm.imag > 0.0
 
+    def test_immutable_named_pair(self):
+        p = SystemParams(2.0, 0.5)
+        q = krein_q(p, -3.0)
+        with pytest.raises(AttributeError):
+            q.q_pp = 0.0
+        with pytest.raises(AttributeError):
+            q.q_mm = 0.0
+        assert (q.entry(1), q.entry(-1)) == (q.q_pp, q.q_mm) == tuple(q)
+        assert q.q_pp != q.q_mm
+        assert repr(KreinQ(1j, 2j)) == "KreinQ(q_pp=1j, q_mm=2j)"
+        assert repr(q) == f"KreinQ(q_pp={q.q_pp!r}, q_mm={q.q_mm!r})"
+
+    def test_entry_types(self):
+        # floats below the band, complex numbers off the real axis
+        p = SystemParams(2.0, 0.5)
+        assert all(type(v) is float for v in krein_q(p, -3.0))
+        assert all(type(v) is float for v in krein_q(p, complex(-3.0)))
+        for z in (-1 + 1j, 1j, -3.0 - 1e-3j):
+            assert all(type(v) is complex for v in krein_q(p, z))
+
     def test_real_below_edge(self):
         p = SystemParams(1.0, 0.5)
         for e in (-0.7, -2.0, -9.0):
@@ -323,6 +343,22 @@ class TestFloatRange:
             krein_q(self.P, z)
         with pytest.raises(DomainError, match="beyond the float range of xi"):
             phi_norm_sq(self.P, 1, z)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.3])
+    @pytest.mark.parametrize("e", [-math.inf, -1e308])
+    def test_every_real_axis_entry_raises_beyond_float_range(self, alpha, beta, e):
+        # the same rule at beta = 0, where xi = 1/(2 sqrt(-E)) needs no E^2
+        p = SystemParams(alpha, beta)
+        eff = EffectiveCouplings(0.5, -0.25, 0.1)
+        calls = [lambda: xi(p, e), lambda: g1_origin(p, e), lambda: g2ren_origin(p, e),
+                 lambda: krein_q(p, e), lambda: secular_det(p, Hermitian2.scalar(0.1), e),
+                 lambda: secular_function(p, eff, e)]
+        for s in (1, -1):
+            calls += [lambda s=s: gs_ren_origin(p, s, e), lambda s=s: phi_norm_sq(p, s, e)]
+        for call in calls:
+            with pytest.raises(DomainError, match="beyond the float range of xi"):
+                call()
 
 
 class TestPoleGuard:

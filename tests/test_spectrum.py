@@ -217,6 +217,19 @@ SMALL_ALPHA_CASEB_ROOTS = [
 
 
 class TestDiscrete:
+    def test_grid_is_geomspace_bit_for_bit(self):
+        # the grid's ends: edge between 1e-14 and twice the pole guard,
+        # 2e-10 max(1, Sigma); top from 100 up to near 1.3e154, where e_min
+        # squared overflows and the solve raises DomainError
+        rng = np.random.default_rng(2029)
+        for _ in range(1000):
+            sigma = 10.0 ** rng.uniform(-6.0, 6.0)
+            edge = 10.0 ** rng.uniform(-14.0, math.log10(2e-10 * max(1.0, sigma)))
+            top = 10.0 ** rng.uniform(2.0, 154.1)
+            got = spectrum._geomspace(edge, top)
+            want = np.geomspace(edge, top, spectrum._GRID_NODES)
+            assert got.tobytes() == want.tobytes(), (edge, top)
+
     def test_free_double_root(self):
         p = SystemParams(0.0, 0.0)
         g = 0.5
