@@ -177,15 +177,24 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     (computed in float arithmetic).  Real z on the band [-Sigma, inf) raises,
     as in every Green value: there Q has no single real-axis value.  Inside
     the pole guard around -Sigma the error is PoleError, elsewhere DomainError.
+
+    N_s and Lambda_s stay memoized per (alpha, beta) (``normalization``); the
+    first evaluation at a parameter point keeps (N_+^2, N_-^2, Lambda_+,
+    Lambda_-) on it as ``params._q_scale``, and later ones read it from there.
     """
     z = complex(z)
-    nd = _normalization_cached(params.alpha, params.beta)
+    scale = params._q_scale
+    if scale is None:
+        nd = _normalization_cached(params.alpha, params.beta)
+        scale = (nd.n_plus ** 2, nd.n_minus ** 2, nd.lambda_plus, nd.lambda_minus)
+        # equal tuples from concurrent first calls: the write is idempotent
+        object.__setattr__(params, "_q_scale", scale)
+    n2_p, n2_m, lam_p, lam_m = scale
     _check_real_z(params, z)
     g_p, g_m = _gs_ren(params, 1, z), _gs_ren(params, -1, z)
     sq = (math.sqrt(-z.real) if z.imag == 0.0 else cmath.sqrt(-z)) / FOUR_PI
-    q_pp = nd.n_plus ** 2 * (g_p - sq - nd.lambda_plus)
-    q_mm = nd.n_minus ** 2 * (g_m - sq - nd.lambda_minus)
-    return KreinQ(q_pp, q_mm)
+    # the call NamedTuple's generated __new__ makes, without its Python frame
+    return tuple.__new__(KreinQ, (n2_p * (g_p - sq - lam_p), n2_m * (g_m - sq - lam_m)))
 
 
 def secular_det(params: SystemParams, gamma_matrix: Hermitian2,

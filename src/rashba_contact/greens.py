@@ -180,9 +180,10 @@ def _gs_ren(params: SystemParams, s: int, z: complex) -> complex | float:
     """G_s^ren(0;z) at a spin s = +-1 and a complex z that have passed their
     checks; a float on the real axis."""
     g2 = _g2ren(params, z)
-    if params.beta == 0.0:
+    b = params.beta
+    if b == 0.0:
         return g2
-    return g2 - s * params.beta * _g1(params, z)
+    return g2 - s * b * _g1(params, z)
 
 
 def g1_origin(params: SystemParams, z: complex) -> complex | float:

@@ -32,6 +32,8 @@ class SystemParams:
     The threshold Sigma and the half-width of the pole guard around -Sigma
     (zero where artanh(alpha*xi) has no pole there) are computed once, at
     construction, and kept as private attributes outside the dataclass fields.
+    So is the Q scale ``_q_scale``, (N_+^2, N_-^2, Lambda_+, Lambda_-): None
+    until its owner, ``extension.krein_q``, fills it at its first evaluation.
     """
 
     alpha: float
@@ -59,6 +61,7 @@ class SystemParams:
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_pole_guard",
                            _POLE_GUARD * max(1.0, sigma) if pole else 0.0)
+        object.__setattr__(self, "_q_scale", None)
 
 
 @dataclass(frozen=True)

@@ -391,8 +391,8 @@ def discrete_eigenvalues(params: SystemParams,
     pp, mm, pm = gamma_matrix.pp, gamma_matrix.mm, abs(gamma_matrix.pm)
 
     def branches(e: float) -> tuple[float, float]:
-        q = krein_q(params, e)
-        m11, m22 = pp - q.q_pp, mm - q.q_mm
+        q_pp, q_mm = krein_q(params, e)
+        m11, m22 = pp - q_pp, mm - q_mm
         h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), pm)
         return h - r, h + r
 
@@ -405,13 +405,13 @@ def discrete_eigenvalues(params: SystemParams,
             raise AssertionError(f"{names[k]} <= 0 at e_min = {e_min}, against the bound")
     # lambda_- <= lambda_+, so lambda_- is <= 0 first: walk it up to its first
     # node <= 0, then lambda_+ on from there
-    found, i, prev, cur = [], 0, first, first
+    found, i, prev, cur, end = [], 0, first, first, len(grid) - 1
     for k in (0, 1):
         if not last[k] <= 0.0:
             break
         while not cur[k] <= 0.0:
             i += 1
-            prev, cur = cur, last if i == len(grid) - 1 else branches(grid[i])
+            prev, cur = cur, last if i == end else branches(grid[i])
         found.append(grid[i] if cur[k] == 0.0 else _brent(
             lambda e, k=k: branches(e)[k], grid[i - 1], grid[i], prev[k], cur[k]))
     count, reason = _edge_count(params, eff)

@@ -56,7 +56,11 @@ class TestQfunc:
 
     @pytest.mark.parametrize("argv,golden", [
         (["--alpha", "2", "--beta", "0.5", "--z-re", "-3"], "qfunc_real.json"),
-        (["--alpha", "1", "--beta", "0.5", "--z-re", "0", "--z-im", "1"], "readme_qfunc.json")])
+        (["--alpha", "1", "--beta", "0.5", "--z-re", "0", "--z-im", "1"], "readme_qfunc.json"),
+        # the small-alpha xi series of G_1 on the real axis, and alpha = 0 off it
+        (["--alpha", "1e-05", "--beta", "0.3", "--z-re", "-1"], "qfunc_small_alpha.json"),
+        (["--alpha", "0", "--beta", "0.5", "--z-re", "-0.5", "--z-im", "0.25"],
+         "qfunc_alpha0_complex.json")])
     def test_output_is_byte_stable(self, capsys, argv, golden):
         # the stored bytes carry the sign of every zero: below the band Q is
         # computed in float arithmetic and its imaginary parts print as 0.0

@@ -1,5 +1,9 @@
 import cmath
+import dataclasses
+import json
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,14 @@ from rashba_contact import (DomainError, EffectiveCouplings, ExtensionKind,
                             gs_ren_origin, krein_q, normalization,
                             phi_norm_sq, secular_det,
                             secular_function, threshold_sigma, xi)
-from rashba_contact import model
+from rashba_contact import extension, model
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI
+
+# float.hex of krein_q at 40 seeded z per parameter point: real E from the
+# first float outside the pole guard down to -1e3, complex z down to
+# |Im z| = 1e-8; each row is z, then Q_++ and Q_-- (real and imaginary parts)
+KREIN_Q_GOLDEN = json.loads((Path(__file__).resolve().parent / "data"
+                             / "krein_q_golden.json").read_text())["points"]
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)      # normalization at alpha = beta = 0
 RMAP = (math.acosh(3.0) - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0) + math.pi)
@@ -198,6 +208,8 @@ class TestKreinQ:
         assert q.q_pp != q.q_mm
         assert repr(KreinQ(1j, 2j)) == "KreinQ(q_pp=1j, q_mm=2j)"
         assert repr(q) == f"KreinQ(q_pp={q.q_pp!r}, q_mm={q.q_mm!r})"
+        for z in (-3.0, complex(-3.0), -1 + 1j, 1j):
+            assert type(krein_q(p, z)) is KreinQ, z
 
     def test_entry_types(self):
         # floats below the band, complex numbers off the real axis
@@ -304,6 +316,94 @@ class TestKreinQ:
                 lhs = FOUR_PI * (gss / n ** 2 - q.entry(s) / n ** 2)
                 rhs = w + cmath.sqrt(-z) - FOUR_PI * gs_ren_origin(p, s, z)
                 assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
+
+
+class TestKreinQGolden:
+    @pytest.mark.parametrize("point", KREIN_Q_GOLDEN, ids=lambda pt: pt["name"])
+    def test_values_match_the_golden_bit_for_bit(self, point):
+        p = SystemParams(float.fromhex(point["alpha"]), float.fromhex(point["beta"]))
+        for row in point["rows"]:
+            z = complex(float.fromhex(row[0]), float.fromhex(row[1]))
+            q = krein_q(p, z)
+            assert all(type(v) is _value_type(z) for v in q), z
+            assert [*_bits(q.q_pp), *_bits(q.q_mm)] == row[2:], (point["name"], z)
+
+    def test_covers_every_kind_of_point(self):
+        names = [pt["name"] for pt in KREIN_Q_GOLDEN]
+        assert names == ["CaseA", "CaseB", "CaseC", "seam", "beta0", "free",
+                         "alpha1e-5", "sigma_gt_1"]
+        for pt in KREIN_Q_GOLDEN:
+            p = SystemParams(float.fromhex(pt["alpha"]), float.fromhex(pt["beta"]))
+            sigma = threshold_sigma(p)
+            real = [float.fromhex(r[0]) for r in pt["rows"] if r[1] == "0x0.0p+0"]
+            # the first float outside the pole guard, or below a band edge
+            # that has none: its upper neighbour raises
+            with pytest.raises(DomainError):
+                krein_q(p, math.nextafter(real[0], math.inf))
+            assert min(real) == -1e3 and len(pt["rows"]) - len(real) >= 18
+        assert threshold_sigma(SystemParams(3.0, 1.0)) > 1.0
+
+
+class TestQScale:
+    """krein_q keeps N_s^2 and Lambda_s on the parameter point after its
+    first evaluation there; the point's value semantics do not change."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls, cached = [], extension._normalization_cached
+        monkeypatch.setattr(extension, "_normalization_cached",
+                            lambda a, b: calls.append((a, b)) or cached(a, b))
+        return calls
+
+    def test_later_evaluations_skip_the_cache(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        p = SystemParams(2.0, 0.5)
+        krein_q(p, -3.0)
+        assert calls == [(2.0, 0.5)]
+        for z in (-4.0, -2.0 + 1j, 1j, -1e3):
+            krein_q(p, z)
+        assert calls == [(2.0, 0.5)]
+        nd = normalization(p)
+        assert p._q_scale == (nd.n_plus ** 2, nd.n_minus ** 2,
+                              nd.lambda_plus, nd.lambda_minus)
+
+    def test_a_failed_normalization_stores_nothing(self, monkeypatch):
+        def fail(a, b):
+            raise DomainError("normalization failed")
+        monkeypatch.setattr(extension, "_normalization_cached", fail)
+        p = SystemParams(2.0, 0.5)
+        with pytest.raises(DomainError, match="normalization failed"):
+            krein_q(p, -3.0)
+        assert p._q_scale is None
+
+    def test_a_fresh_equal_point_gives_the_same_bits(self):
+        used = SystemParams(0.8, 0.3)
+        zs = [-0.31, -0.5, -7.0, -2.0 + 0.5j, 1j, -0.3 - 1e-8j]
+        first = [krein_q(used, z) for z in zs]
+        again = [krein_q(used, z) for z in zs]
+        fresh = [krein_q(SystemParams(0.8, 0.3), z) for z in zs]
+        for a, b, c in zip(first, again, fresh):
+            assert ([_bits(v) for v in a] == [_bits(v) for v in b]
+                    == [_bits(v) for v in c])
+
+    def test_value_semantics_are_unchanged(self):
+        p, fresh = SystemParams(1.0, 0.5), SystemParams(1.0, 0.5)
+        before = (hash(p), repr(p), dataclasses.fields(p))
+        krein_q(p, -2.0)
+        assert p._q_scale is not None and fresh._q_scale is None
+        assert p == fresh and hash(p) == hash(fresh)
+        assert (hash(p), repr(p), dataclasses.fields(p)) == before
+        assert repr(p) == "SystemParams(alpha=1.0, beta=0.5)"
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+        assert _bits(krein_q(back, -2.0).q_pp) == _bits(krein_q(p, -2.0).q_pp)
+
+    def test_normalization_still_goes_through_the_cache(self):
+        p = SystemParams(0.4, 0.5)
+        krein_q(p, -1.0)
+        hits = extension._normalization_cached.cache_info().hits
+        normalization(p)
+        assert extension._normalization_cached.cache_info().hits == hits + 1
 
 
 class TestFloatRange:
