@@ -21,7 +21,7 @@ from .perturbation import (AsymptoticEigenvalue, AsymptoticSpectrum, Branch,
                            PerturbationCoefficients, asymptotic_eigenvalues,
                            cnd0, cnd0_max, e2, expansion_coefficients, q0)
 from .spectrum import (DiscreteRoot, EmbeddedRoot, ForbiddenBandReport,
-                       LargeCouplingContext, RootMethod, SpectrumReport,
+                       LargeCouplingContext, SpectrumReport,
                        discrete_eigenvalues, e_nu, embedded_alpha0,
                        embedded_large_alpha, forbidden_band_scan,
                        large_coupling_context, secular_function,
@@ -35,7 +35,7 @@ __all__ = [
     "ExtensionKind", "ForbiddenBandReport", "Hermitian2", "KreinQ",
     "LargeCouplingContext", "NormalizationData", "PerturbationCoefficients",
     "PoleError", "QuadratureResult", "Regime", "RegimeInfo", "RegimeError",
-    "RootMethod", "SingularMatrixError", "SpectrumReport", "SystemParams",
+    "SingularMatrixError", "SpectrumReport", "SystemParams",
     "ValidityReport", "artanh_branch", "asymptotic_eigenvalues",
     "classify_regime", "cnd0", "cnd0_max", "discrete_eigenvalues", "e2", "e_nu",
     "effective_couplings", "embedded_alpha0", "embedded_large_alpha",

@@ -74,7 +74,7 @@ def _report_csv(report: SpectrumReport) -> str:
     meta = f"{report.regime.regime.value},{_fmt_float(report.regime.sigma)}"
     for r in report.discrete:
         lines.append(f"{meta},discrete,{_fmt_float(r.energy)},"
-                     f"{_fmt_float(r.residual)},{r.method.value}")
+                     f"{_fmt_float(r.residual)},sign-change")
     for r in report.embedded:
         lines.append(f"{meta},embedded,{_fmt_float(r.energy)},"
                      f"{_fmt_float(r.condition_residual)},{r.theorem}")

@@ -7,7 +7,6 @@ no-coupling case (theorem tag "T1") and of the large-coupling case ("T3").
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import sys
@@ -36,8 +35,9 @@ _EPS = np.finfo(float).eps
 # relative rounding slack: a level within it of a bracket end's value is met
 # there, and a channel factor within it of zero at the band edge is zero
 _ROUNDING = 4.0 * _EPS
-# relative distance within which the two branch roots are one even-order root
-_EVEN_ORDER_RESOLUTION = 1e-9
+# relative half-width of the window where secular_function must change sign
+# at a root it does not put within its noise floor
+_AGREEMENT_WINDOW = 1e-9
 # acceptance of the Theorem-1 conditions, scaled by 1 + |gamma| where gamma enters
 _T1_ACCEPT = 1e-10
 # acceptance of the Theorem-3 gamma condition, relative to 1 + |gamma|
@@ -45,16 +45,10 @@ _T3_ACCEPT = 1e-8
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
-class RootMethod(enum.Enum):
-    SIGN_CHANGE = "sign-change"
-    EVEN_ORDER = "even-order"
-
-
 @dataclass(frozen=True)
 class DiscreteRoot:
     energy: float
     residual: float
-    method: RootMethod
 
 
 @dataclass(frozen=True)
@@ -336,15 +330,14 @@ def discrete_eigenvalues(params: SystemParams,
     their product.  Each branch is bracketed at its sign change on a grid
     log-spaced in the distance to the band edge (roots accumulate there), and
     its root is found in that cell by Brent's method (``_brent``) from the
-    two node values, to a width of 1e-15*max(1,|E|).  Only the nodes that
+    two node values, to a width of one ulp(max(1,|E|)).  Only the nodes that
     decide a bracket are evaluated: both ends of the grid first, then, from
     the lower end up, the nodes up to the first one where lambda_- is <= 0,
     and on from there to the first where lambda_+ is, for each branch that
     is <= 0 at the upper end.  As the branches decrease, a branch positive
     at the upper end has no sign change on the grid, and lambda_- <=
-    lambda_+ is <= 0 first.  Branch roots closer than the fixed resolution
-    1e-9*max(1,|E|) are reported once, as an EVEN_ORDER root at their
-    midpoint.
+    lambda_+ is <= 0 first.  Each branch's root is reported as found, so a
+    double eigenvalue, where both branches vanish, is listed twice.
 
     The grid ends twice the pole guard, 2e-10*max(1, Sigma), below -Sigma
     where artanh has its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and
@@ -424,15 +417,11 @@ def discrete_eigenvalues(params: SystemParams,
               f"of the band edge {-sigma} lies {where}; it is not reported "
               f"(edge count {count}: {reason})")
 
-    method = RootMethod.SIGN_CHANGE
-    if (len(found) == 2 and abs(found[0] - found[1])
-            <= _EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
-        found, method = [0.5 * (found[0] + found[1])], RootMethod.EVEN_ORDER
-    roots = tuple(DiscreteRoot(e, abs(secular_det(params, gamma_matrix, e)), method)
+    roots = tuple(DiscreteRoot(e, abs(secular_det(params, gamma_matrix, e)))
                   for e in sorted(found))
 
     # secular_function agrees at a root that it puts within its noise floor,
-    # or where it changes sign within the even-order resolution; next to the
+    # or where it changes sign within the agreement window; next to the
     # edge gamma - c_+ c_- can be so steep that a root exact to rounding reads
     # far from zero.  The window ends at the grid's last node, below -Sigma
     # and outside the pole guard
@@ -441,7 +430,7 @@ def discrete_eigenvalues(params: SystemParams,
         sf = abs(secular_function(params, eff, e))
         if not sf > 1e-5 * (1.0 + abs(eff.gamma)):
             continue
-        w = _EVEN_ORDER_RESOLUTION * max(1.0, abs(e))
+        w = _AGREEMENT_WINDOW * max(1.0, abs(e))
         lo, hi = (secular_function(params, eff, x) for x in (e - w, min(e + w, grid[-1])))
         if not min(lo, hi) <= 0.0 <= max(lo, hi):
             _warn(f"root {e} has secular residual {sf:.3e}; formulations disagree")
@@ -771,9 +760,10 @@ def solve_spectrum(params: SystemParams,
 
     The discrete roots are every root below -Sigma outside the pole guard
     (``discrete_eigenvalues`` proves its window holds them all and counts
-    them at the band edge), found by Brent's method to 1e-15 relative and
-    resolved as two roots when more than 1e-9 relative apart; the embedded roots are accepted at the fixed levels of
-    ``embedded_alpha0`` (1e-10) and ``embedded_large_alpha`` (1e-8).  The
+    them at the band edge), found by Brent's method to one ulp(max(1, |E|)),
+    one root per branch, so a double eigenvalue is listed twice; the embedded
+    roots are accepted at the fixed levels of ``embedded_alpha0`` (1e-10)
+    and ``embedded_large_alpha`` (1e-8).  The
     trivial and Friedrichs extensions bypass the secular machinery: their
     spectrum is purely continuous, so the report carries only the band edge.
     """

@@ -79,10 +79,11 @@ def check_embedded_074() -> CheckResult:
 
 
 def check_symmetric_eigenvalue() -> CheckResult:
-    """The beta = 0 root at omega_+ = omega_- = 0: one root of the discrete solve."""
+    """The beta = 0 root at omega_+ = omega_- = 0: a double eigenvalue, both
+    roots of the discrete solve at one energy."""
     params = SystemParams(2.0, 0.0)
     roots = spectrum.discrete_eigenvalues(params, gamma_for_couplings(params, 0.0, 0.0, 0.0))
-    e = roots[0].energy if len(roots) == 1 else math.nan
+    e = roots[0].energy if len(roots) == 2 and roots[0].energy == roots[1].energy else math.nan
     return _near("symmetric-root-alpha-2", e, -1.43923, 1e-4)
 
 
@@ -318,7 +319,7 @@ def _edge_count_inputs() -> list[tuple[SystemParams, Hermitian2, int]]:
     CaseA, CaseB, CaseC and the seam in turn, and every fifth input a root
     1e-12 to 1e-6 max(1, Sigma) below the edge in each channel (gamma = 0),
     next to the pole partly inside its guard; every other one of these puts
-    both channel roots at one energy, a root of even order.  The channel
+    both channel roots at one energy, a double eigenvalue.  The channel
     matrix C rises as E falls, so the count is fixed at the edge: off the
     seam with the pole it is 2; on the seam c_- tends to -inf and c_+ =
     omega_+ + alpha/2 is drawn with either sign; without the pole C at the
@@ -399,12 +400,12 @@ def _unreported_branches(records) -> int:
 
 
 def check_root_count() -> CheckResult:
-    """Found roots (an EVEN_ORDER root twice) plus the roots the solver warns
-    of equal the inertia of the channel matrix at the band edge
-    (``spectrum._edge_count``, which needs no Q evaluation), and that count
-    is the one each input was built to have."""
+    """Found roots plus the roots the solver warns of equal the inertia of
+    the channel matrix at the band edge (``spectrum._edge_count``, which
+    needs no Q evaluation), and that count is the one each input was built
+    to have."""
     inputs = _edge_count_inputs()
-    bad, counts, warned, even = 0, [0, 0, 0], 0, 0
+    bad, counts, warned = 0, [0, 0, 0], 0
     for p, gm, want in inputs:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
@@ -413,17 +414,15 @@ def check_root_count() -> CheckResult:
             except AssertionError:          # more roots found than counted
                 bad += 1
                 continue
-        found = sum(2 if r.method is spectrum.RootMethod.EVEN_ORDER else 1 for r in roots)
         count = spectrum._edge_count(p, effective_couplings(p, gm))[0]
         unreported = _unreported_branches(rec)
-        bad += found + unreported != count or count != want
+        bad += len(roots) + unreported != count or count != want
         counts[count] += 1
         warned += unreported > 0
-        even += found > len(roots)
     return _bound("root-count-equals-edge-inertia", bad, 0,
                   detail=f"inputs where found + warned != count or count != built, "
                          f"of {len(inputs)}; counts 0/1/2 on {counts[0]}/{counts[1]}/{counts[2]}, "
-                         f"{warned} with a warned root, {even} with an even-order root")
+                         f"{warned} with a warned root")
 
 
 PAPER_CHECKS = (check_threshold_17_16, check_large_coupling_constants,

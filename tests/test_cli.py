@@ -114,14 +114,15 @@ class TestSolve:
         assert data["sigma"] == pytest.approx(1.0625)
 
     def test_free_symmetric_root(self, capsys, tmp_path):
-        # Gamma = v*I with omega = (v-1)/sqrt(2) = -1
+        # Gamma = v*I with omega = (v-1)/sqrt(2) = -1: a double eigenvalue,
+        # listed twice
         v = 1.0 - math.sqrt(2.0)
         gf = tmp_path / "g.json"
         gf.write_text(json.dumps({"pp": v, "mm": v, "pm_re": 0.0, "pm_im": 0.0}))
         code, out, _ = run(capsys, "solve", "--alpha", "0", "--beta", "0",
                            "--gamma-file", str(gf))
         data = json.loads(out)
-        assert len(data["discrete"]) == 1
+        assert len(data["discrete"]) == 2 and data["discrete"][0] == data["discrete"][1]
         assert data["discrete"][0]["E"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_distinguished_extensions(self, capsys):
@@ -177,7 +178,7 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--alpha", "1", "--beta", "1e-40",
                              "--c", "-1", "--r", "0")
         assert code == 0 and err == ""
-        assert [r["E"] for r in json.loads(out)["discrete"]] == [-0.28145835554097498]
+        assert [r["E"] for r in json.loads(out)["discrete"]] == [-0.28145835554097498] * 2
         code, out, err = run(capsys, "solve", "--alpha", "5", "--beta", "1e-300",
                              "--c", "-1", "--r", "0")
         assert code == 0 and err == "" and json.loads(out)["regime"] == "CaseC"
@@ -403,6 +404,14 @@ class TestReadme:
                          "--c-to=-1e4", "--steps", "40", "--log", "--out", str(sweep))
         assert code == 0
         assert sweep.read_bytes() == (DATA / "readme_sweep.csv").read_bytes()
+
+    def test_solve_csv_is_byte_stable(self, capsys):
+        # the README solve as CSV: every discrete row carries the label
+        # sign-change, as it did while the label named the root's method
+        code, out, _ = run(capsys, "solve", "--alpha", "2", "--beta", "0.5",
+                           "--c", "-50", "--r", "-0.17850", "--format", "csv")
+        assert code == 0
+        assert out.encode() == (DATA / "readme_solve.csv").read_bytes()
 
 
 class TestVerify:

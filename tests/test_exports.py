@@ -15,7 +15,7 @@ def test_every_public_import_is_listed():
     public = {name for name, obj in vars(rashba_contact).items()
               if not name.startswith("_")
               and (inspect.isclass(obj) or inspect.isfunction(obj))}
-    assert {"xi", "krein_q", "SystemParams", "RootMethod"} <= public
+    assert {"xi", "krein_q", "SystemParams", "DiscreteRoot"} <= public
     assert public <= set(rashba_contact.__all__), sorted(public - set(rashba_contact.__all__))
 
 

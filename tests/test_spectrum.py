@@ -9,7 +9,7 @@ import pytest
 
 from rashba_contact import (DomainError, EffectiveCouplings,
                             ExtensionKind, Hermitian2, KreinQ, PoleError,
-                            RegimeError, RootMethod, SystemParams,
+                            RegimeError, SystemParams,
                             discrete_eigenvalues, e_nu,
                             effective_couplings, embedded_alpha0,
                             embedded_large_alpha, forbidden_band_scan,
@@ -120,18 +120,14 @@ def _full_grid_solve(p, gm):
         messages.append(f"the root of {' and '.join(names[len(found):count])} within "
                         f"{edge:.3g} of the band edge {-sigma} lies {where}; it is not reported "
                         f"(edge count {count}: {reason})")
-    method = RootMethod.SIGN_CHANGE
-    if (len(found) == 2 and abs(found[0] - found[1])
-            <= spectrum._EVEN_ORDER_RESOLUTION * max(1.0, abs(found[0]))):
-        found, method = [0.5 * (found[0] + found[1])], RootMethod.EVEN_ORDER
-    roots = tuple(spectrum.DiscreteRoot(e, abs(secular_det(p, gm, complex(e)).real), method)
+    roots = tuple(spectrum.DiscreteRoot(e, abs(secular_det(p, gm, complex(e)).real))
                   for e in sorted(found))
     for r in roots:
         e = r.energy
         sf = abs(secular_function(p, eff, e))
         if not sf > 1e-5 * (1.0 + abs(eff.gamma)):
             continue
-        w = spectrum._EVEN_ORDER_RESOLUTION * max(1.0, abs(e))
+        w = spectrum._AGREEMENT_WINDOW * max(1.0, abs(e))
         lo, hi = (secular_function(p, eff, x) for x in (e - w, min(e + w, float(grid[-1]))))
         if not min(lo, hi) <= 0.0 <= max(lo, hi):
             messages.append(f"root {e} has secular residual {sf:.3e}; formulations disagree")
@@ -231,12 +227,13 @@ class TestDiscrete:
             assert got.tobytes() == want.tobytes(), (edge, top)
 
     def test_free_double_root(self):
+        # a scalar Gamma at alpha = beta = 0: both branches vanish at one
+        # energy, and the double eigenvalue is listed twice
         p = SystemParams(0.0, 0.0)
         g = 0.5
         roots = discrete_eigenvalues(p, Hermitian2.scalar(g))
         w = (g - 1.0) / math.sqrt(2.0)
-        assert len(roots) == 1
-        assert roots[0].method is RootMethod.EVEN_ORDER
+        assert len(roots) == 2 and roots[0].energy == roots[1].energy
         assert roots[0].energy == pytest.approx(-w * w, rel=1e-10)
 
     def test_near_zero_beta_symmetric(self):
@@ -397,7 +394,6 @@ class TestDiscrete:
         p = SystemParams(0.0, 0.5)
         roots = discrete_eigenvalues(p, gamma_for_couplings(p, -50.0, -50.0, 0.0))
         assert [r.energy for r in roots] == pytest.approx([-2500.5, -2499.5], rel=1e-12)
-        assert all(r.method is RootMethod.SIGN_CHANGE for r in roots)
 
     def test_equal_omega_sweep(self):
         b = 0.5
@@ -431,14 +427,8 @@ class TestDiscrete:
                     e2 = 2.0 * e1 - e2
             gm = Hermitian2(krein_q(p, e1).q_pp.real, krein_q(p, e2).q_mm.real)
             got = [r.energy for r in discrete_eigenvalues(p, gm)]
-            want = sorted((e1, e2))
-            if want[1] - want[0] > 1e-8 * abs(want[0]):
-                assert got == pytest.approx(want, rel=1e-8), (a, b, e1, e2)
-            else:
-                assert len(got) in (1, 2), (a, b, e1, e2)
-                for e in got:
-                    assert e == pytest.approx(want[0], rel=1e-8)
-                    assert e == pytest.approx(want[1], rel=1e-8)
+            # close pairs too: one root per branch, each within 1e-8
+            assert got == pytest.approx(sorted((e1, e2)), rel=1e-8), (a, b, e1, e2)
 
     def test_small_alpha_caseb_roots_match_mpmath(self):
         # at small alpha, Lambda_s reads artanh(alpha xi(i)) just above G_1's
@@ -449,19 +439,15 @@ class TestDiscrete:
                                                           Hermitian2(pp, mm, pm))]
             assert got == pytest.approx(list(want), rel=1e-14, abs=0.0), (a, b)
 
-    @pytest.mark.parametrize("gap,methods", [
-        (2e-9, [RootMethod.SIGN_CHANGE, RootMethod.SIGN_CHANGE]),
-        (5e-10, [RootMethod.EVEN_ORDER]),
-    ])
-    def test_even_order_resolution(self, gap, methods):
-        # channel roots gap*|E| apart at E = -2 are resolved iff gap > 1e-9
+    @pytest.mark.parametrize("gap", [2e-9, 5e-10])
+    def test_close_channel_roots_are_both_reported(self, gap):
+        # channel roots gap*|E| apart at E = -2, on either side of 1e-9: each
+        # branch's root is reported where it lies
         p = SystemParams(2.0, 0.5)
         e1, e2 = -2.0, -2.0 * (1.0 + gap)
         gm = Hermitian2(krein_q(p, e1).q_pp.real, krein_q(p, e2).q_mm.real)
         roots = discrete_eigenvalues(p, gm)
-        assert [r.method for r in roots] == methods
-        for r in roots:
-            assert r.energy == pytest.approx(e1, rel=2.0 * gap)
+        assert [r.energy for r in roots] == pytest.approx([e2, e1], rel=1e-12, abs=0.0)
 
     def test_a_root_next_to_a_steep_edge_does_not_warn(self):
         # a few ulps below the seam gamma - c_+ c_- rises by about 17 over the
@@ -482,9 +468,11 @@ class TestDiscrete:
     def test_formulations_that_disagree_warn(self, monkeypatch):
         # a secular_function with no zero near the root
         monkeypatch.setattr(spectrum, "secular_function", lambda p, eff, e: 1.0)
-        with pytest.warns(UserWarning, match="formulations disagree"):
+        with pytest.warns(UserWarning, match="formulations disagree") as rec:
             roots = discrete_eigenvalues(SystemParams(0.0, 0.0), Hermitian2.scalar(0.5))
-        assert len(roots) == 1
+        # the free double root, listed twice: each copy is checked
+        assert len(roots) == 2
+        assert sum("formulations disagree" in str(w.message) for w in rec) == 2
 
     def test_the_agreement_window_ends_at_the_grids_last_node(self, monkeypatch):
         # a root 3e-10 relative below the pole: its window, 1e-9 relative,
@@ -505,6 +493,42 @@ class TestDiscrete:
         assert roots[-1].energy == pytest.approx(e1, rel=1e-12)
         assert max(seen) == -sigma - 2.0 * p._pole_guard
 
+    def test_two_simple_roots_next_to_the_edge(self):
+        # CaseC, gamma = 0: channel roots 1.49e-9 and 4.93e-9 below -Sigma,
+        # 3.4e-9 apart, both outside the pole guard; each is reported within
+        # a few ulps of its 50-digit value, and neither route warns
+        p = SystemParams(2.9677027571477224, 3.7888855499800984)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = discrete_eigenvalues(p, Hermitian2(1.3648654649482084, 8.189583546880181))
+        want = [-3.831794534710712, -3.831794531272113]
+        assert len(roots) == 2
+        for r, w in zip(roots, want):
+            assert abs(r.energy - w) <= 4.0 * math.ulp(w), (r.energy, w)
+
+    def test_close_pairs_next_to_the_edge(self):
+        # 200 CaseC inputs with gamma = 0 and channel roots 3e-10 to
+        # 1.5e-9 max(1, Sigma) below the edge, their depths 1.3 to 3 times
+        # apart: omega_s = -c_s at omega = 0 puts each channel's root at its
+        # depth, and both come back, with no warning
+        rng = np.random.default_rng(17)
+        for k in range(200):
+            b = float(rng.uniform(0.05, 1.0))
+            a = math.sqrt(2.0 * b) * float(rng.uniform(1.1, 2.5))
+            p = SystemParams(a, b)
+            sigma = threshold_sigma(p)
+            ratio = float(rng.uniform(1.3, 3.0))
+            d = float(10.0 ** rng.uniform(math.log10(3e-10), math.log10(1.5e-9 / ratio)))
+            d_p, d_m = (d, d * ratio) if k % 2 else (d * ratio, d)
+            e_p, e_m = (-sigma - dd * max(1.0, sigma) for dd in (d_p, d_m))
+            wp = -spectrum._channel_factors(a, b, _xi_real(b, e_p), 0.0, 0.0)[0]
+            wm = -spectrum._channel_factors(a, b, _xi_real(b, e_m), 0.0, 0.0)[1]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                roots = discrete_eigenvalues(p, gamma_for_couplings(p, wp, wm, 0.0))
+            assert [r.energy for r in roots] == pytest.approx(sorted((e_p, e_m)), rel=1e-12,
+                                                              abs=0.0), (a, b, d_p, d_m)
+
     def test_root_inside_pole_guard_warns(self):
         p = SystemParams(2.0, 0.5)
         sigma = threshold_sigma(p)
@@ -521,7 +545,7 @@ class TestDiscrete:
 
     def test_matches_the_full_grid_solve_bit_for_bit(self):
         # the solver evaluates only the nodes that decide a bracket; the
-        # roots, residuals, methods and warnings are those of the solve that
+        # roots, residuals and warnings are those of the solve that
         # evaluates every node
         seen = set()
         for p, gm in _walk_inputs():
@@ -530,18 +554,20 @@ class TestDiscrete:
                 want, messages = _full_grid_solve(p, gm)
                 assert not rec
                 got = discrete_eigenvalues(p, gm)
-            assert [(r.energy.hex(), r.residual.hex(), r.method) for r in got] == \
-                [(r.energy.hex(), r.residual.hex(), r.method) for r in want], (p, gm)
+            assert [(r.energy.hex(), r.residual.hex()) for r in got] == \
+                [(r.energy.hex(), r.residual.hex()) for r in want], (p, gm)
             assert [str(w.message) for w in rec] == messages, (p, gm)
-            seen.update(r.method for r in got)
+            seen.add(len(got))
+            if len(got) == 2 and got[1].energy - got[0].energy <= 1e-9 * abs(got[0].energy):
+                seen.add("close pair")
             seen.update("pole guard" for m in messages if "pole guard" in m)
-        assert seen == {RootMethod.SIGN_CHANGE, RootMethod.EVEN_ORDER, "pole guard"}
+        assert seen == {1, 2, "close pair", "pole guard"}
 
 
 class TestEdgeCount:
     @pytest.mark.parametrize("workload", ["solve-mixed", "coupling-sweep"])
     def test_found_and_warned_roots_equal_the_edge_count(self, workload, monkeypatch):
-        # the roots the walk finds (an EVEN_ORDER root twice) and the ones it
+        # the roots the walk finds (one per branch) and the ones it
         # warns about are those the inertia of C at the band edge counts, on
         # the benchmark's pools of seeds 1-2: CaseA/B/C, the seam, roots
         # within 1e-6 Sigma of the edge and inside the pole guard.  The rule
@@ -556,7 +582,7 @@ class TestEdgeCount:
                 with warnings.catch_warnings(record=True) as rec:
                     warnings.simplefilter("always")
                     roots = discrete_eigenvalues(p, inp.gamma)
-                found = sum(2 if r.method is RootMethod.EVEN_ORDER else 1 for r in roots)
+                found = len(roots)
                 count, reason = spectrum._edge_count(p, effective_couplings(p, inp.gamma))
                 unreported = verify._unreported_branches(rec)
                 assert found + unreported == count, (inp, reason)
@@ -658,8 +684,7 @@ class TestEdgeCount:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             roots = discrete_eigenvalues(p, gm)
-        found = sum(2 if r.method is RootMethod.EVEN_ORDER else 1 for r in roots)
-        assert found + verify._unreported_branches(rec) == count
+        assert len(roots) + verify._unreported_branches(rec) == count
 
 
 class TestEmbeddedAlpha0:
@@ -1076,7 +1101,8 @@ class TestForbiddenBand:
 
 
 def _symmetric_roots(alpha: float, omega: float):
-    """Discrete roots at beta = 0 with omega_+ = omega_- = omega and gamma = 0."""
+    """Discrete roots at beta = 0 with omega_+ = omega_- = omega and gamma = 0:
+    both branches vanish at one energy, so a double eigenvalue is listed twice."""
     p = SystemParams(alpha, 0.0)
     return discrete_eigenvalues(p, gamma_for_couplings(p, omega, omega, 0.0))
 
@@ -1087,18 +1113,20 @@ class TestSymmetricSolver:
     discrete solve with equal channels."""
 
     def test_reference_value(self):
-        roots = _symmetric_roots(2.0, 0.0)
-        assert len(roots) == 1 and roots[0].method is RootMethod.EVEN_ORDER
-        assert roots[0].energy == pytest.approx(-1.43923, abs=1e-4)
+        root, twin = _symmetric_roots(2.0, 0.0)
+        assert twin == root
+        assert root.energy == pytest.approx(-1.43923, abs=1e-4)
 
     def test_small_alpha_limit(self):
         w = -0.7
-        (root,) = _symmetric_roots(1e-4, w)
+        root, twin = _symmetric_roots(1e-4, w)
+        assert twin == root
         assert root.energy == pytest.approx(-w * w, abs=1e-6)
 
     def test_below_threshold(self):
         for a, w in ((2.0, 0.0), (1.0, -0.5), (0.5, 1.0)):
-            (root,) = _symmetric_roots(a, w)
+            root, twin = _symmetric_roots(a, w)
+            assert twin == root
             assert root.energy < -a * a / 4.0
 
     def test_no_solution_reported(self):
@@ -1120,9 +1148,9 @@ class TestSymmetricSolver:
             u = mpmath.findroot(lambda u: w + u - half * mpmath.atanh(half / u),
                                 (lo, hi), solver="anderson")
             ref = float(-u * u)
-        roots = _symmetric_roots(alpha, omega)
-        assert [r.method for r in roots] == [RootMethod.EVEN_ORDER]
-        assert roots[0].energy == pytest.approx(ref, rel=1e-14)
+        root, twin = _symmetric_roots(alpha, omega)
+        assert twin == root
+        assert root.energy == pytest.approx(ref, rel=1e-14)
 
 
 class TestSolveSpectrum:
