@@ -11,8 +11,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, SingularMatrixError
-from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _gs_ren,
-                     _sqrt_e2_minus_b2, _xi_real, g1_origin, g2ren_origin)
+from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _green_values_at_i,
+                     _gs_ren, _sqrt_e2_minus_b2, _xi_real)
 from .model import SystemParams
 
 
@@ -35,7 +35,11 @@ class Hermitian2:
 
     @property
     def det(self) -> float:
-        return self.pp * self.mm - abs(self.pm) ** 2
+        try:
+            return self.pp * self.mm - abs(self.pm) ** 2
+        except OverflowError:
+            raise DomainError(f"the matrix is too large: |pm|^2 overflows at "
+                              f"|pm| = {abs(self.pm)!r}") from None
 
     @classmethod
     def scalar(cls, v: float) -> "Hermitian2":
@@ -101,8 +105,7 @@ class KreinQ(NamedTuple):
 
 @lru_cache(maxsize=512)
 def _normalization_cached(alpha: float, beta: float) -> NormalizationData:
-    params = SystemParams(alpha, beta)
-    g2, g1 = g2ren_origin(params, 1j), g1_origin(params, 1j)
+    g2, g1 = _green_values_at_i(alpha, beta)
     n, lam = {}, {}
     for s in (1, -1):
         # sqrt(-i)/(4 pi) = (1 - i)/(4 sqrt2 pi), so Q_ss(i) = i fixes both
@@ -122,7 +125,11 @@ def normalization(params: SystemParams) -> NormalizationData:
     """N_s and Lambda_s from Q_ss(i) = i, with g = (G_2^ren - s*beta*G_1)(0; i):
 
     N_s^-2 = Im g + 1/(4 sqrt(2) pi) and Lambda_s = Re g - 1/(4 sqrt(2) pi),
-    both spins from one evaluation of G_2^ren(0; i) and G_1(0; i).
+    both spins from one evaluation of G_2^ren(0; i) and G_1(0; i).  That
+    evaluation (``greens._green_values_at_i``) takes one xi and one artanh at
+    z = i on the bare (alpha, beta) and builds no ``SystemParams``; its values
+    equal ``g2ren_origin(params, 1j)`` and ``g1_origin(params, 1j)`` bit for
+    bit.
 
     Results are memoized per (alpha, beta); the record is immutable, so the
     cache is safe for concurrent readers.
@@ -150,7 +157,11 @@ def effective_couplings(params: SystemParams, gamma_matrix: Hermitian2) -> Effec
     nd = normalization(params)
     wp = FOUR_PI * (gamma_matrix.pp / nd.n_plus ** 2 + nd.lambda_plus)
     wm = FOUR_PI * (gamma_matrix.mm / nd.n_minus ** 2 + nd.lambda_minus)
-    g = (FOUR_PI * abs(gamma_matrix.pm) / (nd.n_plus * nd.n_minus)) ** 2
+    try:
+        g = (FOUR_PI * abs(gamma_matrix.pm) / (nd.n_plus * nd.n_minus)) ** 2
+    except OverflowError:
+        raise DomainError(f"Gamma is too large: gamma overflows at "
+                          f"|Gamma_+-| = {abs(gamma_matrix.pm)!r}") from None
     return EffectiveCouplings(omega_plus=wp, omega_minus=wm, gamma=g)
 
 
@@ -201,8 +212,12 @@ def secular_det(params: SystemParams, gamma_matrix: Hermitian2,
                 z: complex) -> complex | float:
     """det(Gamma - Q(z)) with diagonal Q; a float on real z below -Sigma."""
     q = krein_q(params, z)
-    return ((gamma_matrix.pp - q.q_pp) * (gamma_matrix.mm - q.q_mm)
-            - abs(gamma_matrix.pm) ** 2)
+    try:
+        return ((gamma_matrix.pp - q.q_pp) * (gamma_matrix.mm - q.q_mm)
+                - abs(gamma_matrix.pm) ** 2)
+    except OverflowError:
+        raise DomainError(f"Gamma is too large: |Gamma_+-|^2 overflows at "
+                          f"|Gamma_+-| = {abs(gamma_matrix.pm)!r}") from None
 
 
 def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:

@@ -6,9 +6,12 @@ On the real axis they are taken only below the band [-Sigma, inf), where the
 discrete eigenvalues lie and xi is real and positive.  Real z has one rule
 (``_check_real_z``): PoleError inside the pole guard around -Sigma, where
 artanh(alpha*xi) diverges, and DomainError elsewhere on the band, where Q
-has no single real-axis value.  Each public entry point applies it once;
+has no single real-axis value.  Each public entry point applies it once
+(``gs_ren_origin`` through the two values it composes);
 the private kernels (``_g1``, ``_g2ren``, ``_gs_ren``) hold the one body of
-each Green value and take a z that has passed it.  Below the band the
+each Green value and take a z that has passed it.  ``_green_values_at_i``
+repeats the operations of ``_g2ren`` and ``_g1`` at z = i alone, on bare
+(alpha, beta), for the normalization.  Below the band the
 kernels compute in float arithmetic, by the same formulas with the real
 sqrt and artanh, and every value there is a float; off the axis it is
 complex.
@@ -26,6 +29,8 @@ from .model import SystemParams
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
 INV_4SQRT2PI = 1.0 / (4.0 * math.sqrt(2.0) * math.pi)
+# sqrt(-z) at z = i, as _g2ren takes it
+_SQRT_MINUS_I = cmath.sqrt(-1j)
 
 # below this |alpha*xi| the artanh(alpha*xi)/alpha form switches to its series
 _SMALL_ARG = 1e-4
@@ -106,7 +111,11 @@ def xi(params: SystemParams, z: complex) -> complex | float:
     z = complex(z)
     if z.imag == 0.0:
         return _xi_real(params.beta, z.real)
-    b = params.beta
+    return _xi_complex(params.beta, z)
+
+
+def _xi_complex(b: float, z: complex) -> complex:
+    """xi at a complex z off the real axis, by the rearranged form of ``xi``."""
     if b == 0.0:
         return 1.0 / (2.0 * cmath.sqrt(-z))
     if z == 0.0:
@@ -176,6 +185,27 @@ def _g2ren(params: SystemParams, z: complex) -> complex | float:
     return out
 
 
+def _green_values_at_i(a: float, b: float) -> tuple[complex | float, complex]:
+    """(G_2^ren(0; i), G_1(0; i)) at alpha = a, beta = b, from one xi and one
+    artanh: the operations of ``_g2ren`` and ``_g1`` at z = i, so the values
+    equal theirs bit for bit, without a ``SystemParams``."""
+    x = _xi_complex(b, 1j)
+    w = a * x
+    g2 = 0.0
+    if b != 0.0:
+        g2 = (_SQRT_MINUS_I - 1.0 / (2.0 * x)) / FOUR_PI
+    if abs(w) < _SMALL_ARG:
+        w2 = w * w
+        g1 = x * (1.0 + w2 / 3.0 + w2 * w2 / 5.0) / FOUR_PI
+        if a != 0.0:
+            g2 += a * artanh_branch(w) / EIGHT_PI
+    else:
+        t = artanh_branch(w)
+        g1 = t / (FOUR_PI * a)
+        g2 += a * t / EIGHT_PI
+    return g2, g1
+
+
 def _gs_ren(params: SystemParams, s: int, z: complex) -> complex | float:
     """G_s^ren(0;z) at a spin s = +-1 and a complex z that have passed their
     checks; a float on the real axis."""
@@ -210,8 +240,14 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex | float:
 
 
 def gs_ren_origin(params: SystemParams, s: int, z: complex) -> complex | float:
-    """Spin-channel combination G_2^ren(0;z) - s*beta*G_1(0;z), s = +-1."""
+    """Spin-channel combination G_2^ren(0;z) - s*beta*G_1(0;z), s = +-1.
+
+    The composition of the public ``g2ren_origin`` and ``g1_origin``, by the
+    operations of ``_gs_ren``: G_2^ren alone at beta = 0.
+    """
     _check_spin(s)
-    z = complex(z)
-    _check_real_z(params, z)
-    return _gs_ren(params, s, z)
+    g2 = g2ren_origin(params, z)
+    b = params.beta
+    if b == 0.0:
+        return g2
+    return g2 - s * b * g1_origin(params, z)

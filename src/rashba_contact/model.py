@@ -105,15 +105,22 @@ def classify_regime(params: SystemParams) -> RegimeInfo:
     alpha > 0 with beta = 0 is Unsupported: nu = alpha/sqrt(2*beta) is
     undefined and the dedicated beta = 0 code paths apply instead.
     """
-    a, b = params.alpha, params.beta
-    sigma = threshold_sigma(params)
+    regime, nu = _regime(params.alpha, params.beta)
+    return RegimeInfo(sigma=threshold_sigma(params), regime=regime, nu=nu)
+
+
+def _regime(a: float, b: float) -> tuple[Regime, float | None]:
+    """The regime rule of ``classify_regime`` on bare floats: the tag and, in
+    CaseC, nu = alpha/sqrt(2*beta), else None.  Callers that need no record
+    (the large-coupling context and the band scan) read it from here."""
     if a == 0.0:
-        return RegimeInfo(sigma=sigma, regime=Regime.CASE_A)
+        return Regime.CASE_A, None
     if b == 0.0:
-        return RegimeInfo(sigma=sigma, regime=Regime.UNSUPPORTED)
-    if a < math.sqrt(2.0 * b):
-        return RegimeInfo(sigma=sigma, regime=Regime.CASE_B)
-    return RegimeInfo(sigma=sigma, regime=Regime.CASE_C, nu=a / math.sqrt(2.0 * b))
+        return Regime.UNSUPPORTED, None
+    root = math.sqrt(2.0 * b)
+    if a < root:
+        return Regime.CASE_B, None
+    return Regime.CASE_C, a / root
 
 
 def series_validity(params: SystemParams, z: complex) -> ValidityReport:

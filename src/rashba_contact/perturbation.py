@@ -75,14 +75,19 @@ class AsymptoticSpectrum:
 
 def _series_scalars(beta: float):
     # stable forms: (2 + b^2 - 2u)^{1/4} = sqrt(u-1) = beta/sqrt(1+u), u = sqrt(1+b^2)
-    u = math.sqrt(1.0 + beta * beta)
+    # from hypot, which does not overflow; the minus channel's u - beta and
+    # rt - beta/rt cancel at large beta, so they are taken as 1/(u + beta)
+    # and (1 + 1/(u + beta))/rt, with rt = sqrt(1 + u)
+    u = math.hypot(1.0, beta)
     rt = math.sqrt(1.0 + u)
-    n0 = {s: 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi) * (u + s * beta) ** 0.25
-          for s in (1, -1)}
+    upb = u + beta
+    ups = {1: upb, -1: 1.0 / upb}           # u + s*beta
+    n0 = {s: 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi) * ups[s] ** 0.25 for s in (1, -1)}
     n1 = {s: math.sqrt(math.pi) / (6.0 * 2.0 ** 0.25)
-          * (3.0 - s * beta / (1.0 + u)) * (u + s * beta) ** 0.75 / rt
+          * (3.0 - s * beta / (1.0 + u)) * ups[s] ** 0.75 / rt
           for s in (1, -1)}
-    l0 = {s: -(rt + s * beta / rt) / (8.0 * math.pi) for s in (1, -1)}
+    l0 = {1: -(rt + beta / rt) / (8.0 * math.pi),
+          -1: -((1.0 + ups[-1]) / rt) / (8.0 * math.pi)}
     l1 = {s: (3.0 + s * beta / (1.0 + u)) / (48.0 * math.pi * rt) for s in (1, -1)}
     eta = {s: 2.0 * n1[s] / n0[s] for s in (1, -1)}
     return n0, n1, l0, l1, eta

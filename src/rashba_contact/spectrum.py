@@ -20,8 +20,8 @@ from .errors import DomainError, RegimeError
 from .extension import (EffectiveCouplings, ExtensionKind, Hermitian2,
                         effective_couplings, krein_q, secular_det)
 from .greens import _artanh_real, _check_real_z, _xi_real
-from .model import (Regime, RegimeInfo, SystemParams, classify_regime, series_validity,
-                    threshold_sigma)
+from .model import (Regime, RegimeInfo, SystemParams, _regime, classify_regime,
+                    series_validity, threshold_sigma)
 
 _GRID_NODES = 2048
 _SCAN_NODES = 1000
@@ -543,7 +543,9 @@ def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
     round to the same float and x_{nu,2} becomes None.
 
     Results are memoized per (alpha, beta); the warning for an extreme nu is
-    raised on every call.
+    raised on every call.  A miss reads the CaseC tag and nu from the regime
+    rule of ``classify_regime`` on the bare floats (``model._regime``), so it
+    builds neither a ``SystemParams`` nor a ``RegimeInfo``.
     """
     ctx = _large_coupling_cached(params.alpha, params.beta)
     if ctx.nu > _NU_WARN:
@@ -554,11 +556,10 @@ def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
 
 @lru_cache(maxsize=512)
 def _large_coupling_cached(alpha: float, beta: float) -> LargeCouplingContext:
-    info = classify_regime(SystemParams(alpha, beta))
-    if info.regime is not Regime.CASE_C:
+    regime, nu = _regime(alpha, beta)
+    if regime is not Regime.CASE_C:
         raise RegimeError(
             "large-coupling context requires sqrt(2*beta) <= alpha with beta > 0")
-    nu = info.nu
     n2 = nu * nu
     if not math.isfinite(n2):
         raise DomainError(f"nu^2 overflows at nu = {nu}: beta is too small for alpha")
@@ -730,13 +731,15 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
       the one continuation kept apart from that kernel), with artanh at
       alpha*xi = u + iv on the circle u^2 + v^2 = nu^2, where
       (1-u)^2 + v^2 = 1 + nu^2 - 2u > 0 and (1-u)(1+u) - v^2 = 1 - nu^2.
-    A band narrower than 2 delta leaves no grid inside it: DomainError.
+    A band narrower than 2 delta leaves no grid inside it: DomainError.  The
+    CaseC test is the regime rule of ``classify_regime`` (``model._regime``),
+    and Sigma is the one kept on ``params``: no ``RegimeInfo`` is built.
     """
-    info = classify_regime(params)
-    if info.regime is not Regime.CASE_C:
+    a, b = params.alpha, params.beta
+    if _regime(a, b)[0] is not Regime.CASE_C:
         raise RegimeError("the forbidden-band argument applies to the "
                           "large-coupling regime only")
-    sigma, b = info.sigma, params.beta
+    sigma = threshold_sigma(params)
     delta = 1e-6 * max(1.0, sigma + b)
     start, stop = -sigma + delta, b - delta
     if not start < stop:
@@ -746,7 +749,7 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
     grid += start
     grid[-1] = stop
     n = int(np.searchsorted(grid, -b, side="right"))
-    a, wp = params.alpha, eff.omega_plus
+    wp = eff.omega_plus
     worst = _max_gamma_below(a, b, wp, grid[:n]) if n else -math.inf
     if n < _SCAN_NODES:
         worst = max(worst, float(_gamma_required_mid(a, b, wp, grid[n:]).max()))

@@ -48,6 +48,34 @@ def q_mp(alpha, beta, s, z):
     return q.real if mp.mpc(z).imag == 0 else q
 
 
+def series_scalars_mp(beta):
+    """{s: (N_0,s, N_1,s, Lambda_0,s, Lambda_1,s, eta_s)} of the small-coupling
+    series, from their closed forms with u = sqrt(1 + beta^2) and
+    rt = sqrt(1 + u), taken literally: u - beta and rt - beta/rt cancel about
+    2 log10(beta) digits, so the working precision grows by that many."""
+    extra = int(2 * max(0, mp.log10(beta))) + 10
+    with mp.extradps(extra):
+        b = mp.mpf(beta)
+        u = mp.sqrt(1 + b * b)
+        rt = mp.sqrt(1 + u)
+        out = {}
+        for s in (1, -1):
+            n0 = 2 * mp.root(2, 4) * mp.sqrt(mp.pi) * mp.root(u + s * b, 4)
+            n1 = (mp.sqrt(mp.pi) / (6 * mp.root(2, 4)) * (3 - s * b / (1 + u))
+                  * (u + s * b) ** mp.mpf(0.75) / rt)
+            l0 = -(rt + s * b / rt) / (8 * mp.pi)
+            l1 = (3 + s * b / (1 + u)) / (48 * mp.pi * rt)
+            out[s] = tuple(+v for v in (n0, n1, l0, l1, 2 * n1 / n0))
+    return out
+
+
+def cnd0_mp(beta):
+    """4 pi (Lambda_1,+ - eta_+ Lambda_0,+) - 1/(3 sqrt(2 beta)) - eta_+ sqrt(2 beta)."""
+    _, _, l0, l1, eta = series_scalars_mp(beta)[1]
+    r = mp.sqrt(2 * mp.mpf(beta))
+    return 4 * mp.pi * (l1 - eta * l0) - 1 / (3 * r) - eta * r
+
+
 def branch_roots_mp(alpha, beta, pp, mm, pm):
     """Roots below -beta of the branches h -/+ sqrt(d^2 + |pm|^2) of Gamma - Q(E).
 

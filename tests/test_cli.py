@@ -60,7 +60,10 @@ class TestQfunc:
         # the small-alpha xi series of G_1 on the real axis, and alpha = 0 off it
         (["--alpha", "1e-05", "--beta", "0.3", "--z-re", "-1"], "qfunc_small_alpha.json"),
         (["--alpha", "0", "--beta", "0.5", "--z-re", "-0.5", "--z-im", "0.25"],
-         "qfunc_alpha0_complex.json")])
+         "qfunc_alpha0_complex.json"),
+        # the normalization's beta = 0, alpha > 0 branch, off the axis
+        (["--alpha", "1.5", "--beta", "0", "--z-re", "-2", "--z-im", "0.5"],
+         "qfunc_beta0.json")])
     def test_output_is_byte_stable(self, capsys, argv, golden):
         # the stored bytes carry the sign of every zero: below the band Q is
         # computed in float arithmetic and its imaginary parts print as 0.0
@@ -186,6 +189,23 @@ class TestSolve:
                              "--c", "-1", "--r", "0")
         assert code == 2 and out == ""
         assert err.startswith("error: nu^2 overflows") and "Traceback" not in err
+
+    def test_large_beta_caseb_solves(self, capsys):
+        # the CaseB threshold check takes the series scalars at beta = 1e8,
+        # where u - beta once rounded to zero and divided by it
+        code, out, err = run(capsys, "solve", "--alpha", "1", "--beta", "1e8",
+                             "--c", "-50", "--r", "-0.17850")
+        assert code == 0 and err == ""
+        assert json.loads(out)["regime"] == "CaseB"
+
+    @pytest.mark.parametrize("command", [["solve"], ["qfunc", "--z-re", "-3"]])
+    def test_gamma_whose_square_overflows_exits_2(self, capsys, tmp_path, command):
+        gf = tmp_path / "g.json"
+        gf.write_text('{"pp": 0.1, "mm": 0.2, "pm_re": 1e200, "pm_im": 0.0}')
+        code, out, err = run(capsys, *command, "--alpha", "1", "--beta", "0.5",
+                             "--gamma-file", str(gf))
+        assert code == 2 and out == ""
+        assert err.startswith("error: Gamma is too large") and "Traceback" not in err
 
     def test_gamma_too_large_for_the_window_exits_2(self, capsys, tmp_path):
         gf = tmp_path / "g.json"

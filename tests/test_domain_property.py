@@ -5,7 +5,8 @@ Every Green-layer entry point returns finite values or raises DomainError
 complex z with |z| in [1e-300, 1e300]: floats at real E, and complex
 numbers off the axis except the squared norms, which are real.  Off the
 axis Q is conjugation-symmetric and has Im Q > 0 in the upper half-plane,
-to the rounding of the terms of Q.
+to the rounding of the terms of Q.  Wherever the normalization is defined,
+Q_ss(+-i) = +-i to 1e-12.
 """
 
 import cmath
@@ -98,3 +99,18 @@ def test_entry_points_are_finite_or_raise_domain_error(data):
         terms = nd.n(s) ** 2 * (abs(gs_ren_origin(p, s, z)) + abs(cmath.sqrt(-z)) / FOUR_PI
                                 + abs(lam))
         assert v.imag > -1e-15 * terms, (p, z, s, v)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.just(0.0), _power(-8.0, 2.0)), st.one_of(st.just(0.0), _power(-8.0, 2.0)))
+def test_q_is_plus_minus_i_at_plus_minus_i(alpha, beta):
+    # the normalization's defining property Q_ss(+-i) = +-i, wherever it is defined
+    p = SystemParams(alpha, beta)
+    try:
+        normalization(p)
+    except DomainError:
+        return
+    for z in (1j, -1j):
+        q = krein_q(p, z)
+        for s in (1, -1):
+            assert abs(q.entry(s) - z) <= 1e-12, (alpha, beta, z, s, q)

@@ -45,6 +45,16 @@ class TestHermitian2:
         with pytest.raises(DomainError):
             Hermitian2(math.inf, 0.0)
 
+    def test_an_overflowing_square_is_a_domain_error(self):
+        # |pm|^2 keeps its ** 2 (its bits) below overflow, and past it the
+        # OverflowError of float ** becomes DomainError
+        assert Hermitian2(1.0, 1.0, 1e150).det == 1.0 - 1e150 ** 2
+        m, p = Hermitian2(0.1, 0.2, 1e200), SystemParams(1.0, 0.5)
+        for call in (lambda: m.det, lambda: effective_couplings(p, m),
+                     lambda: secular_det(p, m, -3.0)):
+            with pytest.raises(DomainError, match="too large"):
+                call()
+
 
 class TestNormalization:
     def test_free_values(self):

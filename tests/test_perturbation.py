@@ -9,7 +9,8 @@ from rashba_contact import (Branch, DomainError, EffectiveCouplings, Hermitian2,
                             effective_couplings, embedded_alpha0,
                             expansion_coefficients, gamma_for_couplings,
                             normalization, q0, xi)
-from rashba_contact.perturbation import _circle_coefficients, threshold_persistence
+from rashba_contact.perturbation import (_circle_coefficients, _series_scalars,
+                                        threshold_persistence)
 from rashba_contact.spectrum import _golden_min
 
 N_FREE = 2.0 * 2.0 ** 0.25 * math.sqrt(math.pi)
@@ -272,6 +273,42 @@ class TestCnd0:
     def test_negative_everywhere(self):
         for b in np.geomspace(0.01, 100.0, 200):
             assert cnd0(float(b)) < 0.0
+
+
+class TestLargeBeta:
+    """The series scalars where u - beta and rt - beta/rt would cancel
+    (u = sqrt(1 + beta^2), rt = sqrt(1 + u)), against 50-digit mpmath."""
+
+    def test_series_scalars_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import series_scalars_mp
+        # up to 1e200: beyond it N_1,- falls below the smallest float
+        betas = [float(b) for b in np.geomspace(1e-6, 1e8, 57)]
+        betas += [1e4, 1e6, 6.7e7, 1e12, 1e20, 1e100, 1e200]
+        with mpmath.workdps(50):
+            for b in betas:
+                got, want = _series_scalars(b), series_scalars_mp(b)
+                for s in (1, -1):
+                    for name, g, w in zip(("n0", "n1", "l0", "l1", "eta"),
+                                          (d[s] for d in got), want[s]):
+                        assert abs(g - w) <= 2e-15 * abs(w), (b, s, name, g)
+
+    def test_cnd0_stays_finite_to_the_end_of_float_range(self):
+        mpmath = pytest.importorskip("mpmath")
+        from mpmath_reference import cnd0_mp
+        with mpmath.workdps(50):
+            for b in (1e8, 1e20, 1e154, 1e155, 1e300, 1e307):
+                v, ref = cnd0(b), cnd0_mp(b)
+                assert math.isfinite(v) and v < 0.0
+                assert abs(v - ref) <= 4e-15 * abs(ref), b
+
+    def test_minus_channel_coefficients_stay_positive(self):
+        # from beta ~ 6.7e7 the old u - beta rounded to 0 and the series
+        # divided by zero
+        for b in (6.7e7, 1e8, 1e12, 1e100):
+            co = expansion_coefficients(b, Hermitian2.scalar(1.0))
+            assert co.n0[1] > 0.0 and math.isfinite(co.eta[1])
+            threshold_persistence(b, Hermitian2.scalar(1.0))
 
 
 class TestAsymptoticEigenvalues:
