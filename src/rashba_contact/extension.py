@@ -188,12 +188,15 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     (computed in float arithmetic).  Real z on the band [-Sigma, inf) raises,
     as in every Green value: there Q has no single real-axis value.  Inside
     the pole guard around -Sigma the error is PoleError, elsewhere DomainError.
+    A float z, as the root finder passes it, is a real energy and is never
+    boxed; any other type goes through complex(z), with the same result bits.
 
     N_s and Lambda_s stay memoized per (alpha, beta) (``normalization``); the
     first evaluation at a parameter point keeps (N_+^2, N_-^2, Lambda_+,
     Lambda_-) on it as ``params._q_scale``, and later ones read it from there.
     """
-    z = complex(z)
+    if type(z) is not float:
+        z = complex(z)
     scale = params._q_scale
     if scale is None:
         nd = _normalization_cached(params.alpha, params.beta)
@@ -229,7 +232,8 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     at x = xi(E) with dx/dE = x/(2 w), w = sqrt(E^2 - beta^2).
     """
     _check_spin(s)
-    z = complex(z)
+    if type(z) is not float:
+        z = complex(z)
     nd = normalization(params)
     n2 = nd.n(s) ** 2
     if z.imag != 0.0:

@@ -9,7 +9,12 @@ artanh(alpha*xi) diverges, and DomainError elsewhere on the band, where Q
 has no single real-axis value.  Each public entry point applies it once
 (``gs_ren_origin`` through the two values it composes);
 the private kernels (``_g1``, ``_g2ren``, ``_gs_ren``) hold the one body of
-each Green value and take a z that has passed it.  ``_green_values_at_i``
+each Green value and take a z that has passed it.  A z whose type is exactly
+``float`` is a real energy and is never boxed: it runs through the kernels
+as itself, passing their ``z.imag == 0.0`` tests, and its ``.real`` is
+itself.  Any other type (int, bool, np.float64, complex) goes through
+``complex(z)`` first, so the entry points return the same bits for E,
+complex(E) and np.float64(E).  ``_green_values_at_i``
 repeats the operations of ``_g2ren`` and ``_g1`` at z = i alone, on bare
 (alpha, beta), for the normalization.  Below the band the
 kernels compute in float arithmetic, by the same formulas with the real
@@ -107,8 +112,10 @@ def xi(params: SystemParams, z: complex) -> complex | float:
     Where |beta/z| is too large to square, sqrt(1 - w^2) is taken as
     sqrt(1 - w) sqrt(1 + w), the same branch off the real axis.  Real z must
     lie at or below -beta (below 0 at beta = 0), and there xi is a float.
+    A float z is taken as it is; any other type goes through complex(z).
     """
-    z = complex(z)
+    if type(z) is not float:
+        z = complex(z)
     if z.imag == 0.0:
         return _xi_real(params.beta, z.real)
     return _xi_complex(params.beta, z)
@@ -136,7 +143,8 @@ def _check_real_z(params: SystemParams, z: complex) -> None:
     """The one rule for real z: it must lie below the band [-Sigma, inf).
 
     Inside the pole guard around -Sigma PoleError, elsewhere on the band
-    DomainError.  Complex z passes.
+    DomainError.  Complex z passes.  z is a complex or, on the real axis
+    only, an unboxed float, whose ``.imag`` is 0.0 and ``.real`` itself.
     """
     if z.imag == 0.0:
         e, sigma = z.real, params._sigma
@@ -222,7 +230,8 @@ def g1_origin(params: SystemParams, z: complex) -> complex | float:
     The small-argument branch uses artanh(w)/w = 1 + w^2/3 + w^4/5 + O(w^6),
     so the alpha -> 0 limit is reached without cancellation.
     """
-    z = complex(z)
+    if type(z) is not float:
+        z = complex(z)
     _check_real_z(params, z)
     return _g1(params, z)
 
@@ -234,7 +243,8 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex | float:
     with B = 1/(2 xi(z)) the partner square root of xi.  At beta = 0,
     B = sqrt(-z), so the value is identically zero for alpha = beta = 0.
     """
-    z = complex(z)
+    if type(z) is not float:
+        z = complex(z)
     _check_real_z(params, z)
     return _g2ren(params, z)
 

@@ -198,6 +198,19 @@ class TestSolve:
         assert code == 0 and err == ""
         assert json.loads(out)["regime"] == "CaseB"
 
+    @pytest.mark.parametrize("alpha,beta,golden", [
+        # CaseA, with a Theorem-1 embedded root
+        ("0", "0.5", "solve_alpha0.json"),
+        # CaseB, through the series branch of G_1
+        ("1e-05", "0.3", "solve_small_alpha.json"),
+        # beta = 0, where G_s^ren is G_2^ren alone for both spins
+        ("1.5", "0", "solve_beta0.json")])
+    def test_output_is_byte_stable(self, capsys, alpha, beta, golden):
+        code, out, _ = run(capsys, "solve", "--alpha", alpha, "--beta", beta,
+                           "--c", "-50", "--r", "-0.17850")
+        assert code == 0
+        assert out.encode() == (DATA / golden).read_bytes()
+
     @pytest.mark.parametrize("command", [["solve"], ["qfunc", "--z-re", "-3"]])
     def test_gamma_whose_square_overflows_exits_2(self, capsys, tmp_path, command):
         gf = tmp_path / "g.json"
