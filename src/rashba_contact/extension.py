@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, SingularMatrixError
 from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _green_values_at_i,
-                     _gs_ren, _sqrt_e2_minus_b2, _xi_real)
+                     _gs_ren, _real_or_complex, _sqrt_e2_minus_b2, _xi_real)
 from .model import SystemParams
 
 
@@ -189,14 +189,16 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     as in every Green value: there Q has no single real-axis value.  Inside
     the pole guard around -Sigma the error is PoleError, elsewhere DomainError.
     A float z, as the root finder passes it, is a real energy and is never
-    boxed; any other type goes through complex(z), with the same result bits.
+    boxed; any other type goes through complex(z) and, on the real axis,
+    continues as its float real part (``greens._real_or_complex``), so every
+    form of one real E gives the same float bits.
 
     N_s and Lambda_s stay memoized per (alpha, beta) (``normalization``); the
     first evaluation at a parameter point keeps (N_+^2, N_-^2, Lambda_+,
     Lambda_-) on it as ``params._q_scale``, and later ones read it from there.
     """
     if type(z) is not float:
-        z = complex(z)
+        z = _real_or_complex(z)
     scale = params._q_scale
     if scale is None:
         nd = _normalization_cached(params.alpha, params.beta)
@@ -206,7 +208,7 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     n2_p, n2_m, lam_p, lam_m = scale
     _check_real_z(params, z)
     g_p, g_m = _gs_ren(params, 1, z), _gs_ren(params, -1, z)
-    sq = (math.sqrt(-z.real) if z.imag == 0.0 else cmath.sqrt(-z)) / FOUR_PI
+    sq = (math.sqrt(-z) if type(z) is float else cmath.sqrt(-z)) / FOUR_PI
     # the call NamedTuple's generated __new__ makes, without its Python frame
     return tuple.__new__(KreinQ, (n2_p * (g_p - sq - lam_p), n2_m * (g_m - sq - lam_m)))
 
@@ -229,14 +231,16 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
     Im z != 0: N_s^2 Im(G_s^ren(0;z) - sqrt(-z)/(4 pi)) / Im z, which equals
     Im Q_ss(z)/Im z.  Real E < -Sigma: its limit dQ_ss/dE, the derivative of
     the channel factor -1/(8 pi x) + (alpha^2 - 2 s beta) artanh(alpha x)/(8 pi alpha)
-    at x = xi(E) with dx/dE = x/(2 w), w = sqrt(E^2 - beta^2).
+    at x = xi(E) with dx/dE = x/(2 w), w = sqrt(E^2 - beta^2).  A float z is
+    a real energy; any other type goes through complex(z) and, on the real
+    axis, continues as its float real part (``greens._real_or_complex``).
     """
     _check_spin(s)
     if type(z) is not float:
-        z = complex(z)
+        z = _real_or_complex(z)
     nd = normalization(params)
     n2 = nd.n(s) ** 2
-    if z.imag != 0.0:
+    if type(z) is not float:
         g = _gs_ren(params, s, z)
         norm_sq = n2 * (g - cmath.sqrt(-z) / FOUR_PI).imag / z.imag
         if not math.isfinite(norm_sq):
@@ -245,9 +249,8 @@ def phi_norm_sq(params: SystemParams, s: int, z: complex) -> float:
         return norm_sq
 
     _check_real_z(params, z)
-    e = z.real
     a, b = params.alpha, params.beta
-    x = _xi_real(b, e)
-    w = _sqrt_e2_minus_b2(e, b)
+    x = _xi_real(b, z)
+    w = _sqrt_e2_minus_b2(z, b)
     return n2 / (16.0 * math.pi * w) * (
         1.0 / x + (a * a - 2.0 * s * b) * x / (1.0 - a * a * x * x))

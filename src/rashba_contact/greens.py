@@ -9,12 +9,16 @@ artanh(alpha*xi) diverges, and DomainError elsewhere on the band, where Q
 has no single real-axis value.  Each public entry point applies it once
 (``gs_ren_origin`` through the two values it composes);
 the private kernels (``_g1``, ``_g2ren``, ``_gs_ren``) hold the one body of
-each Green value and take a z that has passed it.  A z whose type is exactly
-``float`` is a real energy and is never boxed: it runs through the kernels
-as itself, passing their ``z.imag == 0.0`` tests, and its ``.real`` is
-itself.  Any other type (int, bool, np.float64, complex) goes through
-``complex(z)`` first, so the entry points return the same bits for E,
-complex(E) and np.float64(E).  ``_green_values_at_i``
+each Green value and take a z that has passed it.
+
+Every entry that takes z decides once whether it is real, by
+``_real_or_complex``: a ``float`` z is a real energy and passes unchanged;
+any other type (int, bool, np.float64, complex, np.complex128) goes through
+``complex(z)``, and on the real axis (imaginary part +-0.0) it continues as
+its float real part.  Past the entry, z is a float on the real axis and a
+complex off it, and the kernels branch on ``type(z) is float`` and use z
+itself, so E, complex(E), complex(E, -0.0) and np.float64(E) give the same
+bits.  ``_green_values_at_i``
 repeats the operations of ``_g2ren`` and ``_g1`` at z = i alone, on bare
 (alpha, beta), for the normalization.  Below the band the
 kernels compute in float arithmetic, by the same formulas with the real
@@ -103,6 +107,16 @@ def _xi_real(beta: float, e: float) -> float:
     return 1.0 / math.sqrt(2.0 * (-e + w))
 
 
+def _real_or_complex(z: complex) -> complex | float:
+    """z as the kernels take it: a float unchanged; any other type through
+    complex(z), continuing as its float real part where the imaginary part
+    is zero (+-0.0).  Entries skip the call for a float z."""
+    if type(z) is float:
+        return z
+    z = complex(z)
+    return z.real if z.imag == 0.0 else z
+
+
 def xi(params: SystemParams, z: complex) -> complex | float:
     """xi(z) = sqrt((-z/2)(1 - sqrt(1 - (beta/z)^2)))/beta, principal branches.
 
@@ -112,12 +126,13 @@ def xi(params: SystemParams, z: complex) -> complex | float:
     Where |beta/z| is too large to square, sqrt(1 - w^2) is taken as
     sqrt(1 - w) sqrt(1 + w), the same branch off the real axis.  Real z must
     lie at or below -beta (below 0 at beta = 0), and there xi is a float.
-    A float z is taken as it is; any other type goes through complex(z).
+    A float z is taken as it is; any other type goes through complex(z) and,
+    on the real axis, continues as its float real part (``_real_or_complex``).
     """
     if type(z) is not float:
-        z = complex(z)
-    if z.imag == 0.0:
-        return _xi_real(params.beta, z.real)
+        z = _real_or_complex(z)
+    if type(z) is float:
+        return _xi_real(params.beta, z)
     return _xi_complex(params.beta, z)
 
 
@@ -125,8 +140,6 @@ def _xi_complex(b: float, z: complex) -> complex:
     """xi at a complex z off the real axis, by the rearranged form of ``xi``."""
     if b == 0.0:
         return 1.0 / (2.0 * cmath.sqrt(-z))
-    if z == 0.0:
-        raise DomainError("xi is undefined at z = 0 for beta > 0")
     w = b / z
     if abs(w) < _SQUARE_MAX:
         u = cmath.sqrt(1.0 - w ** 2)
@@ -143,21 +156,21 @@ def _check_real_z(params: SystemParams, z: complex) -> None:
     """The one rule for real z: it must lie below the band [-Sigma, inf).
 
     Inside the pole guard around -Sigma PoleError, elsewhere on the band
-    DomainError.  Complex z passes.  z is a complex or, on the real axis
-    only, an unboxed float, whose ``.imag`` is 0.0 and ``.real`` itself.
+    DomainError.  z has passed ``_real_or_complex``: a float is a real
+    energy and is checked; a complex lies off the real axis and passes.
     """
-    if z.imag == 0.0:
-        e, sigma = z.real, params._sigma
-        if abs(e + sigma) < params._pole_guard:
+    if type(z) is float:
+        sigma = params._sigma
+        if abs(z + sigma) < params._pole_guard:
             raise PoleError(f"artanh(alpha*xi) diverges at z = -Sigma = {-sigma}")
-        if not e < -sigma:
+        if not z < -sigma:
             raise DomainError(
-                f"z = {e} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}")
+                f"z = {z} lies on the continuous band [-Sigma, inf) with Sigma = {sigma}")
 
 
 def _g1(params: SystemParams, z: complex) -> complex | float:
-    """G_1(0;z) at a complex z that has passed ``_check_real_z``; a float on
-    the real axis.
+    """G_1(0;z) at a z that has passed ``_check_real_z``: a float E below the
+    band, where the value is a float, or a complex z off the real axis.
 
     On the real axis the check has put E below -Sigma, so 0 <= alpha*xi < 1
     and math.atanh cannot fail there: xi grows with E up to the band edge,
@@ -166,7 +179,7 @@ def _g1(params: SystemParams, z: complex) -> complex | float:
     than rounding can make up.
     """
     x = xi(params, z)
-    atanh = math.atanh if z.imag == 0.0 else artanh_branch
+    atanh = math.atanh if type(z) is float else artanh_branch
     a = params.alpha
     w = a * x
     if abs(w) < _SMALL_ARG:
@@ -177,17 +190,17 @@ def _g1(params: SystemParams, z: complex) -> complex | float:
 
 
 def _g2ren(params: SystemParams, z: complex) -> complex | float:
-    """G_2^ren(0;z) at a complex z that has passed ``_check_real_z``; a float
-    on the real axis, where -z > Sigma >= 0 and math.atanh is safe (``_g1``).
+    """G_2^ren(0;z) at a z that has passed ``_check_real_z``; a float at a
+    float z, where -z > Sigma >= 0 and math.atanh is safe (``_g1``).
     At alpha = beta = 0 a zero of z's type, once xi has checked z's range."""
     a, b = params.alpha, params.beta
-    real = z.imag == 0.0
+    real = type(z) is float
     x = xi(params, z)
     if a == 0.0 and b == 0.0:
         return 0.0 if real else 0j
     out = 0.0
     if b != 0.0:
-        out = ((math.sqrt(-z.real) if real else cmath.sqrt(-z)) - 1.0 / (2.0 * x)) / FOUR_PI
+        out = ((math.sqrt(-z) if real else cmath.sqrt(-z)) - 1.0 / (2.0 * x)) / FOUR_PI
     if a != 0.0:
         out += a * (math.atanh(a * x) if real else artanh_branch(a * x)) / EIGHT_PI
     return out
@@ -215,8 +228,8 @@ def _green_values_at_i(a: float, b: float) -> tuple[complex | float, complex]:
 
 
 def _gs_ren(params: SystemParams, s: int, z: complex) -> complex | float:
-    """G_s^ren(0;z) at a spin s = +-1 and a complex z that have passed their
-    checks; a float on the real axis."""
+    """G_s^ren(0;z) at a spin s = +-1 and a z that have passed their checks;
+    a float at a float z."""
     g2 = _g2ren(params, z)
     b = params.beta
     if b == 0.0:
@@ -231,7 +244,7 @@ def g1_origin(params: SystemParams, z: complex) -> complex | float:
     so the alpha -> 0 limit is reached without cancellation.
     """
     if type(z) is not float:
-        z = complex(z)
+        z = _real_or_complex(z)
     _check_real_z(params, z)
     return _g1(params, z)
 
@@ -244,7 +257,7 @@ def g2ren_origin(params: SystemParams, z: complex) -> complex | float:
     B = sqrt(-z), so the value is identically zero for alpha = beta = 0.
     """
     if type(z) is not float:
-        z = complex(z)
+        z = _real_or_complex(z)
     _check_real_z(params, z)
     return _g2ren(params, z)
 

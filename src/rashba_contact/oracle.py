@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extension import normalization
-from .greens import _check_real_z, _check_spin
+from .greens import _check_real_z, _check_spin, _real_or_complex
 from .model import SystemParams
 from .spectrum import _golden_min
 
@@ -316,13 +316,16 @@ def _iterated_quad(f2, tol):
 
 
 def _checked_z(params: SystemParams, s: int, z: complex, tol: float) -> complex:
-    """z as a complex number, once s, tol and the real-axis rule are checked."""
+    """z as a complex number, once s, tol and the real-axis rule are checked.
+
+    The real/complex decision is ``greens._real_or_complex``'s, so every form
+    of one real E is checked, and integrated, as complex(E)."""
     _check_spin(s)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol = {tol} must be finite and positive")
-    z = complex(z)
+    z = _real_or_complex(z)
     _check_real_z(params, z)
-    return z
+    return complex(z)
 
 
 def _both_spins(quad, f, scale: np.ndarray, tol: float):

@@ -77,7 +77,9 @@ def _series_scalars(beta: float):
     # stable forms: (2 + b^2 - 2u)^{1/4} = sqrt(u-1) = beta/sqrt(1+u), u = sqrt(1+b^2)
     # from hypot, which does not overflow; the minus channel's u - beta and
     # rt - beta/rt cancel at large beta, so they are taken as 1/(u + beta)
-    # and (1 + 1/(u + beta))/rt, with rt = sqrt(1 + u)
+    # and (1 + 1/(u + beta))/rt, with rt = sqrt(1 + u).  eta_s = 2 N_1,s/N_0,s
+    # has its own closed form, which stays a normal float where N_1,- underflows
+    # (beta beyond ~1e250)
     u = math.hypot(1.0, beta)
     rt = math.sqrt(1.0 + u)
     upb = u + beta
@@ -89,7 +91,8 @@ def _series_scalars(beta: float):
     l0 = {1: -(rt + beta / rt) / (8.0 * math.pi),
           -1: -((1.0 + ups[-1]) / rt) / (8.0 * math.pi)}
     l1 = {s: (3.0 + s * beta / (1.0 + u)) / (48.0 * math.pi * rt) for s in (1, -1)}
-    eta = {s: 2.0 * n1[s] / n0[s] for s in (1, -1)}
+    eta = {s: (3.0 - s * beta / (1.0 + u)) * math.sqrt(ups[s]) / (6.0 * math.sqrt(2.0) * rt)
+           for s in (1, -1)}
     return n0, n1, l0, l1, eta
 
 
@@ -99,7 +102,7 @@ def expansion_coefficients(beta: float, gamma_matrix: Hermitian2) -> Perturbatio
     if not 0.0 < beta < math.inf:
         raise DomainError(f"series coefficients require finite beta > 0, got {beta}")
     n0, n1, l0, l1, eta = _series_scalars(beta)
-    eta_pm = n1[1] / n0[1] + n1[-1] / n0[-1]
+    eta_pm = 0.5 * (eta[1] + eta[-1])
     gt0 = {1: gamma_matrix.pp / n0[1] ** 2, -1: gamma_matrix.mm / n0[-1] ** 2}
     omega0 = {s: FOUR_PI * (gt0[s] + l0[s]) for s in (1, -1)}
     omega1 = {s: FOUR_PI * (eta[s] * gt0[s] + l1[s]) for s in (1, -1)}

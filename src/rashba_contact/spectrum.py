@@ -177,6 +177,15 @@ def _geomspace(start: float, stop: float) -> np.ndarray:
     return out
 
 
+# One slot, as for the oracle's quadratures: consecutive solves with an equal
+# window share one grid, and any other window rebuilds it.
+@lru_cache(maxsize=1)
+def _scan_grid(edge: float, span: float, sigma: float) -> tuple[float, ...]:
+    """The ascending nodes -Sigma - geomspace(edge, span), from span + Sigma
+    below -Sigma up to edge below it, as a tuple of floats."""
+    return tuple((-sigma - _geomspace(edge, span))[::-1].tolist())
+
+
 def _warn(message: str) -> None:
     """UserWarning attributed to the first caller outside this package, so that
     it points at the caller's code however deep in the package it was raised."""
@@ -341,7 +350,11 @@ def discrete_eigenvalues(params: SystemParams,
 
     The grid ends twice the pole guard, 2e-10*max(1, Sigma), below -Sigma
     where artanh has its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and
-    1e-14*max(1, Sigma) below it elsewhere.  The number of roots is known
+    1e-14*max(1, Sigma) below it elsewhere.  Its nodes depend on the window
+    alone and are kept in one slot (``_scan_grid``): consecutive solves with
+    an equal window, as the steps of a README ``sweep`` over the coupling
+    mostly are, build the grid once, and a solve at a new window rebuilds
+    it.  The number of roots is known
     without evaluating Q: the inertia of the channel matrix at the band edge
     (``_edge_count``).  Roots that the count holds and the grid does not lie
     between its last node and -Sigma (inside the pole guard, where there is
@@ -390,7 +403,7 @@ def discrete_eigenvalues(params: SystemParams,
         return h - r, h + r
 
     edge = 2.0 * params._pole_guard if pole else 1e-14 * max(1.0, sigma)
-    grid = (-sigma - _geomspace(edge, -e_min - sigma))[::-1].tolist()
+    grid = _scan_grid(edge, -e_min - sigma, sigma)
     names = ("lambda_-", "lambda_+")
     first, last = branches(grid[0]), branches(grid[-1])
     for k in (0, 1):

@@ -1,8 +1,10 @@
 """A float energy is the real axis itself: the Green values, Q, the secular
 determinant and the deficiency norm take a Python ``float`` E unboxed, and
-``complex(E)`` and ``np.float64(E)`` through ``complex(z)``.  The three
-routes must give the same float bits below the band, and the same error, type
-and message, where E is not a real energy below it.
+every other form of E (complex(E), complex(E, -0.0), np.float64(E),
+np.complex128(E), an integral E as an int) through ``complex(z)``, continuing
+as its float real part.  All forms must give the same float bits below the
+band, and the same error, type and message, where E is not a real energy
+below it.  The quadrature oracle makes the same decision at its entries.
 """
 
 import math
@@ -14,11 +16,16 @@ from rashba_contact import (DomainError, Hermitian2, PoleError, SystemParams, g1
                             g2ren_origin, gs_ren_origin, krein_q, phi_norm_sq,
                             secular_det, xi)
 from rashba_contact.greens import _SMALL_ARG
+from rashba_contact.oracle import _gs_pair, _phi_pair, gs_ren_quadrature, phi_norm_quadrature
 
 
 def _kinds(e: float):
-    """E as a float, as complex(E) and as np.float64(E)."""
-    return (e, complex(e), np.float64(e))
+    """E as a float, complex(E), complex(E, -0.0), np.float64(E) and
+    np.complex128(E), and as an int where E is integral (an int has no -0.0)."""
+    kinds = (e, complex(e), complex(e, -0.0), np.float64(e), np.complex128(e))
+    as_int = math.isfinite(e) and e.is_integer() and math.copysign(1.0, e) == math.copysign(
+        1.0, float(int(e)))
+    return kinds + ((int(e),) if as_int else ())
 
 
 def _evaluations(p: SystemParams, gm: Hermitian2):
@@ -110,7 +117,7 @@ def test_float_complex_and_float64_give_the_same_bits_below_the_band():
             got = [_outcome(f, z) for z in _kinds(e)]
             # below the band every evaluation succeeds
             assert got[0][0] == "value", (name, p, e, got[0])
-            assert got[1] == got[0] and got[2] == got[0], (name, p, e, got)
+            assert all(g == got[0] for g in got), (name, p, e, got)
 
 
 def _off_axis_energies(p: SystemParams):
@@ -132,9 +139,43 @@ def test_the_three_types_raise_alike_where_no_real_value_exists(alpha, beta):
         in_guard = abs(e + p._sigma) < p._pole_guard
         for name, f in _evaluations(p, gm):
             got = [_outcome(f, z) for z in _kinds(e)]
-            assert got[1] == got[0] and got[2] == got[0], (name, e, got)
+            assert all(g == got[0] for g in got), (name, e, got)
             # xi is real on [-Sigma, -beta] too; every other evaluation raises
             if name != "xi" or math.isnan(e) or math.isinf(e):
                 assert got[0][0] == "raises", (name, e, got[0])
                 want = PoleError if in_guard and name != "xi" else DomainError
                 assert issubclass(got[0][1], want), (name, e, got[0])
+
+
+def _quadrature_outcome(f, z):
+    """The float.hex of the value's parts and of the error estimate, and the
+    evaluation count, of f at z integrated afresh; or its error's type and
+    message."""
+    _gs_pair.cache_clear()
+    _phi_pair.cache_clear()
+    try:
+        r = f(z)
+    except ValueError as exc:
+        return ("raises", type(exc), str(exc))
+    assert type(r.value) is complex and type(r.abs_error_estimate) is float, (f, z, r)
+    return ("value", r.value.real.hex(), r.value.imag.hex(), r.abs_error_estimate.hex(),
+            r.evaluations)
+
+
+@pytest.mark.parametrize("alpha,beta,e", [(2.0, 0.5, -3.0), (0.0, 0.5, -1.0),
+                                          (1.5, 0.0, -1.0), (0.3, 0.2, -1.0)])
+def test_the_quadratures_take_every_form_of_a_real_energy_alike(alpha, beta, e):
+    p = SystemParams(alpha, beta)
+    sigma, guard = p._sigma, p._pole_guard
+    for s in (1, -1):
+        for f in (lambda z: gs_ren_quadrature(p, s, z), lambda z: phi_norm_quadrature(p, s, z)):
+            got = [_quadrature_outcome(f, z) for z in _kinds(e)]
+            # below the band the value is real, and every form integrates it alike
+            assert got[0][0] == "value" and got[0][2] == (0.0).hex(), got[0]
+            assert all(g == got[0] for g in got), (s, e, got)
+            # on the band, at nan and +inf and inside the pole guard every form
+            # raises alike
+            in_guard = [-sigma - 0.5 * guard] if guard else []
+            for bad in [-sigma, 3.0, math.nan, math.inf] + in_guard:
+                got = [_quadrature_outcome(f, z) for z in _kinds(bad)]
+                assert got[0][0] == "raises" and all(g == got[0] for g in got), (s, bad, got)

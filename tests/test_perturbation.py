@@ -282,16 +282,26 @@ class TestLargeBeta:
     def test_series_scalars_match_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         from mpmath_reference import series_scalars_mp
-        # up to 1e200: beyond it N_1,- falls below the smallest float
+        # every scalar up to 1e200: beyond it N_1,- falls below the smallest
+        # float; eta up to 1e300, where eta_- is still a normal float
         betas = [float(b) for b in np.geomspace(1e-6, 1e8, 57)]
         betas += [1e4, 1e6, 6.7e7, 1e12, 1e20, 1e100, 1e200]
+        names = ("n0", "n1", "l0", "l1", "eta")
         with mpmath.workdps(50):
-            for b in betas:
+            for b in betas + [1e250, 1e300]:
                 got, want = _series_scalars(b), series_scalars_mp(b)
                 for s in (1, -1):
-                    for name, g, w in zip(("n0", "n1", "l0", "l1", "eta"),
-                                          (d[s] for d in got), want[s]):
-                        assert abs(g - w) <= 2e-15 * abs(w), (b, s, name, g)
+                    for name, g, w in zip(names, (d[s] for d in got), want[s]):
+                        if b in betas or name == "eta":
+                            assert abs(g - w) <= 2e-15 * abs(w), (b, s, name, g)
+
+    def test_eta_pm_is_the_mean_of_the_channel_etas(self):
+        # eta_pm = N_1,+/N_0,+ + N_1,-/N_0,- = (eta_+ + eta_-)/2, formed from
+        # the same two values, so it too survives the underflow of N_1,-
+        for b in (1e-6, 0.3, 1.0, 1e8, 1e250, 1e300):
+            co = expansion_coefficients(b, Hermitian2.scalar(1.0))
+            assert co.eta[2] == 0.5 * (co.eta[0] + co.eta[1])
+            assert co.eta[1] > 0.0
 
     def test_cnd0_stays_finite_to_the_end_of_float_range(self):
         mpmath = pytest.importorskip("mpmath")

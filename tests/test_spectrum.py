@@ -226,6 +226,47 @@ class TestDiscrete:
             want = np.geomspace(edge, top, spectrum._GRID_NODES)
             assert got.tobytes() == want.tobytes(), (edge, top)
 
+    def test_grid_slot_gives_the_same_solves_in_any_order(self):
+        # one slot holds the latest window's grid: a pole window (edge twice
+        # the pole guard) and a no-pole window (edge 1e-14 max(1, Sigma)),
+        # each shared by three Gammas, and a pole input with a root inside
+        # the pole guard, whose larger Gamma_pp sets a lower e_min.  Solved
+        # with the slot cleared before each call, in runs that share a
+        # window (4 hits), and alternating between the parameter points, so
+        # that every call misses, the roots and warnings are the same bits.
+        pole, smooth = SystemParams(2.0, 0.5), SystemParams(0.3, 0.5)
+        assert pole._pole_guard > 0.0 and smooth._pole_guard == 0.0
+        sigma = threshold_sigma(pole)
+        gms = [Hermitian2(krein_q(pole, -sigma - 1.5e-10 * sigma).q_pp,
+                          krein_q(pole, -sigma - 1.0).q_mm),
+               Hermitian2(-0.4, 0.3, 0.2 - 0.1j), Hermitian2(0.5, -1.0, 0.3j),
+               Hermitian2.scalar(-0.2)]
+        inputs = {pole: gms, smooth: [Hermitian2(-0.6, 0.1, 0.2 + 0.2j),
+                                      Hermitian2(-1.1, -0.9, 0.05), Hermitian2.scalar(-0.8)]}
+
+        def solve(p, gm):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                roots = discrete_eigenvalues(p, gm)
+            return ([(r.energy.hex(), r.residual.hex()) for r in roots],
+                    [str(w.message) for w in rec])
+
+        want = {}
+        for p, gs in inputs.items():
+            for k, gm in enumerate(gs):
+                spectrum._scan_grid.cache_clear()
+                want[p, k] = solve(p, gm)
+        assert any("pole guard" in m for m in want[pole, 0][1])
+        assert all(roots for roots, _ in want.values())
+        shared = [(p, k) for p, gs in inputs.items() for k in range(len(gs))]
+        alternating = [(p, k) for k in range(4) for p in inputs if k < len(inputs[p])]
+        for order, hits in ((shared, 4), (alternating, 0)):
+            spectrum._scan_grid.cache_clear()
+            for p, k in order:
+                assert solve(p, inputs[p][k]) == want[p, k], (p, k)
+            info = spectrum._scan_grid.cache_info()
+            assert (info.hits, info.misses) == (hits, len(order) - hits)
+
     def test_free_double_root(self):
         # a scalar Gamma at alpha = beta = 0: both branches vanish at one
         # energy, and the double eigenvalue is listed twice
