@@ -244,6 +244,12 @@ def cnd0_max(lo: float = 0.05, hi: float = 10.0) -> tuple[float, float]:
     process keeps the peak and cnd0's value there.  The clamp is exact: a
     window that holds the peak returns that pair, and on any other window
     cnd0 is monotone, so the maximum is cnd0 at the end nearer the peak.
+
+    The argmax is determined only to about sqrt(eps) relative, some 1e-8:
+    cnd0 is flat to rounding at its peak, so the search may stop anywhere on
+    the flat, and a change of a few ulps in cnd0 moves the reported argmax by
+    millions of ulps.  Only the maximum's bits are stable; compare an argmax
+    to no more than about 1e-8.
     """
     if not 0.0 < lo <= hi:
         raise DomainError(f"cnd0_max requires 0 < lo <= hi, got [{lo}, {hi}]")

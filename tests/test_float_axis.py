@@ -173,9 +173,17 @@ def test_the_quadratures_take_every_form_of_a_real_energy_alike(alpha, beta, e):
             # below the band the value is real, and every form integrates it alike
             assert got[0][0] == "value" and got[0][2] == (0.0).hex(), got[0]
             assert all(g == got[0] for g in got), (s, e, got)
-            # on the band, at nan and +inf and inside the pole guard every form
-            # raises alike
+            # on the band, at nan and +-inf, beyond the float range of the
+            # closed forms and inside the pole guard every form raises alike,
+            # with DomainError where it is not PoleError
             in_guard = [-sigma - 0.5 * guard] if guard else []
-            for bad in [-sigma, 3.0, math.nan, math.inf] + in_guard:
+            for bad in [-sigma, 3.0, math.nan, math.inf, -math.inf, -1e308] + in_guard:
                 got = [_quadrature_outcome(f, z) for z in _kinds(bad)]
                 assert got[0][0] == "raises" and all(g == got[0] for g in got), (s, bad, got)
+                assert issubclass(got[0][1], PoleError if bad in in_guard else DomainError)
+            # off the axis: a non-finite part or |z| beyond the float range
+            for bad in (complex(-math.inf, 1.0), complex(1.0, math.inf),
+                        complex(math.nan, 1.0), complex(-3.0, 1e308)):
+                got = [_quadrature_outcome(f, z) for z in (bad, np.complex128(bad))]
+                assert got[0][0] == "raises" and got[0][1] is DomainError, (s, bad, got)
+                assert got[1] == got[0], (s, bad, got)

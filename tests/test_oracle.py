@@ -15,7 +15,8 @@ from rashba_contact import (ConvergenceError, DomainError, PoleError, SystemPara
                             threshold_sigma)
 from rashba_contact import oracle
 from rashba_contact.greens import FOUR_PI, INV_4SQRT2PI
-from rashba_contact.oracle import _WG21, _WK21, _X21, _atan_h, _gk21_batch, _gs_radial
+from rashba_contact.oracle import (_K15, _WG15, _WG21, _WK15, _WK21, _X15, _X21, _atan_h,
+                                   _gk21_batch, _gs_radial)
 
 
 class TestAtanH:
@@ -170,12 +171,51 @@ class TestGK21:
         assert evals[0] == 21 and evals[1] > 21
         assert (evals == 21 * (2 * count - 1)).all()
 
+    def test_radial_integrals_start_on_five_intervals(self):
+        # t = 0, 1/4, 1/2, 5/8, 3/4, 1; a constant kernel meets its target on
+        # them, so each of three integrals evaluated 21 (2 * 5 - 5) nodes
+        f, evals = counted(lambda k, t: np.ones_like(t))
+        val, err, ev = oracle._half_line(f, 2, np.full(2, 1e-10))
+        assert evals.tolist() == [105, 105] and ev.tolist() == [105, 105]
+        assert val == pytest.approx([1.0, 1.0], rel=1e-15)
+
     def test_unreachable_target_stops_at_interval_cap(self):
         f, evals = counted(lambda k, x: (x > 1.0 / 3.0) * 1.0)
         val, err, count = _gk21_batch(f, np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
                                      1, 1e-16)
         assert evals.sum() == 21 * (2 * 200 - 1) and count.tolist() == [200]
         assert err[0] > 1e-16 and abs(val[0] - 2.0 / 3.0) <= err[0]
+
+
+class TestGK15:
+    """QUADPACK's qk15, the theta rule of the norm pair."""
+
+    def test_weights_sum_to_two(self):
+        assert _WK15.sum() == pytest.approx(2.0, abs=1e-15)
+        assert _WG15.sum() == pytest.approx(2.0, abs=1e-15)
+
+    def test_exact_degrees_on_one_interval(self):
+        assert _WG15 @ _X15 ** 12 == pytest.approx(2.0 / 13.0, rel=1e-14)
+        assert _WK15 @ _X15 ** 22 == pytest.approx(2.0 / 23.0, rel=1e-14)
+        # at the next even degree neither is exact (K15 misses x^24 by 7e-8)
+        assert _WG15 @ _X15 ** 14 != pytest.approx(2.0 / 15.0, rel=1e-12)
+        assert _WK15 @ _X15 ** 24 != pytest.approx(2.0 / 25.0, rel=1e-12)
+
+    def test_one_interval_costs_fifteen_evaluations(self):
+        f, evals = counted(lambda k, x: x ** 22)
+        val, err, count = _gk21_batch(f, np.zeros(1, dtype=int), -np.ones(1), np.ones(1),
+                                     1, 1.0, _K15)
+        assert evals.sum() == 15 and count.tolist() == [1]
+        assert val[0] == pytest.approx(2.0 / 23.0, rel=1e-14) and err[0] <= 1.0
+
+    def test_adapts_with_fifteen_evaluations_per_interval(self):
+        eps = 1e-2
+        f, evals = counted(lambda k, x: 1.0 / ((x - 0.3) ** 2 + eps * eps))
+        exact = (math.atan(0.7 / eps) + math.atan(0.3 / eps)) / eps
+        val, err, count = _gk21_batch(f, np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
+                                     1, 1e-10 * exact, _K15)
+        assert abs(val[0] - exact) <= err[0] <= 1e-10 * exact
+        assert count[0] > 1 and evals.sum() == 15 * (2 * count[0] - 1)
 
 
 class TestGreenQuadrature:
@@ -223,6 +263,25 @@ class TestGreenQuadrature:
         for quad in (gs_ren_quadrature, phi_norm_quadrature):
             with pytest.raises(DomainError):
                 quad(p, 1, -1.0 + 1j, tol=tol)
+
+    @pytest.mark.parametrize("z", [-math.inf, complex(-math.inf, 1.0), complex(1.0, math.inf),
+                                   complex(math.nan, 1.0), complex(1.0, -math.nan), -1e308,
+                                   complex(-3.0, 1e308)])
+    def test_off_axis_range_rejected_before_integrating(self, monkeypatch, z):
+        # the closed forms' float range: a non-finite part or |z| beyond
+        # _E_MAX raises DomainError, as gs_ren_origin and phi_norm_sq do, and
+        # no integrand is evaluated
+        def never(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(oracle, "_gk21_batch", never)
+        p = SystemParams(2.0, 0.5)
+        for quad, closed in ((gs_ren_quadrature, gs_ren_origin),
+                             (phi_norm_quadrature, phi_norm_sq)):
+            with pytest.raises(DomainError):
+                closed(p, 1, z)
+            with pytest.raises(DomainError, match="beyond the float range"):
+                quad(p, 1, z)
 
     def test_continuum_rejected(self):
         p = SystemParams(2.0, 0.5)
@@ -410,11 +469,12 @@ class TestBothSpins:
         # mesh: its value, estimate and evaluations are those it gets alone
         assert quad(p, 1, z, tol=tol) == alone
 
-    # two near-axis points where the norm pair misses tol 1e-9 at 200 intervals
-    CAPPED = ((SystemParams(1.1477038532733301, 1.442633209338424),
-               2.3584569318414808 + 0.0004898907692846694j),
-              (SystemParams(0.656274389952836, 0.5694338415369401),
-               1.0884736237195805 - 0.0002018026086566602j))
+    # two near-axis points where the norm pair misses tol 1e-9 at 200 intervals,
+    # each spin's error estimate 20 to 1200 times its target
+    CAPPED = ((SystemParams(2.1813352319457544, 0.7448366370020942),
+               1.970439961181694 + 0.00016489644907189197j),
+              (SystemParams(1.8075111876281833, 0.39773560441075884),
+               1.541149961974258 - 0.00022764227519168518j))
 
     @pytest.mark.parametrize("pair,tol", ((oracle._gs_pair, 1e-7), (oracle._phi_pair, 1e-6)))
     @pytest.mark.parametrize("limit", [8, 200])
@@ -491,7 +551,9 @@ def test_integrand_evaluations_stay_under_ceiling():
     # values took the iterated 2D quadrature, and 83790 when the Green pair
     # integrated to a raw target of tol, 20 times tighter than its acceptance
     # test tol (1 + |value|) needs at the prefactor 1/(2 pi^2) (the norms'
-    # share, 78876, is unchanged since the iterated Green values).
+    # share, 78876, is unchanged since the iterated Green values), and 74550
+    # when each radial integral started on five intervals, with a breakpoint
+    # at t = 5/8, and the norms' theta integral took the 15-point rule.
     rng = np.random.default_rng(16)
     total = 0
     for _ in range(16):
@@ -501,7 +563,7 @@ def test_integrand_evaluations_stay_under_ceiling():
         for s in (1, -1):
             total += gs_ren_quadrature(p, s, z, tol=1e-7).evaluations
             total += phi_norm_quadrature(p, s, z, tol=1e-6).evaluations
-    assert total <= 83160
+    assert total <= 74550
 
 
 def test_import_leaves_scipy_integrate_out():
