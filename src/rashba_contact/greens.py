@@ -147,8 +147,8 @@ def _xi_complex(b: float, z: complex) -> complex:
         u = cmath.sqrt(1.0 - w) * cmath.sqrt(1.0 + w)
     x = cmath.sqrt(-1.0 / (2.0 * z * (1.0 + u)))
     if x == 0.0 or x != x:
-        # 2 z (1 + u) overflowed
-        raise DomainError(f"|z| = {abs(z)} is beyond the float range of xi")
+        # 2 z (1 + u) overflowed; so may abs(z), which the message leaves out
+        raise DomainError(f"z = {z} is beyond the float range of xi")
     return x
 
 

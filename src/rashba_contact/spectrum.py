@@ -25,8 +25,7 @@ from .model import (Regime, RegimeInfo, SystemParams, _regime, classify_regime,
 
 _GRID_NODES = 2048
 _SCAN_NODES = 1000
-# the geomspace and linspace grids built by hand: same nodes, no per-call setup
-_GRID_STEPS = np.arange(_GRID_NODES, dtype=float)
+# the linspace grid built by hand: same nodes, no per-call setup
 _SCAN_STEPS = np.arange(_SCAN_NODES, dtype=float)
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
@@ -165,25 +164,6 @@ def secular_function(params: SystemParams, eff: EffectiveCouplings, e: float) ->
     cp, cm = _channel_factors(params.alpha, params.beta, _xi_real(params.beta, e),
                               eff.omega_plus, eff.omega_minus)
     return eff.gamma - cp * cm
-
-
-def _geomspace(start: float, stop: float) -> np.ndarray:
-    """np.geomspace(start, stop, _GRID_NODES) bit for bit, from ``_GRID_STEPS``."""
-    lo, hi = np.log10(start), np.log10(stop)
-    y = _GRID_STEPS * ((hi - lo) / (_GRID_NODES - 1)) + lo
-    y[-1] = hi
-    out = np.power(10.0, y)
-    out[0], out[-1] = start, stop
-    return out
-
-
-# One slot, as for the oracle's quadratures: consecutive solves with an equal
-# window share one grid, and any other window rebuilds it.
-@lru_cache(maxsize=1)
-def _scan_grid(edge: float, span: float, sigma: float) -> tuple[float, ...]:
-    """The ascending nodes -Sigma - geomspace(edge, span), from span + Sigma
-    below -Sigma up to edge below it, as a tuple of floats."""
-    return tuple((-sigma - _geomspace(edge, span))[::-1].tolist())
 
 
 def _warn(message: str) -> None:
@@ -350,17 +330,18 @@ def discrete_eigenvalues(params: SystemParams,
 
     The grid ends twice the pole guard, 2e-10*max(1, Sigma), below -Sigma
     where artanh has its pole at -Sigma (alpha > 0, alpha^2 >= 2 beta), and
-    1e-14*max(1, Sigma) below it elsewhere.  Its nodes depend on the window
-    alone and are kept in one slot (``_scan_grid``): consecutive solves with
-    an equal window, as the steps of a README ``sweep`` over the coupling
-    mostly are, build the grid once, and a solve at a new window rebuilds
-    it.  The number of roots is known
-    without evaluating Q: the inertia of the channel matrix at the band edge
-    (``_edge_count``).  Roots that the count holds and the grid does not lie
-    between its last node and -Sigma (inside the pole guard, where there is
-    one); they are not reported, and one UserWarning, naming every such
-    branch and giving the count's reason, says so.  A walk that finds more
-    roots than the count is an error.
+    1e-14*max(1, Sigma) below it elsewhere; it starts span = -e_min - Sigma
+    below -Sigma.  Node j of its n = ``_GRID_NODES`` lies 10^(j step + lo)
+    below -Sigma, with lo = log10(edge) and step = (log10(span) - lo)/(n - 1),
+    and the ends are edge and span exactly: numpy's geomspace arithmetic,
+    done in libm where the walk reads the node.  So the roots do not depend
+    on the CPU, as they would with numpy's AVX-512 power kernel.  The number
+    of roots is known without evaluating Q: the inertia of the channel
+    matrix at the band edge (``_edge_count``).  Roots that the count holds
+    and the grid does not lie between its last node and -Sigma (inside the
+    pole guard, where there is one); they are not reported, and one
+    UserWarning, naming every such branch and giving the count's reason,
+    says so.  A walk that finds more roots than the count is an error.
 
     The grid starts at e_min = -max(100, 10 (1 + Sigma + w^2)), with
     w = max(|omega_+|, |omega_-|, sqrt(gamma)), and no root lies below it:
@@ -403,23 +384,31 @@ def discrete_eigenvalues(params: SystemParams,
         return h - r, h + r
 
     edge = 2.0 * params._pole_guard if pole else 1e-14 * max(1.0, sigma)
-    grid = _scan_grid(edge, -e_min - sigma, sigma)
+    span = -e_min - sigma
+    lo = math.log10(edge)
+    step = (math.log10(span) - lo) / (_GRID_NODES - 1)
+    e_first, e_last = -sigma - span, -sigma - edge
     names = ("lambda_-", "lambda_+")
-    first, last = branches(grid[0]), branches(grid[-1])
+    first, last = branches(e_first), branches(e_last)
     for k in (0, 1):
         if first[k] <= 0.0:
             raise AssertionError(f"{names[k]} <= 0 at e_min = {e_min}, against the bound")
     # lambda_- <= lambda_+, so lambda_- is <= 0 first: walk it up to its first
-    # node <= 0, then lambda_+ on from there
-    found, i, prev, cur, end = [], 0, first, first, len(grid) - 1
+    # node <= 0, then lambda_+ on from there, node j down from the lowest energy
+    found, j, e, prev, cur = [], _GRID_NODES - 1, e_first, first, first
     for k in (0, 1):
         if not last[k] <= 0.0:
             break
         while not cur[k] <= 0.0:
-            i += 1
-            prev, cur = cur, last if i == end else branches(grid[i])
-        found.append(grid[i] if cur[k] == 0.0 else _brent(
-            lambda e, k=k: branches(e)[k], grid[i - 1], grid[i], prev[k], cur[k]))
+            j -= 1
+            e_prev, prev = e, cur
+            if j == 0:
+                e, cur = e_last, last
+            else:
+                e = -sigma - 10.0 ** (j * step + lo)
+                cur = branches(e)
+        found.append(e if cur[k] == 0.0 else _brent(
+            lambda x, k=k: branches(x)[k], e_prev, e, prev[k], cur[k]))
     count, reason = _edge_count(params, eff)
     if len(found) > count:
         raise AssertionError(f"{len(found)} roots found against the edge count {count}: "
@@ -444,7 +433,7 @@ def discrete_eigenvalues(params: SystemParams,
         if not sf > 1e-5 * (1.0 + abs(eff.gamma)):
             continue
         w = _AGREEMENT_WINDOW * max(1.0, abs(e))
-        lo, hi = (secular_function(params, eff, x) for x in (e - w, min(e + w, grid[-1])))
+        lo, hi = (secular_function(params, eff, x) for x in (e - w, min(e + w, e_last)))
         if not min(lo, hi) <= 0.0 <= max(lo, hi):
             _warn(f"root {e} has secular residual {sf:.3e}; formulations disagree")
     return roots

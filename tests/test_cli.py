@@ -103,6 +103,13 @@ class TestQfunc:
         assert code == 2 and out == ""
         assert err.startswith("error: |E| = 1e+308 is beyond the float range of xi")
 
+    def test_off_axis_beyond_float_range_exits_2(self, capsys):
+        # |z| itself overflows here, so the error must not need it
+        code, out, err = run(capsys, "qfunc", "--alpha", "2", "--beta", "0.5",
+                             "--z-re=1.7e308", "--z-im=1.7e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: z = (1.7e+308+1.7e+308j) is beyond the float range of xi")
+
 
 class TestSolve:
     def test_two_channel_pair_json(self, capsys, tmp_path):

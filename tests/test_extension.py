@@ -440,7 +440,8 @@ class TestFloatRange:
                 got = phi_norm_sq(self.P, s, e)
                 assert abs(got - ref) <= 1e-15 * abs(ref), (e, s)
 
-    @pytest.mark.parametrize("z", [-2.9e306, -1e308, 1e308 + 1j, -1e308j])
+    @pytest.mark.parametrize("z", [-2.9e306, -1e308, 1e308 + 1j, -1e308j,
+                                   complex(1.7e308, 1.7e308)])
     def test_beyond_float_range_raises(self, z):
         with pytest.raises(DomainError, match="beyond the float range of xi"):
             krein_q(self.P, z)

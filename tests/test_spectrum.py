@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -25,6 +28,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # seeded points and on the aux-scans pool: the float kernel keeps them all
 GOLDEN = json.loads((Path(__file__).resolve().parent / "data"
                      / "channel_factor_golden.json").read_text())
+# float.hex nodes of four solve windows, written by np.geomspace with numpy's
+# AVX-512 kernels off, each with the input whose solve scans it
+ROOT_GRID = json.loads((Path(__file__).resolve().parent / "data"
+                        / "root_grid_nodes.json").read_text())["windows"]
+# numpy's AVX-512 kernels, whose last bit differs from libm's on some inputs;
+# on a CPU without them numpy ignores the names with an ImportWarning
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 class TestSecularFunction:
@@ -85,6 +95,32 @@ class TestSecularFunction:
                 assert np.all(diffs > 0) or np.all(diffs < 0)
 
 
+def _root_grid(edge, span):
+    """The root grid's distances below -Sigma, from edge up to span, in
+    numpy's geomspace arithmetic done in libm."""
+    n = spectrum._GRID_NODES
+    lo = math.log10(edge)
+    step = (math.log10(span) - lo) / (n - 1)
+    return [edge] + [10.0 ** (k * step + lo) for k in range(1, n - 1)] + [span]
+
+
+def _solve_rows(rows):
+    """solve_spectrum at (alpha, beta, Gamma_pp, Gamma_mm, Re Gamma_pm,
+    Im Gamma_pm) rows of float.hex strings: the float.hex discrete and
+    embedded roots with their residuals, and the texts of the warnings."""
+    out = []
+    for row in rows:
+        a, b, pp, mm, re, im = (float.fromhex(h) for h in row)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            rep = solve_spectrum(SystemParams(a, b), Hermitian2(pp, mm, complex(re, im)))
+        out.append([[[r.energy.hex(), r.residual.hex()] for r in rep.discrete],
+                     [[r.energy.hex(), r.condition_residual.hex(), r.theorem]
+                      for r in rep.embedded],
+                     [str(w.message) for w in rec]])
+    return out
+
+
 def _full_grid_solve(p, gm):
     """discrete_eigenvalues with Q evaluated at all the grid's nodes: each
     branch is bracketed at its first node <= 0.  Returns the roots and the
@@ -95,7 +131,7 @@ def _full_grid_solve(p, gm):
     e_min = -max(100.0, 10.0 * (1.0 + sigma + w * w))
     pole = p.alpha > 0.0 and p.alpha * p.alpha >= 2.0 * p.beta
     edge = (2.0 * model._POLE_GUARD if pole else 1e-14) * max(1.0, sigma)
-    grid = (-sigma - np.geomspace(edge, -e_min - sigma, spectrum._GRID_NODES))[::-1]
+    grid = [-sigma - x for x in reversed(_root_grid(edge, -e_min - sigma))]
 
     def branches(e):
         q = spectrum.krein_q(p, complex(e))
@@ -103,7 +139,7 @@ def _full_grid_solve(p, gm):
         h, r = 0.5 * (m11 + m22), math.hypot(0.5 * (m11 - m22), abs(gm.pm))
         return h - r, h + r
 
-    vals = np.array([branches(float(e)) for e in grid])
+    vals = np.array([branches(e) for e in grid])
     names, found, messages = ("lambda_-", "lambda_+"), [], []
     for k in (0, 1):
         below = np.flatnonzero(vals[:, k] <= 0.0)
@@ -111,8 +147,8 @@ def _full_grid_solve(p, gm):
             continue
         i = int(below[0])
         assert i > 0
-        found.append(float(grid[i]) if vals[i, k] == 0.0 else spectrum._brent(
-            lambda e, k=k: branches(e)[k], float(grid[i - 1]), float(grid[i]),
+        found.append(grid[i] if vals[i, k] == 0.0 else spectrum._brent(
+            lambda e, k=k: branches(e)[k], grid[i - 1], grid[i],
             vals[i - 1, k], vals[i, k]))
     count, reason = spectrum._edge_count(p, eff)
     if len(found) < count:
@@ -128,7 +164,7 @@ def _full_grid_solve(p, gm):
         if not sf > 1e-5 * (1.0 + abs(eff.gamma)):
             continue
         w = spectrum._AGREEMENT_WINDOW * max(1.0, abs(e))
-        lo, hi = (secular_function(p, eff, x) for x in (e - w, min(e + w, float(grid[-1]))))
+        lo, hi = (secular_function(p, eff, x) for x in (e - w, min(e + w, grid[-1])))
         if not min(lo, hi) <= 0.0 <= max(lo, hi):
             messages.append(f"root {e} has secular residual {sf:.3e}; formulations disagree")
     return roots, messages
@@ -213,27 +249,41 @@ SMALL_ALPHA_CASEB_ROOTS = [
 
 
 class TestDiscrete:
-    def test_grid_is_geomspace_bit_for_bit(self):
-        # the grid's ends: edge between 1e-14 and twice the pole guard,
-        # 2e-10 max(1, Sigma); top from 100 up to near 1.3e154, where e_min
-        # squared overflows and the solve raises DomainError
-        rng = np.random.default_rng(2029)
-        for _ in range(1000):
-            sigma = 10.0 ** rng.uniform(-6.0, 6.0)
-            edge = 10.0 ** rng.uniform(-14.0, math.log10(2e-10 * max(1.0, sigma)))
-            top = 10.0 ** rng.uniform(2.0, 154.1)
-            got = spectrum._geomspace(edge, top)
-            want = np.geomspace(edge, top, spectrum._GRID_NODES)
-            assert got.tobytes() == want.tobytes(), (edge, top)
+    def test_grid_nodes_match_the_golden_bit_for_bit(self, monkeypatch):
+        # four windows: pole edges at the README point, at a root in the
+        # grid's last cell and with a span of 6e149, and a no-pole edge with
+        # a root 3e-14 below -Sigma.  Each solve evaluates Q at both ends of
+        # the grid, then at its nodes up from the lowest energy, with Brent's
+        # points between them; the last-cell solve reaches every node
+        energies = []
+        monkeypatch.setattr(spectrum, "krein_q", lambda p, z: energies.append(z) or krein_q(p, z))
+        reached = []
+        for w in ROOT_GRID:
+            edge, span = float.fromhex(w["edge"]), float.fromhex(w["span"])
+            assert [x.hex() for x in _root_grid(edge, span)] == w["nodes"], w["name"]
+            p = SystemParams(float.fromhex(w["alpha"]), float.fromhex(w["beta"]))
+            pp, mm, re, im = (float.fromhex(h) for h in w["gamma"])
+            energies.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert discrete_eigenvalues(p, Hermitian2(pp, mm, complex(re, im))), w["name"]
+            sigma = threshold_sigma(p)
+            grid = [-sigma - float.fromhex(h) for h in reversed(w["nodes"])]
+            index = {e: i for i, e in enumerate(grid)}
+            assert len(index) == spectrum._GRID_NODES
+            walked = [index[e] for e in energies if e in index]
+            assert walked[:2] == [0, len(grid) - 1], w["name"]
+            assert walked[2:] == list(range(1, len(walked) - 1)), w["name"]
+            reached.append(len(walked))
+        assert max(reached) == spectrum._GRID_NODES and min(reached) < 100
 
-    def test_grid_slot_gives_the_same_solves_in_any_order(self):
-        # one slot holds the latest window's grid: a pole window (edge twice
-        # the pole guard) and a no-pole window (edge 1e-14 max(1, Sigma)),
-        # each shared by three Gammas, and a pole input with a root inside
-        # the pole guard, whose larger Gamma_pp sets a lower e_min.  Solved
-        # with the slot cleared before each call, in runs that share a
-        # window (4 hits), and alternating between the parameter points, so
-        # that every call misses, the roots and warnings are the same bits.
+    def test_solves_are_the_same_bits_in_any_order(self):
+        # a pole window (edge twice the pole guard) and a no-pole window
+        # (edge 1e-14 max(1, Sigma)), each shared by three Gammas, and a pole
+        # input with a root inside the pole guard, whose larger Gamma_pp sets
+        # a lower e_min.  Solved in runs that share a window, and alternating
+        # between the parameter points, the roots and warnings are the same
+        # bits as when each is solved alone.
         pole, smooth = SystemParams(2.0, 0.5), SystemParams(0.3, 0.5)
         assert pole._pole_guard > 0.0 and smooth._pole_guard == 0.0
         sigma = threshold_sigma(pole)
@@ -251,21 +301,36 @@ class TestDiscrete:
             return ([(r.energy.hex(), r.residual.hex()) for r in roots],
                     [str(w.message) for w in rec])
 
-        want = {}
-        for p, gs in inputs.items():
-            for k, gm in enumerate(gs):
-                spectrum._scan_grid.cache_clear()
-                want[p, k] = solve(p, gm)
+        want = {(p, k): solve(p, gm) for p, gs in inputs.items() for k, gm in enumerate(gs)}
         assert any("pole guard" in m for m in want[pole, 0][1])
         assert all(roots for roots, _ in want.values())
         shared = [(p, k) for p, gs in inputs.items() for k in range(len(gs))]
         alternating = [(p, k) for k in range(4) for p in inputs if k < len(inputs[p])]
-        for order, hits in ((shared, 4), (alternating, 0)):
-            spectrum._scan_grid.cache_clear()
+        for order in (shared, alternating):
             for p, k in order:
                 assert solve(p, inputs[p][k]) == want[p, k], (p, k)
-            info = spectrum._scan_grid.cache_info()
-            assert (info.hits, info.misses) == (hits, len(order) - hits)
+
+    def test_roots_do_not_depend_on_numpys_cpu_kernels(self, monkeypatch):
+        # the first 300 solve-mixed inputs of the benchmark's seed-1 pool,
+        # solved here and in a subprocess with numpy's AVX-512 kernels off,
+        # give the same roots, residuals and warnings.  On an AVX-512 CPU a
+        # root grid built with np.power gives other bits on 6 of them
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        rows = [[x.hex() for x in (inp.params.alpha, inp.params.beta, inp.gamma.pp,
+                                   inp.gamma.mm, inp.gamma.pm.real, inp.gamma.pm.imag)]
+                for inp in workloads.solve_inputs(1)[:300]]
+        here = Path(__file__).resolve().parent
+        src = str(Path(spectrum.__file__).resolve().parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, str(here), os.environ.get("PYTHONPATH")) if p))
+        code = ("import json, sys\n"
+                "from test_spectrum import _solve_rows\n"
+                "json.dump(_solve_rows(json.load(sys.stdin)), sys.stdout)")
+        out = subprocess.run([sys.executable, "-c", code], input=json.dumps(rows), env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert json.loads(out.stdout) == _solve_rows(rows)
 
     def test_free_double_root(self):
         # a scalar Gamma at alpha = beta = 0: both branches vanish at one
