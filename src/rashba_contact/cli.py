@@ -17,8 +17,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 from .extension import (ExtensionKind, Hermitian2, gamma_from_cr, krein_q,
                         secular_det)
@@ -163,21 +161,37 @@ def cmd_solve(parser, args) -> int:
     return EXIT_OK
 
 
+def _c_grid(c_from: float, c_to: float, steps: int, log: bool) -> list[float]:
+    """The sweep's c values: numpy's linspace, or its geomspace with the sign
+    of c rotated out, by numpy's arithmetic done in libm, so that they do not
+    depend on the CPU.  Node j is j*step + c_from, or sign*10.0 ** (j*step + lo)
+    with lo = log10(|c_from|) and step = (log10(|c_to|) - lo)/(steps - 1); both
+    ends are exact."""
+    div = steps - 1
+    sign = -1.0 if log and c_from < 0.0 else 1.0
+    start, stop = ((math.log10(sign * c_from), math.log10(sign * c_to)) if log
+                   else (c_from, c_to))
+    delta = stop - start
+    step = delta / div
+    # numpy's form where the step underflows to zero (subnormal ends)
+    ys = [(j * step if step != 0.0 else j / div * delta) + start for j in range(div)]
+    if not log:
+        return ys + [c_to]
+    try:
+        return [c_from] + [sign * 10.0 ** y for y in ys[1:]] + [c_to]
+    except OverflowError:
+        raise DomainError(f"a c value between {c_from} and {c_to} overflows") from None
+
+
 def cmd_sweep(parser, args) -> int:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     params = _params(parser, args.alpha, args.beta)
-    if args.log:
-        if args.c_from * args.c_to <= 0.0:
-            parser.error("--log requires c-from and c-to nonzero with equal signs")
-        cs = np.geomspace(args.c_from, args.c_to, args.steps) if args.c_from > 0 \
-            else -np.geomspace(-args.c_from, -args.c_to, args.steps)
-    else:
-        cs = np.linspace(args.c_from, args.c_to, args.steps)
+    if args.log and args.c_from * args.c_to <= 0.0:
+        parser.error("--log requires c-from and c-to nonzero with equal signs")
 
     rows = []
-    for c in cs:
-        c = float(c)
+    for c in _c_grid(args.c_from, args.c_to, args.steps, args.log):
         if c == 0.0:
             if not args.allow_free:
                 parser.error("c = 0 in the grid is the uncoupled operator; "

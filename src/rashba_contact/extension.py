@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, SingularMatrixError
-from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _green_values_at_i,
+from .greens import (FOUR_PI, INV_4SQRT2PI, _check_real_z, _check_spin, _g1, _g2ren,
                      _gs_ren, _real_or_complex, _sqrt_e2_minus_b2, _xi_real)
 from .model import SystemParams
 
@@ -104,37 +104,35 @@ class KreinQ(NamedTuple):
 
 
 @lru_cache(maxsize=512)
-def _normalization_cached(alpha: float, beta: float) -> NormalizationData:
-    g2, g1 = _green_values_at_i(alpha, beta)
-    n, lam = {}, {}
-    for s in (1, -1):
-        # sqrt(-i)/(4 pi) = (1 - i)/(4 sqrt2 pi), so Q_ss(i) = i fixes both
-        g = g2 - s * beta * g1
-        inv_sq = g.imag + INV_4SQRT2PI
+def _normalization_cached(params: SystemParams) -> NormalizationData:
+    b = params.beta
+    g2, g1 = _g2ren(params, 1j), _g1(params, 1j)
+    # sqrt(-i)/(4 pi) = (1 - i)/(4 sqrt2 pi), so Q_ss(i) = i fixes both
+    g_p, g_m = g2 - b * g1, g2 + b * g1
+    inv_sq_p, inv_sq_m = g_p.imag + INV_4SQRT2PI, g_m.imag + INV_4SQRT2PI
+    for s, inv_sq in ((1, inv_sq_p), (-1, inv_sq_m)):
         if inv_sq <= 0.0:
             raise DomainError(
                 f"normalization failed: N^-2 = {inv_sq} <= 0 for s={s:+d} at "
-                f"alpha={alpha}, beta={beta} (outside proven admissibility)")
-        n[s] = 1.0 / math.sqrt(inv_sq)
-        lam[s] = g.real - INV_4SQRT2PI
-    return NormalizationData(n_plus=n[1], n_minus=n[-1],
-                             lambda_plus=lam[1], lambda_minus=lam[-1])
+                f"alpha={params.alpha}, beta={b} (outside proven admissibility)")
+    return NormalizationData(
+        n_plus=1.0 / math.sqrt(inv_sq_p), n_minus=1.0 / math.sqrt(inv_sq_m),
+        lambda_plus=g_p.real - INV_4SQRT2PI, lambda_minus=g_m.real - INV_4SQRT2PI)
 
 
 def normalization(params: SystemParams) -> NormalizationData:
     """N_s and Lambda_s from Q_ss(i) = i, with g = (G_2^ren - s*beta*G_1)(0; i):
 
     N_s^-2 = Im g + 1/(4 sqrt(2) pi) and Lambda_s = Re g - 1/(4 sqrt(2) pi),
-    both spins from one evaluation of G_2^ren(0; i) and G_1(0; i).  That
-    evaluation (``greens._green_values_at_i``) takes one xi and one artanh at
-    z = i on the bare (alpha, beta) and builds no ``SystemParams``; its values
-    equal ``g2ren_origin(params, 1j)`` and ``g1_origin(params, 1j)`` bit for
-    bit.
+    both spins from one evaluation of G_2^ren(0; i) and G_1(0; i) by the
+    Green kernels that Q uses (``greens._g2ren`` and ``greens._g1``), so the
+    values equal ``g2ren_origin(params, 1j)`` and ``g1_origin(params, 1j)``
+    bit for bit.
 
-    Results are memoized per (alpha, beta); the record is immutable, so the
-    cache is safe for concurrent readers.
+    Results are memoized per parameter point (equal points share an entry);
+    the record is immutable, so the cache is safe for concurrent readers.
     """
-    return _normalization_cached(params.alpha, params.beta)
+    return _normalization_cached(params)
 
 
 def gamma_from_cr(c_matrix: Hermitian2, r_matrix: Hermitian2) -> Hermitian2:
@@ -193,7 +191,7 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     continues as its float real part (``greens._real_or_complex``), so every
     form of one real E gives the same float bits.
 
-    N_s and Lambda_s stay memoized per (alpha, beta) (``normalization``); the
+    N_s and Lambda_s stay memoized per parameter point (``normalization``); the
     first evaluation at a parameter point keeps (N_+^2, N_-^2, Lambda_+,
     Lambda_-) on it as ``params._q_scale``, and later ones read it from there.
     """
@@ -201,7 +199,7 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
         z = _real_or_complex(z)
     scale = params._q_scale
     if scale is None:
-        nd = _normalization_cached(params.alpha, params.beta)
+        nd = _normalization_cached(params)
         scale = (nd.n_plus ** 2, nd.n_minus ** 2, nd.lambda_plus, nd.lambda_minus)
         # equal tuples from concurrent first calls: the write is idempotent
         object.__setattr__(params, "_q_scale", scale)

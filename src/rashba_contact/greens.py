@@ -18,9 +18,8 @@ any other type (int, bool, np.float64, complex, np.complex128) goes through
 its float real part.  Past the entry, z is a float on the real axis and a
 complex off it, and the kernels branch on ``type(z) is float`` and use z
 itself, so E, complex(E), complex(E, -0.0) and np.float64(E) give the same
-bits.  ``_green_values_at_i``
-repeats the operations of ``_g2ren`` and ``_g1`` at z = i alone, on bare
-(alpha, beta), for the normalization.  Below the band the
+bits.  The normalization (``extension.normalization``) reads G_2^ren(0; i)
+and G_1(0; i) from ``_g2ren`` and ``_g1`` too.  Below the band the
 kernels compute in float arithmetic, by the same formulas with the real
 sqrt and artanh, and every value there is a float; off the axis it is
 complex.
@@ -38,8 +37,6 @@ from .model import SystemParams
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
 INV_4SQRT2PI = 1.0 / (4.0 * math.sqrt(2.0) * math.pi)
-# sqrt(-z) at z = i, as _g2ren takes it
-_SQRT_MINUS_I = cmath.sqrt(-1j)
 
 # below this |alpha*xi| the artanh(alpha*xi)/alpha form switches to its series
 _SMALL_ARG = 1e-4
@@ -204,27 +201,6 @@ def _g2ren(params: SystemParams, z: complex) -> complex | float:
     if a != 0.0:
         out += a * (math.atanh(a * x) if real else artanh_branch(a * x)) / EIGHT_PI
     return out
-
-
-def _green_values_at_i(a: float, b: float) -> tuple[complex | float, complex]:
-    """(G_2^ren(0; i), G_1(0; i)) at alpha = a, beta = b, from one xi and one
-    artanh: the operations of ``_g2ren`` and ``_g1`` at z = i, so the values
-    equal theirs bit for bit, without a ``SystemParams``."""
-    x = _xi_complex(b, 1j)
-    w = a * x
-    g2 = 0.0
-    if b != 0.0:
-        g2 = (_SQRT_MINUS_I - 1.0 / (2.0 * x)) / FOUR_PI
-    if abs(w) < _SMALL_ARG:
-        w2 = w * w
-        g1 = x * (1.0 + w2 / 3.0 + w2 * w2 / 5.0) / FOUR_PI
-        if a != 0.0:
-            g2 += a * artanh_branch(w) / EIGHT_PI
-    else:
-        t = artanh_branch(w)
-        g1 = t / (FOUR_PI * a)
-        g2 += a * t / EIGHT_PI
-    return g2, g1
 
 
 def _gs_ren(params: SystemParams, s: int, z: complex) -> complex | float:

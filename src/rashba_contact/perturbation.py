@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError, SingularMatrixError
 from .extension import Hermitian2
-from .greens import FOUR_PI, _check_spin, _xi_real
+from .greens import FOUR_PI, _check_spin, _sqrt_e2_minus_b2, _xi_real
 from .model import Regime, SystemParams, classify_regime
 from . import spectrum as _spectrum
 
@@ -186,7 +186,7 @@ def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue
     if branch is Branch.DIAGONAL_PLUS:
         return AsymptoticEigenvalue(e0, -2.0 * w0p * qp, branch)
 
-    w = math.sqrt(e0 * e0 - beta * beta)
+    w = _sqrt_e2_minus_b2(e0, beta)
     big = -e0 + w
     small = beta * beta / big       # -e0 - w, cancellation-free
     num = qm * (w0p + rp) + qp * (w0m + rm) - 2.0 * co.eta[2] * g0
@@ -200,14 +200,19 @@ def e2(beta: float, gamma_matrix: Hermitian2, e0: float) -> AsymptoticEigenvalue
     return AsymptoticEigenvalue(e0, pref * num / den, Branch.GENERIC_GAMMA)
 
 
-def _circle_coefficients(beta: float) -> tuple[float, float, float]:
-    n0, n1, l0, l1, eta = _series_scalars(beta)
-    eta_pp, eta_mm = eta[1], eta[-1]
-    lp_shift = l0[1] + math.sqrt(2.0 * beta) / FOUR_PI
-    a = n0[-1] ** 2 * (l1[-1] - eta_mm * l0[-1])
-    b = n0[1] ** 2 * (l1[1] - eta_pp * lp_shift)
-    c = (n0[1] * n0[-1]) ** 2 * (
-        l0[-1] * l1[1] + lp_shift * (l1[-1] - (eta_pp + eta_mm) * l0[-1]))
+def _circle_coefficients(beta: float, co: PerturbationCoefficients | None = None
+                         ) -> tuple[float, float, float]:
+    """(A, B, C) of the circle condition A Gamma_++ + B Gamma_-- + C = 0, from
+    the series data at beta in ``co`` (any coupling's), or built here."""
+    if co is None:
+        co = expansion_coefficients(beta, Hermitian2.scalar(0.0))
+    (n0p, n0m), (l0p, l0m), (l1p, l1m) = co.n0, co.l0, co.l1
+    eta_pp, eta_mm = co.eta[0], co.eta[1]
+    lp_shift = l0p + math.sqrt(2.0 * beta) / FOUR_PI
+    a = n0m ** 2 * (l1m - eta_mm * l0m)
+    b = n0p ** 2 * (l1p - eta_pp * lp_shift)
+    c = (n0p * n0m) ** 2 * (
+        l0m * l1p + lp_shift * (l1m - (eta_pp + eta_mm) * l0m))
     return a, b, c
 
 
@@ -270,7 +275,7 @@ def threshold_persistence(beta: float, gamma_matrix: Hermitian2) -> tuple[bool, 
     co = expansion_coefficients(beta, gamma_matrix)
     w0p, w0m = co.omega0
     member = abs(co.gamma0 - (w0p + math.sqrt(2.0 * beta)) * w0m) <= 1e-9 * (1.0 + co.gamma0)
-    a, b, c = _circle_coefficients(beta)
+    a, b, c = _circle_coefficients(beta, co)
     residual = a * gamma_matrix.pp + b * gamma_matrix.mm + c
     lin_scale = abs(a * gamma_matrix.pp) + abs(b * gamma_matrix.mm) + abs(c) + 1e-300
     return member and abs(residual) <= 1e-9 * lin_scale, residual

@@ -30,7 +30,7 @@ _SCAN_STEPS = np.arange(_SCAN_NODES, dtype=float)
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
 _GOLDEN_ITERS = 100
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 # relative rounding slack: a level within it of a bracket end's value is met
 # there, and a channel factor within it of zero at the band edge is zero
 _ROUNDING = 4.0 * _EPS

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -9,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import rashba_contact
-from rashba_contact.cli import build_parser, dumps, main
+from rashba_contact.cli import _c_grid, build_parser, dumps, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DATA = Path(__file__).resolve().parent / "data"
+# numpy's AVX-512 kernels, whose last bit differs from libm's on some inputs;
+# on a CPU without them numpy ignores the names with an ImportWarning
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def run(capsys, *argv):
@@ -324,6 +328,43 @@ class TestSweep:
             main(["sweep", "--alpha", "0", "--beta", "0", "--r", "0.0",
                   "--c-from", "-1", "--c-to", "1", "--steps", "3", "--log"])
         assert exc.value.code == 2
+
+    def test_c_grid_is_numpys_without_its_cpu_kernels(self):
+        # 400 seeded windows, log and linear, of both signs and 2 to 200
+        # steps, the README window, equal ends and subnormal linear ends: the
+        # c values equal np.geomspace and np.linspace bit for bit, as numpy
+        # gives them with its AVX-512 kernels off (in a subprocess)
+        rng = random.Random(3701)
+        windows = [(-2.0, -1e4, 40, True), (3.0, 3.0, 5, True), (-1e5, -1e5, 7, False),
+                   (5e-324, 1e-323, 4, False), (-1.0, 1.0, 3, False)]
+        for k in range(400):
+            sign = rng.choice((1.0, -1.0))
+            if k % 2:
+                ends = (sign * 10.0 ** rng.uniform(-12, 12), sign * 10.0 ** rng.uniform(-12, 12))
+            else:
+                ends = (sign * 10.0 ** rng.uniform(-6, 6),
+                        rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-6, 6))
+            windows.append((*ends, rng.randint(2, 200), bool(k % 2)))
+        assert {(a < 0.0, log) for a, _, _, log in windows} == {
+            (neg, log) for neg in (False, True) for log in (False, True)}
+        rows = [[a.hex(), b.hex(), n, log] for a, b, n, log in windows]
+        code = ("import json, sys\n"
+                "import numpy as np\n"
+                "json.dump([[float(c).hex() for c in (np.geomspace if log else np.linspace)(\n"
+                "    float.fromhex(a), float.fromhex(b), n)] for a, b, n, log in\n"
+                "    json.load(sys.stdin)], sys.stdout)")
+        out = subprocess.run([sys.executable, "-c", code], input=json.dumps(rows),
+                             env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512),
+                             capture_output=True, text=True, check=True, timeout=120)
+        got = [[c.hex() for c in _c_grid(a, b, n, log)] for a, b, n, log in windows]
+        assert got == json.loads(out.stdout)
+
+    def test_log_grid_beyond_float_range_exits_2(self, capsys):
+        # 10.0 ** log10(max float) overflows: an error line, not a traceback
+        top = "1.7976931348623157e308"
+        code, _, err = run(capsys, "sweep", "--alpha", "2", "--r", "0.0", "--c-from", top,
+                           "--c-to", top, "--steps", "3", "--log")
+        assert code == 2 and err.startswith("error:")
 
     def test_readme_first_row_resolves_the_pair(self, capsys):
         # at the default beta = 1e-6 the two roots at c = -2 lie 1.6e-7 apart

@@ -359,19 +359,19 @@ class TestQScale:
     def test_later_evaluations_skip_the_cache(self, monkeypatch):
         calls, cached = [], extension._normalization_cached
         monkeypatch.setattr(extension, "_normalization_cached",
-                            lambda a, b: calls.append((a, b)) or cached(a, b))
+                            lambda q: calls.append(q) or cached(q))
         p = SystemParams(2.0, 0.5)
         krein_q(p, -3.0)
-        assert calls == [(2.0, 0.5)]
+        assert calls == [p]
         for z in (-4.0, -2.0 + 1j, 1j, -1e3):
             krein_q(p, z)
-        assert calls == [(2.0, 0.5)]
+        assert calls == [p]
         nd = normalization(p)
         assert p._q_scale == (nd.n_plus ** 2, nd.n_minus ** 2,
                               nd.lambda_plus, nd.lambda_minus)
 
     def test_a_failed_normalization_stores_nothing(self, monkeypatch):
-        def fail(a, b):
+        def fail(q):
             raise DomainError("normalization failed")
         monkeypatch.setattr(extension, "_normalization_cached", fail)
         p = SystemParams(2.0, 0.5)

@@ -1,10 +1,10 @@
 """The first touch of a parameter point, bit for bit.
 
-A miss of the normalization cache takes G_2^ren(0; i) and G_1(0; i) from one
-xi and one artanh, and a miss of the large-coupling cache (and the band
-scan's regime gate) reads the CaseC tag and nu from the bare floats.  Both
-must equal the routes they replaced, written out below: the public Green
-values at z = i on a fresh ``SystemParams``, and ``classify_regime``'s nu.
+A miss of the normalization cache takes G_2^ren(0; i) and G_1(0; i) from the
+private Green kernels that Q uses, and a miss of the large-coupling cache (and
+the band scan's regime gate) reads the CaseC tag and nu from the bare floats.
+Both must equal the routes written out below: the public Green values at
+z = i on a fresh ``SystemParams``, and ``classify_regime``'s nu.
 """
 
 import math
@@ -105,9 +105,9 @@ def test_normalization_miss_equals_the_green_values_at_i():
             want = _old_normalization(a, b)
         except DomainError:
             with pytest.raises(DomainError):
-                miss(a, b)
+                miss(SystemParams(a, b))
             continue
-        nd = miss(a, b)
+        nd = miss(SystemParams(a, b))
         got = (nd.n_plus, nd.n_minus, nd.lambda_plus, nd.lambda_minus)
         assert [_hex(v) for v in got] == [_hex(v) for v in want], (a, b)
 

@@ -32,9 +32,31 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "data"
 # AVX-512 kernels off, each with the input whose solve scans it
 ROOT_GRID = json.loads((Path(__file__).resolve().parent / "data"
                         / "root_grid_nodes.json").read_text())["windows"]
+# the seed-1 aux-scans band maxima of channel_factor_golden.json, written
+# again with numpy's AVX-512 kernels off
+BAND_MAX_BASELINE = json.loads((Path(__file__).resolve().parent / "data"
+                                / "forbidden_band_max_baseline.json").read_text())[
+    "forbidden_band_max_seed1_baseline"]
 # numpy's AVX-512 kernels, whose last bit differs from libm's on some inputs;
 # on a CPU without them numpy ignores the names with an ImportWarning
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _numpy_avx512() -> bool:
+    """Whether numpy dispatches to its AVX-512 (Skylake-X) kernels here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:                 # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__["AVX512_SKX"]
+
+
+def _band_maxima(seed: int) -> list[str]:
+    """float.hex of the forbidden-band maxima over the benchmark's aux-scans
+    pool of one seed (perfbench must be importable)."""
+    import workloads
+    return [forbidden_band_scan(inp.params, effective_couplings(inp.params, inp.gamma))
+            .max_gamma_required.hex() for inp in workloads.aux_inputs(seed)]
 
 
 class TestSecularFunction:
@@ -1187,12 +1209,25 @@ class TestForbiddenBand:
             assert rep.max_gamma_required < 0.0
 
     def test_maxima_on_the_aux_scans_pool_match_the_golden(self, monkeypatch):
-        # the grid maxima of the benchmark's seed-1 aux-scans pool, bit for bit
+        # the grid maxima of the benchmark's seed-1 aux-scans pool, bit for
+        # bit.  The scan's numpy kernels differ in the last bit with AVX-512,
+        # so each golden holds for one setting: here the one numpy runs with,
+        # and in a subprocess with numpy's AVX-512 kernels off the baseline
         monkeypatch.syspath_prepend(str(PERFBENCH))
-        import workloads
-        got = [forbidden_band_scan(inp.params, effective_couplings(inp.params, inp.gamma))
-               .max_gamma_required.hex() for inp in workloads.aux_inputs(1)]
-        assert got == GOLDEN["forbidden_band_max_seed1"]
+        want = GOLDEN["forbidden_band_max_seed1"] if _numpy_avx512() else BAND_MAX_BASELINE
+        assert _band_maxima(1) == want
+        here = Path(__file__).resolve().parent
+        src = str(Path(spectrum.__file__).resolve().parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, str(here), str(PERFBENCH), os.environ.get("PYTHONPATH"))
+                       if p))
+        code = ("import json, sys\n"
+                "from test_spectrum import _band_maxima\n"
+                "json.dump(_band_maxima(1), sys.stdout)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert json.loads(out.stdout) == BAND_MAX_BASELINE
 
     def test_band_narrower_than_the_margins(self):
         # Sigma + beta < 2e-6 leaves the grid's ends outside the band
