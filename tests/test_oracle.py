@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,65 @@ class TestGK21:
         val, err, ev = oracle._half_line(f, 2, np.full(2, 1e-10))
         assert evals.tolist() == [105, 105] and ev.tolist() == [105, 105]
         assert val == pytest.approx([1.0, 1.0], rel=1e-15)
+
+    def test_a_batch_met_in_its_first_round_returns_that_round(self):
+        # five intervals per integral, and the first round's sums bit for bit
+        def f(k, t):
+            return np.cos(t) * (1.0 + k) + 0.5j * t
+        owner, a, b = oracle._start_mesh(2)
+        val0, err0 = oracle._qk21(f, owner, a, b)
+        val, err, count = _gk21_batch(f, owner, a, b, 2, 1e-10)
+        assert count.tolist() == [5, 5]
+        for k in range(2):
+            assert val[k] == val0[owner == k].sum() and err[k] == err0[owner == k].sum()
+
+    def test_a_missed_target_bisects_as_before(self):
+        # a peak at t = 0.55 of width 1e-2 and 3e-3 on the start mesh; the
+        # values, errors, interval counts and round sizes are pinned, so they
+        # cannot depend on when the bisection buffers are allocated
+        sizes = []
+
+        def f(k, t):
+            sizes.append(t.shape[0])
+            eps = np.array([1e-2, 3e-3])[k]
+            return 1.0 / ((t - 0.55) ** 2 + eps * eps) + 1j * np.cos(3.0 * t)
+        val, err, count = _gk21_batch(f, *oracle._start_mesh(2), 2, np.array([1e-9, 1e-6]))
+        assert count.tolist() == [11, 13] and sizes == [10, 8, 10, 4, 4, 2]
+        assert [v.real.hex() for v in val] == ["0x1.361e92c9ed652p+8", "0x1.04ca0f88a7999p+10"]
+        assert [v.imag.hex() for v in val] == ["0x1.815a092491c77p-5", "0x1.815a092491c78p-5"]
+        # numpy's AVX-512 power kernel moves an error estimate by an ulp
+        for e, ref in zip(err, ("0x1.194614f36c859p-31", "0x1.748281f75213cp-29")):
+            assert abs(e - float.fromhex(ref)) <= math.ulp(float.fromhex(ref))
+        for v, eps in zip(val, (1e-2, 3e-3)):
+            assert v.real == pytest.approx((math.atan(0.45 / eps) + math.atan(0.55 / eps)) / eps,
+                                           rel=1e-9)
+
+    def test_start_arrays_are_shared_and_read_only(self, monkeypatch):
+        seen = []
+        real = oracle._gk21_batch
+
+        def spy(f, owner, a, b, *rest):
+            seen.append((owner, a, b))
+            return real(f, owner, a, b, *rest)
+        monkeypatch.setattr(oracle, "_gk21_batch", spy)
+        for _ in range(2):
+            oracle._half_line(lambda k, t: np.ones_like(t), 3, np.full(3, 1e-10))
+        assert all(x is y for x, y in zip(*seen))
+        assert seen[0][0].tolist() == [0] * 5 + [1] * 5 + [2] * 5
+        assert seen[0][1].tolist() == 3 * [0.0, 0.25, 0.5, 0.625, 0.75]
+        assert seen[0][2].tolist() == 3 * [0.25, 0.5, 0.625, 0.75, 1.0]
+        for x in seen[0] + oracle._THETA_START + (oracle._GS_SCALE,):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0
+
+    def test_zero_integrand_keeps_zero_error_without_warning(self):
+        # resasc = 0 on (0, 1/2): no 0/0, and the estimate stays 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, err = oracle._qk21(lambda k, x: np.where(x < 0.5, 0.0, x), np.zeros(2, int),
+                                    np.array([0.0, 0.5]), np.array([0.5, 1.0]))
+        assert val[0] == 0.0 and err[0] == 0.0
+        assert val[1] == pytest.approx(0.375, rel=1e-15) and 0.0 < err[1] <= 1e-14
 
     def test_unreachable_target_stops_at_interval_cap(self):
         f, evals = counted(lambda k, x: (x > 1.0 / 3.0) * 1.0)
