@@ -7,7 +7,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, SingularMatrixError
@@ -103,8 +102,7 @@ class KreinQ(NamedTuple):
         return self.q_pp if s == 1 else self.q_mm
 
 
-@lru_cache(maxsize=512)
-def _normalization_cached(params: SystemParams) -> NormalizationData:
+def _normalization_miss(params: SystemParams) -> NormalizationData:
     b = params.beta
     g2, g1 = _g2ren(params, 1j), _g1(params, 1j)
     # sqrt(-i)/(4 pi) = (1 - i)/(4 sqrt2 pi), so Q_ss(i) = i fixes both
@@ -129,10 +127,17 @@ def normalization(params: SystemParams) -> NormalizationData:
     values equal ``g2ren_origin(params, 1j)`` and ``g1_origin(params, 1j)``
     bit for bit.
 
-    Results are memoized per parameter point (equal points share an entry);
-    the record is immutable, so the cache is safe for concurrent readers.
+    The record is kept on the point object as ``params._normalization`` at
+    the first successful computation there, and later calls return that
+    object; a DomainError stores nothing.  An equal but distinct point
+    computes the same bits once more.  The record is immutable, and
+    concurrent first calls store equal records, so readers need no lock.
     """
-    return _normalization_cached(params)
+    nd = params._normalization
+    if nd is None:
+        nd = _normalization_miss(params)
+        object.__setattr__(params, "_normalization", nd)
+    return nd
 
 
 def gamma_from_cr(c_matrix: Hermitian2, r_matrix: Hermitian2) -> Hermitian2:
@@ -191,15 +196,15 @@ def krein_q(params: SystemParams, z: complex) -> KreinQ:
     continues as its float real part (``greens._real_or_complex``), so every
     form of one real E gives the same float bits.
 
-    N_s and Lambda_s stay memoized per parameter point (``normalization``); the
-    first evaluation at a parameter point keeps (N_+^2, N_-^2, Lambda_+,
-    Lambda_-) on it as ``params._q_scale``, and later ones read it from there.
+    The first evaluation at a parameter point reads N_s and Lambda_s through
+    ``normalization`` (kept on the point) and keeps (N_+^2, N_-^2, Lambda_+,
+    Lambda_-) on it as ``params._q_scale``; later ones read it from there.
     """
     if type(z) is not float:
         z = _real_or_complex(z)
     scale = params._q_scale
     if scale is None:
-        nd = _normalization_cached(params)
+        nd = normalization(params)
         scale = (nd.n_plus ** 2, nd.n_minus ** 2, nd.lambda_plus, nd.lambda_minus)
         # equal tuples from concurrent first calls: the write is idempotent
         object.__setattr__(params, "_q_scale", scale)

@@ -32,8 +32,15 @@ class SystemParams:
     The threshold Sigma and the half-width of the pole guard around -Sigma
     (zero where artanh(alpha*xi) has no pole there) are computed once, at
     construction, and kept as private attributes outside the dataclass fields.
-    So is the Q scale ``_q_scale``, (N_+^2, N_-^2, Lambda_+, Lambda_-): None
-    until its owner, ``extension.krein_q``, fills it at its first evaluation.
+    So are the point's memos, each None until its one owner fills it at its
+    first successful computation (an error stores nothing):
+    - ``_normalization``, the ``NormalizationData`` record of
+      ``extension.normalization``;
+    - ``_q_scale``, (N_+^2, N_-^2, Lambda_+, Lambda_-), of ``extension.krein_q``;
+    - ``_large_coupling``, the ``LargeCouplingContext`` of
+      ``spectrum.large_coupling_context``.
+    The point object is the memo: an equal but distinct point computes the
+    same bits once more.  Equality, hash and repr read the fields only.
     """
 
     alpha: float
@@ -61,7 +68,9 @@ class SystemParams:
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_pole_guard",
                            _POLE_GUARD * max(1.0, sigma) if pole else 0.0)
+        object.__setattr__(self, "_normalization", None)
         object.__setattr__(self, "_q_scale", None)
+        object.__setattr__(self, "_large_coupling", None)
 
 
 @dataclass(frozen=True)

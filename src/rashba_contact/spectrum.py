@@ -12,7 +12,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .model import (Regime, RegimeInfo, SystemParams, _regime, classify_regime,
 
 _GRID_NODES = 2048
 _SCAN_NODES = 1000
-# the linspace grid built by hand: same nodes, no per-call setup
+# the steps of the band scan's mid-band nodes: linspace's nodes, built by hand
 _SCAN_STEPS = np.arange(_SCAN_NODES, dtype=float)
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
@@ -544,20 +543,25 @@ def large_coupling_context(params: SystemParams) -> LargeCouplingContext:
     differs from x_{nu,1} in floating point; near nu = 1e8 the two levels
     round to the same float and x_{nu,2} becomes None.
 
-    Results are memoized per (alpha, beta); the warning for an extreme nu is
-    raised on every call.  A miss reads the CaseC tag and nu from the regime
-    rule of ``classify_regime`` on the bare floats (``model._regime``), so it
-    builds neither a ``SystemParams`` nor a ``RegimeInfo``.
+    The context is kept on the point object as ``params._large_coupling`` at
+    the first successful computation there, and later calls return that
+    object; a RegimeError or a nu^2 overflow stores nothing, and an equal but
+    distinct point computes the same bits once more.  The warning for an
+    extreme nu is raised on every call.  A miss reads the CaseC tag and nu
+    from the regime rule of ``classify_regime`` on the bare floats
+    (``model._regime``), so it builds no ``RegimeInfo``.
     """
-    ctx = _large_coupling_cached(params.alpha, params.beta)
+    ctx = params._large_coupling
+    if ctx is None:
+        ctx = _large_coupling_miss(params.alpha, params.beta)
+        object.__setattr__(params, "_large_coupling", ctx)
     if ctx.nu > _NU_WARN:
         _warn(f"nu = {ctx.nu:.3g} is extreme; V_nu approaches its singular "
               "nu -> inf limit")
     return ctx
 
 
-@lru_cache(maxsize=512)
-def _large_coupling_cached(alpha: float, beta: float) -> LargeCouplingContext:
+def _large_coupling_miss(alpha: float, beta: float) -> LargeCouplingContext:
     regime, nu = _regime(alpha, beta)
     if regime is not Regime.CASE_C:
         raise RegimeError(
@@ -632,9 +636,10 @@ def embedded_large_alpha(params: SystemParams,
     return tuple(sorted(out, key=lambda r: r.energy))
 
 
-def _max_gamma_below(a: float, b: float, wp: float, e: np.ndarray) -> float:
-    """The largest gamma the phase constraint requires at the ascending
-    nodes ``e`` in (-Sigma, -beta], for CaseC params with nu > 1.
+def _max_gamma_below(a: float, b: float, wp: float, node, n: int) -> float:
+    """The largest gamma the phase constraint requires at the n ascending
+    nodes ``node(0)``, ..., ``node(n - 1)`` in (-Sigma, -beta], for CaseC
+    params with nu > 1; ``node`` maps an index to its float energy.
 
     There alpha*xi lies on the artanh cut, so Im c_s = k_s pi/2 is constant,
     k_s = alpha/2 - s*beta/alpha, and the gamma is
@@ -647,7 +652,7 @@ def _max_gamma_below(a: float, b: float, wp: float, e: np.ndarray) -> float:
     change of Re c_+, or at the end nearer it when it keeps one sign.  Both
     ends are evaluated first (``_channel_factors`` on the cut), and a
     bisection over the node indices finds the change: at most
-    ceil(log2 n) + 2 evaluations.
+    ceil(log2 n) + 2 nodes are formed and evaluated.
     """
     # k_+ = 0 on the seam nu = 1, where this sub-band holds no node
     kp, km = _channel_slopes(a, b)
@@ -657,9 +662,9 @@ def _max_gamma_below(a: float, b: float, wp: float, e: np.ndarray) -> float:
         return -km * (re_p * re_p + im_m * im_m) / kp
 
     def re_c_plus(i: int) -> float:
-        return _channel_factors(a, b, _xi_real(b, float(e[i])), wp, 0.0)[0]
+        return _channel_factors(a, b, _xi_real(b, node(i)), wp, 0.0)[0]
 
-    lo, hi = 0, len(e) - 1
+    lo, hi = 0, n - 1
     re_lo = re_c_plus(lo)
     if re_lo >= 0.0:
         return gamma(re_lo)
@@ -694,20 +699,50 @@ def _gamma_required_mid(a: float, b: float, wp: float, e: np.ndarray) -> np.ndar
     argument stays finite and the angle lies in [pi/2, pi).  Both are still
     formed per node: the constant 1 - nu^2 is as accurate, but rounds
     differently and moves the scan's maximum by up to 1.3e-15 relative.
+
+    The pass runs in place on eight work arrays (``e`` is not written).  Each
+    node takes the roundings of the plain array expressions of these
+    formulas (kept as the reference in ``TestForbiddenBand.mid_formulas``),
+    in their order and on the same operands; only the operands of a product
+    or a sum are swapped, which IEEE arithmetic does not see, so every value
+    is the same bit for bit.
     """
     kp, km = _channel_slopes(a, b)
-    r = np.sqrt(b - e)
-    q = np.sqrt(b + e)
     scale = a / (2.0 * b)
-    u, v = scale * r, scale * q
-    d, vv = 1.0 - u, v * v
-    log_arg = np.log1p(4.0 * u / (d * d + vv))          # 4 Re artanh(u + iv)
-    angle = np.arctan2(2.0 * v, d * (1.0 + u) - vv)    # 2 Im artanh(u + iv)
-    re_p = (wp + 0.5 * r) - (0.25 * kp) * log_arg
-    half_q = 0.5 * q
-    im_p = (-0.5 * kp) * angle - half_q
-    neg_im_m = half_q + (0.5 * km) * angle
-    return neg_im_m / im_p * (re_p * re_p + neg_im_m * neg_im_m)
+    r = np.subtract(b, e)
+    np.sqrt(r, out=r)                                   # r = sqrt(beta - E)
+    q = np.add(b, e)
+    np.sqrt(q, out=q)                                   # q = sqrt(beta + E)
+    u, v = np.multiply(r, scale), np.multiply(q, scale)
+    d, vv = np.subtract(1.0, u), np.multiply(v, v)
+    t = np.multiply(d, d)
+    t += vv
+    log_arg = np.multiply(u, 4.0)
+    log_arg /= t
+    np.log1p(log_arg, out=log_arg)                      # 4 Re artanh(u + iv)
+    u += 1.0
+    d *= u
+    d -= vv                                             # (1-u)(1+u) - v^2
+    angle = v
+    angle *= 2.0
+    np.arctan2(angle, d, out=angle)                     # 2 Im artanh(u + iv)
+    re_p = r
+    re_p *= 0.5
+    re_p += wp
+    log_arg *= 0.25 * kp
+    re_p -= log_arg                                     # (wp + r/2) - (kp/4) log_arg
+    half_q = q
+    half_q *= 0.5
+    im_p = np.multiply(angle, -0.5 * kp, out=t)
+    im_p -= half_q                                      # (-kp/2) angle - q/2
+    neg_im_m = angle
+    neg_im_m *= 0.5 * km
+    neg_im_m += half_q                                  # q/2 + (km/2) angle
+    out = np.divide(neg_im_m, im_p, out=im_p)
+    re_p *= re_p
+    re_p += np.multiply(neg_im_m, neg_im_m, out=half_q)
+    out *= re_p                          # neg_im_m/im_p (re_p^2 + neg_im_m^2)
+    return out
 
 
 def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> ForbiddenBandReport:
@@ -720,16 +755,20 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
     The channel factors
     c_s = omega_s + 1/(2 xi) - k_s artanh(alpha*xi), k_s = alpha/2 - s*beta/alpha,
     continued onto the band.  The grid is
-    linspace(-Sigma + delta, beta - delta, 1000), delta = 1e-6*max(1, Sigma + beta),
-    built from a fixed arange.  Only the nodes that decide the maximum are
-    evaluated, one sub-band at a time:
+    linspace(-Sigma + delta, beta - delta, 1000), delta = 1e-6*max(1, Sigma + beta):
+    node i is i*h + start, rounded after the product and after the sum, with
+    h = (stop - start)/999, and the last node is stop.  Only the nodes that
+    decide the maximum are formed and evaluated, one sub-band at a time, and
+    the split between the two is counted on those exact nodes:
     - (-Sigma, -beta]: Im c_s = k_s pi/2 is constant and Re c_+ does not
       decrease in E, since d Re c_+/dx = (1 - 2 beta x^2)/(2 x^2 (alpha^2 x^2 - 1))
       >= 0 for x = xi(E) in (1/alpha, 1/sqrt(2 beta)].  So a bisection over
       the node indices finds the nodes around the sign change of Re c_+,
       where the gamma peaks (``_max_gamma_below``); Re c_+ comes from the
-      real-axis kernel ``_channel_factors`` on the artanh cut.
-    - (-beta, beta): every node, in one array pass (``_gamma_required_mid``,
+      real-axis kernel ``_channel_factors`` on the artanh cut.  Each node
+      there is formed as a Python float when the bisection reads it.
+    - (-beta, beta): every node, taken from a fixed arange times h plus
+      start, in one array pass (``_gamma_required_mid``,
       the one continuation kept apart from that kernel), with artanh at
       alpha*xi = u + iv on the circle u^2 + v^2 = nu^2, where
       (1-u)^2 + v^2 = 1 + nu^2 - 2u > 0 and (1-u)(1+u) - v^2 = 1 - nu^2.
@@ -747,14 +786,25 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
     if not start < stop:
         raise DomainError(f"the band (-Sigma, beta) = ({-sigma}, {b}) is narrower "
                           f"than the scan's margins 2*{delta}")
-    grid = _SCAN_STEPS * ((stop - start) / (_SCAN_NODES - 1))
-    grid += start
-    grid[-1] = stop
-    n = int(np.searchsorted(grid, -b, side="right"))
+    h = (stop - start) / (_SCAN_NODES - 1)
+
+    def node(i: int) -> float:
+        return stop if i == _SCAN_NODES - 1 else i * h + start
+
+    # n nodes lie at or below -beta: the estimate is off by rounding only,
+    # and the nodes ascend, so stepping on the exact nodes reaches the split
+    n = min(max(math.floor((-b - start) / h) + 1, 0), _SCAN_NODES)
+    while n > 0 and node(n - 1) > -b:
+        n -= 1
+    while n < _SCAN_NODES and node(n) <= -b:
+        n += 1
     wp = eff.omega_plus
-    worst = _max_gamma_below(a, b, wp, grid[:n]) if n else -math.inf
+    worst = _max_gamma_below(a, b, wp, node, n) if n else -math.inf
     if n < _SCAN_NODES:
-        worst = max(worst, float(_gamma_required_mid(a, b, wp, grid[n:]).max()))
+        mid = _SCAN_STEPS[n:] * h
+        mid += start
+        mid[-1] = stop
+        worst = max(worst, float(_gamma_required_mid(a, b, wp, mid).max()))
     return ForbiddenBandReport(max_gamma_required=worst, band=(-sigma, b),
                                grid_size=_SCAN_NODES)
 

@@ -357,9 +357,9 @@ class TestQScale:
     first evaluation there; the point's value semantics do not change."""
 
     def test_later_evaluations_skip_the_cache(self, monkeypatch):
-        calls, cached = [], extension._normalization_cached
-        monkeypatch.setattr(extension, "_normalization_cached",
-                            lambda q: calls.append(q) or cached(q))
+        calls, miss = [], extension._normalization_miss
+        monkeypatch.setattr(extension, "_normalization_miss",
+                            lambda q: calls.append(q) or miss(q))
         p = SystemParams(2.0, 0.5)
         krein_q(p, -3.0)
         assert calls == [p]
@@ -367,17 +367,21 @@ class TestQScale:
             krein_q(p, z)
         assert calls == [p]
         nd = normalization(p)
+        assert calls == [p]
         assert p._q_scale == (nd.n_plus ** 2, nd.n_minus ** 2,
                               nd.lambda_plus, nd.lambda_minus)
 
     def test_a_failed_normalization_stores_nothing(self, monkeypatch):
         def fail(q):
             raise DomainError("normalization failed")
-        monkeypatch.setattr(extension, "_normalization_cached", fail)
+        monkeypatch.setattr(extension, "_normalization_miss", fail)
         p = SystemParams(2.0, 0.5)
-        with pytest.raises(DomainError, match="normalization failed"):
-            krein_q(p, -3.0)
-        assert p._q_scale is None
+        for _ in range(2):
+            with pytest.raises(DomainError, match="normalization failed"):
+                krein_q(p, -3.0)
+            with pytest.raises(DomainError, match="normalization failed"):
+                normalization(p)
+            assert p._q_scale is None and p._normalization is None
 
     def test_a_fresh_equal_point_gives_the_same_bits(self):
         used = SystemParams(0.8, 0.3)
@@ -401,12 +405,18 @@ class TestQScale:
         assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
         assert _bits(krein_q(back, -2.0).q_pp) == _bits(krein_q(p, -2.0).q_pp)
 
-    def test_normalization_still_goes_through_the_cache(self):
+    def test_normalization_reads_the_record_kept_on_the_point(self, monkeypatch):
         p = SystemParams(0.4, 0.5)
         krein_q(p, -1.0)
-        hits = extension._normalization_cached.cache_info().hits
-        normalization(p)
-        assert extension._normalization_cached.cache_info().hits == hits + 1
+        record = p._normalization
+        assert isinstance(record, extension.NormalizationData)
+        calls, miss = [], extension._normalization_miss
+        monkeypatch.setattr(extension, "_normalization_miss",
+                            lambda q: calls.append(q) or miss(q))
+        assert normalization(p) is record and calls == []
+        fresh = SystemParams(0.4, 0.5)
+        again = normalization(fresh)
+        assert calls == [fresh] and again is not record and again == record
 
 
 class TestFloatRange:

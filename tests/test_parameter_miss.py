@@ -1,10 +1,12 @@
-"""The first touch of a parameter point, bit for bit.
+"""The first touch of a parameter point, bit for bit, and once per point.
 
-A miss of the normalization cache takes G_2^ren(0; i) and G_1(0; i) from the
-private Green kernels that Q uses, and a miss of the large-coupling cache (and
-the band scan's regime gate) reads the CaseC tag and nu from the bare floats.
+The normalization's miss takes G_2^ren(0; i) and G_1(0; i) from the private
+Green kernels that Q uses, and the large-coupling context's miss (and the
+band scan's regime gate) reads the CaseC tag and nu from the bare floats.
 Both must equal the routes written out below: the public Green values at
-z = i on a fresh ``SystemParams``, and ``classify_regime``'s nu.
+z = i on a fresh ``SystemParams``, and ``classify_regime``'s nu.  Each miss
+runs once per point object, which keeps its record, however many points are
+visited in between.
 """
 
 import math
@@ -99,21 +101,26 @@ def test_the_points_cover_every_edge():
 
 
 def test_normalization_miss_equals_the_green_values_at_i():
-    miss = extension._normalization_cached.__wrapped__
+    miss = extension._normalization_miss
     for a, b in POINTS:
+        p = SystemParams(a, b)
         try:
             want = _old_normalization(a, b)
         except DomainError:
             with pytest.raises(DomainError):
-                miss(SystemParams(a, b))
+                miss(p)
+            with pytest.raises(DomainError):
+                extension.normalization(p)
+            assert p._normalization is None, (a, b)
             continue
-        nd = miss(SystemParams(a, b))
+        nd = miss(p)
         got = (nd.n_plus, nd.n_minus, nd.lambda_plus, nd.lambda_minus)
         assert [_hex(v) for v in got] == [_hex(v) for v in want], (a, b)
+        assert extension.normalization(p) == nd and p._normalization == nd, (a, b)
 
 
 def test_context_miss_and_band_gate_read_the_old_nu():
-    miss = spectrum._large_coupling_cached.__wrapped__
+    miss = spectrum._large_coupling_miss
     for a, b in POINTS:
         p = SystemParams(a, b)
         old = _old_regime(p)
@@ -123,9 +130,38 @@ def test_context_miss_and_band_gate_read_the_old_nu():
             with pytest.raises(RegimeError):
                 miss(a, b)
             with pytest.raises(RegimeError):
+                spectrum.large_coupling_context(p)
+            with pytest.raises(RegimeError):
                 forbidden_band_scan(p, EFF)
         elif not math.isfinite(old.nu * old.nu):
             with pytest.raises(DomainError, match="nu\\^2 overflows"):
                 miss(a, b)
+            with pytest.raises(DomainError, match="nu\\^2 overflows"):
+                spectrum.large_coupling_context(p)
         else:
             assert _hex(miss(a, b).nu) == _hex(old.nu), (a, b)
+            continue
+        assert p._large_coupling is None, (a, b)
+
+
+def test_each_point_misses_once_over_more_points_than_an_lru_kept(monkeypatch):
+    # 600 distinct CaseC points, visited twice in order: a cache of 512
+    # entries evicts each point before its second visit, the point object
+    # does not
+    rng = np.random.default_rng(3901)
+    betas = rng.uniform(0.05, 1.0, 600)
+    nus = rng.uniform(1.2, 6.0, 600)
+    pts = [SystemParams(float(nu * math.sqrt(2.0 * b)), float(b)) for nu, b in zip(nus, betas)]
+    assert len({(p.alpha, p.beta) for p in pts}) == 600
+    n_calls, c_calls = [], []
+    n_miss, c_miss = extension._normalization_miss, spectrum._large_coupling_miss
+    monkeypatch.setattr(extension, "_normalization_miss",
+                        lambda p: n_calls.append(p) or n_miss(p))
+    monkeypatch.setattr(spectrum, "_large_coupling_miss",
+                        lambda a, b: c_calls.append((a, b)) or c_miss(a, b))
+    first = [(extension.normalization(p), spectrum.large_coupling_context(p)) for p in pts]
+    second = [(extension.normalization(p), spectrum.large_coupling_context(p)) for p in pts]
+    assert len(n_calls) == 600 and all(got is p for got, p in zip(n_calls, pts))
+    assert c_calls == [(p.alpha, p.beta) for p in pts]
+    for (nd1, ctx1), (nd2, ctx2) in zip(first, second):
+        assert nd2 is nd1 and ctx2 is ctx1

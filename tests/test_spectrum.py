@@ -989,16 +989,30 @@ class TestLargeCouplingContext:
         for rec in (direct, nested):
             assert {w.filename for w in rec if "extreme" in str(w.message)} == {__file__}
 
-    def test_memoized_and_warns_on_every_call(self):
-        spectrum._large_coupling_cached.cache_clear()
+    def test_memoized_and_warns_on_every_call(self, monkeypatch):
+        calls, miss = [], spectrum._large_coupling_miss
+        monkeypatch.setattr(spectrum, "_large_coupling_miss",
+                            lambda a, b: calls.append((a, b)) or miss(a, b))
         p = SystemParams(2.0, 2.0 ** 2 / (2.0 * 1e9 ** 2))
+        fresh = SystemParams(p.alpha, p.beta)
         with pytest.warns(UserWarning, match="extreme") as rec:
             first = large_coupling_context(p)
-            second = large_coupling_context(SystemParams(p.alpha, p.beta))
-        assert second is first
-        info = spectrum._large_coupling_cached.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert len([w for w in rec if "extreme" in str(w.message)]) == 2
+            second = large_coupling_context(p)
+            third = large_coupling_context(fresh)
+        assert second is first and p._large_coupling is first
+        # an equal but distinct point is its own memo: the same bits, once more
+        assert third is not first and third == first and fresh._large_coupling is third
+        assert calls == [(p.alpha, p.beta)] * 2
+        assert len([w for w in rec if "extreme" in str(w.message)]) == 3
+
+    def test_a_failed_context_stores_nothing(self):
+        # the regime gate and the nu^2 overflow raise on every call
+        for p, err in ((SystemParams(0.1, 0.5), RegimeError),
+                       (SystemParams(1.0, 1e-310), DomainError)):
+            for _ in range(2):
+                with pytest.raises(err):
+                    large_coupling_context(p)
+                assert p._large_coupling is None
 
 
 class TestEmbeddedLargeAlpha:
@@ -1115,6 +1129,103 @@ class TestForbiddenBand:
         delta = 1e-6 * max(1.0, sigma + b)
         return np.linspace(-sigma + delta, b - delta, n)
 
+    @staticmethod
+    def array_grid(p):
+        """The scan's 1000 nodes as one array, each i*h + start with the last
+        one stop, and the count of nodes at or below -beta, as np.searchsorted
+        gives it."""
+        sigma, b = threshold_sigma(p), p.beta
+        delta = 1e-6 * max(1.0, sigma + b)
+        start, stop = -sigma + delta, b - delta
+        grid = np.arange(1000, dtype=float) * ((stop - start) / 999)
+        grid += start
+        grid[-1] = stop
+        return grid, int(np.searchsorted(grid, -b, side="right"))
+
+    @staticmethod
+    def mid_formulas(a, b, wp, e):
+        """The mid-band gamma as out-of-place array formulas."""
+        kp, km = spectrum._channel_slopes(a, b)
+        r, q = np.sqrt(b - e), np.sqrt(b + e)
+        scale = a / (2.0 * b)
+        u, v = scale * r, scale * q
+        d, vv = 1.0 - u, v * v
+        log_arg = np.log1p(4.0 * u / (d * d + vv))
+        angle = np.arctan2(2.0 * v, d * (1.0 + u) - vv)
+        re_p = (wp + 0.5 * r) - (0.25 * kp) * log_arg
+        half_q = 0.5 * q
+        im_p = (-0.5 * kp) * angle - half_q
+        neg_im_m = half_q + (0.5 * km) * angle
+        return neg_im_m / im_p * (re_p * re_p + neg_im_m * neg_im_m)
+
+    @staticmethod
+    def seeded_bands():
+        """(alpha, beta, omega_+) of 500 seeded CaseC bands and the edge cases:
+        nu = 1 and nu = 1 + 1e-9 (no node below -beta), nu = 1e3 with
+        beta = 1e-7 (no node above it) and a band whose node 300 is -beta."""
+        rng = np.random.default_rng(3902)
+        nus = np.concatenate([rng.uniform(1.0, 6.0, 400), 10.0 ** rng.uniform(0.0, 4.0, 100)])
+        betas = 10.0 ** rng.uniform(-6.0, 1.0, 500)
+        wps = rng.uniform(-3.0, 3.0, 504)
+        out = [(float(nu * math.sqrt(2.0 * b)), float(b)) for nu, b in zip(nus, betas)]
+        out += [(nu * math.sqrt(2.0 * b), b) for nu, b in ((1.0, 0.5), (1.0 + 1e-9, 0.3),
+                                                           (1e3, 1e-7))]
+        out.append((float.fromhex("0x1.4efef12b2f118p+0"), 0.25))
+        return [(a, b, float(wp)) for (a, b), wp in zip(out, wps)]
+
+    def test_lazy_nodes_equal_the_array_grid(self, monkeypatch):
+        # the nodes the scan forms, below -beta one at a time and above it as
+        # one array, and the split between them, against the whole array
+        # grid and np.searchsorted, by float.hex
+        seen = {}
+        below_kernel, mid_kernel = spectrum._max_gamma_below, spectrum._gamma_required_mid
+
+        def below(a, b, wp, node, n):
+            seen["n"], seen["node"] = n, node
+            reads = seen["reads"] = []
+            return below_kernel(a, b, wp, lambda i: reads.append((i, node(i))) or node(i), n)
+
+        def mid(a, b, wp, e):
+            seen["mid"] = e.copy()
+            return mid_kernel(a, b, wp, e)
+
+        monkeypatch.setattr(spectrum, "_max_gamma_below", below)
+        monkeypatch.setattr(spectrum, "_gamma_required_mid", mid)
+        splits, exact = [], 0
+        for a, b, wp in self.seeded_bands():
+            p = SystemParams(a, b)
+            grid, n = self.array_grid(p)
+            seen.clear()
+            forbidden_band_scan(p, EffectiveCouplings(wp, 0.0, 0.0))
+            hexes = [float.hex(float(x)) for x in grid]
+            assert seen.get("n", 0) == n, (a, b)
+            if n:
+                assert [float.hex(seen["node"](i)) for i in range(n)] == hexes[:n]
+                assert 0 < len(seen["reads"]) <= math.ceil(math.log2(n)) + 2
+                assert all(float.hex(x) == hexes[i] for i, x in seen["reads"])
+            if n < 1000:
+                assert [float.hex(float(x)) for x in seen["mid"]] == hexes[n:]
+            else:
+                assert "mid" not in seen
+            splits.append(n)
+            exact += int(np.any(grid == -b))
+        assert splits[-4:-1] == [0, 0, 1000]
+        assert exact >= 1 and splits[-1] == 301
+        assert sum(0 < n < 1000 for n in splits) > 400
+
+    def test_mid_pass_in_place_matches_the_formulas(self):
+        # bit for bit with numpy's kernels as they run here, and e unwritten
+        for a, b, wp in self.seeded_bands()[::10]:
+            grid, n = self.array_grid(SystemParams(a, b))
+            e = grid[n:]
+            if not e.size:
+                continue
+            before = e.copy()
+            got = spectrum._gamma_required_mid(a, b, wp, e)
+            want = self.mid_formulas(a, b, wp, e)
+            assert [float.hex(float(x)) for x in got] == [float.hex(float(x)) for x in want]
+            assert np.array_equal(e, before)
+
     def test_b_sign_structure(self):
         # the imaginary channel parts share their sign across the mid band
         a, b = 2.0, 0.5
@@ -1180,7 +1291,8 @@ class TestForbiddenBand:
         signs = {math.copysign(1.0, self.scalar_route(p, wp, float(e))[0]) for e in below}
         assert len(signs) == (2 if where == "inside" else 1)
         ref = max(self.scalar_route(p, wp, float(e))[1] for e in below)
-        assert spectrum._max_gamma_below(a, b, wp, below) == pytest.approx(ref, rel=1e-12)
+        got = spectrum._max_gamma_below(a, b, wp, lambda i: float(below[i]), n)
+        assert got == pytest.approx(ref, rel=1e-12)
 
         calls = []
         kernel = spectrum._channel_factors
