@@ -26,6 +26,9 @@ _GRID_NODES = 2048
 _SCAN_NODES = 1000
 # the steps of the band scan's mid-band nodes: linspace's nodes, built by hand
 _SCAN_STEPS = np.arange(_SCAN_NODES, dtype=float)
+# below this |omega_+| + alpha every value of the mid-band pass stays far
+# inside the float range (forbidden_band_scan)
+_SCAN_IN_RANGE = 1e100
 _NU_WARN = 1e8
 # golden-section steps: 100 shrink any window by 0.618^100 ~ 1e-21
 _GOLDEN_ITERS = 100
@@ -471,32 +474,63 @@ def _check_uvx(nu: float, x: float) -> None:
         raise DomainError(f"x must lie in (0, nu], got x = {x} with nu = {nu}")
 
 
+def _out_of_range(name: str, nu: float, x: float) -> DomainError:
+    return DomainError(f"{name} leaves the float range at nu = {nu!r}, x = {x!r}")
+
+
 def u_nu(nu: float, x: float) -> float:
-    """U_nu(x) = (((nu^2+1)/nu^2) arctan(x) - 1/x)/x on (0, nu]."""
+    """U_nu(x) = (((nu^2+1)/nu^2) arctan(x) - 1/x)/x on (0, nu].
+
+    DomainError where the value is not finite (x below about 1e-154, as
+    U_nu ~ -1/x^2 there, or nu^2 overflowing).
+    """
     _check_uvx(nu, x)
     n2 = nu * nu
-    return ((n2 + 1.0) / n2 * math.atan(x) - 1.0 / x) / x
+    u = ((n2 + 1.0) / n2 * math.atan(x) - 1.0 / x) / x
+    if not math.isfinite(u):
+        raise _out_of_range("U_nu", nu, x)
+    return u
 
 
 def v_nu(nu: float, x: float) -> float:
-    """V_nu(x) = (nu^2/(nu^2+1)) U_nu(x) (2 - (nu^2-1) x^2 U_nu(x))."""
+    """V_nu(x) = (nu^2/(nu^2+1)) U_nu(x) (2 - (nu^2-1) x^2 U_nu(x)).
+
+    Where (nu^2 - 1) x x U_nu overflows, as it does for x^2 nu^2 above the
+    float range (x near nu > 1e77) while V_nu ~ -2.5 nu^2 does not, the
+    value is taken as (nu^2/(nu^2+1)) (2 U_nu - (nu^2-1) (x U_nu)^2), with
+    x U_nu < (1 + 1/nu^2) pi/2 there.  DomainError where U_nu or the value
+    is not finite.
+    """
     _check_uvx(nu, x)
     n2 = nu * nu
     u = u_nu(nu, x)
-    return n2 / (n2 + 1.0) * u * (2.0 - (n2 - 1.0) * x * x * u)
+    v = n2 / (n2 + 1.0) * u * (2.0 - (n2 - 1.0) * x * x * u)
+    if not math.isfinite(v):
+        w = x * u
+        v = n2 / (n2 + 1.0) * (2.0 * u - (n2 - 1.0) * w * w)
+        if not math.isfinite(v):
+            raise _out_of_range("V_nu", nu, x)
+    return v
 
 
 def e_nu(beta: float, nu: float, x: float) -> float:
     """E_nu(x) = beta (nu^4 + x^4)/(2 (nu x)^2); equals beta at x = nu.
 
     Taken as (c nu/x)^2 + (c x/nu)^2 with c = sqrt(beta/2), which does not
-    overflow where nu^4 would (nu > 1e77).
+    overflow where nu^4 would (nu > 1e77).  DomainError where the value is
+    not finite (c nu/x above about 1e154).
     """
     if not beta > 0.0:
         raise DomainError("E_nu requires beta > 0")
     _check_uvx(nu, x)
     c = math.sqrt(0.5 * beta)
-    return (c * nu / x) ** 2 + (c * x / nu) ** 2
+    try:
+        e = (c * nu / x) ** 2 + (c * x / nu) ** 2
+    except OverflowError:
+        e = math.inf
+    if not math.isfinite(e):
+        raise _out_of_range("E_nu", nu, x)
+    return e
 
 
 def _xatan_inverse(level: float, lo: float, hi: float) -> float | None:
@@ -691,57 +725,53 @@ def _gamma_required_mid(a: float, b: float, wp: float, e: np.ndarray) -> np.ndar
     constraint fixes Re c_-.  Here xi = (r + iq)/(2 beta) with
     r = sqrt(beta - E) and q = sqrt(beta + E), so 1/(2 xi) = (r - iq)/2; the
     result is even in q, as flipping q flips both Im c_s.  artanh at
-    alpha*xi = u + iv takes the cancellation-free
-    log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2.
-    alpha*xi lies on the circle u^2 + v^2 = nu^2 (r^2 + q^2 = 2 beta), so
-    (1-u)^2 + v^2 = 1 + nu^2 - 2u = (nu - 1)^2 + 2(nu - u) > 0, as u < nu
-    on this sub-band, and (1-u)(1+u) - v^2 = 1 - nu^2 <= 0: the log1p
-    argument stays finite and the angle lies in [pi/2, pi).  Both are still
-    formed per node: the constant 1 - nu^2 is as accurate, but rounds
-    differently and moves the scan's maximum by up to 1.3e-15 relative.
+    alpha*xi = u + iv, u = s r and v = s q with s = alpha/(2 beta), takes the
+    cancellation-free log1p(4u/((1-u)^2 + v^2))/4 + i arctan2(2v, (1-u)(1+u) - v^2)/2,
+    and alpha*xi lies on the circle u^2 + v^2 = nu^2 = alpha s
+    (r^2 + q^2 = 2 beta), so the two denominators are the circle identities
+    (1-u)^2 + v^2 = 1 + nu^2 - 2 s r = (nu - 1)^2 + 2(nu - u) and
+    (1-u)(1+u) - v^2 = 1 - nu^2 <= 0: the angle lies in [pi/2, pi), and the
+    pass forms neither u, v nor v^2.  1 + nu^2 - 2 s r is positive, and on
+    the scan's nodes far above its rounding error of a few ulps of
+    1 + nu^2: where (nu - 1)^2 is not, nu - 1 < 1e-7 puts
+    Sigma - beta = beta (nu^2 - 1)^2/(2 nu^2) far below the margin
+    delta >= 2e-6 beta, so every node has beta + E >= 1e-6 beta and
+    2(nu - u) ~ nu (beta + E)/(2 beta) >= 5e-7.
 
-    The pass runs in place on eight work arrays (``e`` is not written).  Each
-    node takes the roundings of the plain array expressions of these
-    formulas (kept as the reference in ``TestForbiddenBand.mid_formulas``),
-    in their order and on the same operands; only the operands of a product
-    or a sum are swapped, which IEEE arithmetic does not see, so every value
-    is the same bit for bit.
+    The pass runs in place in 25 array passes on five work arrays, r, q, t,
+    ln and ang (``e`` is not written).  Each node takes the roundings of the
+    plain array expressions of these formulas (kept as the reference in
+    ``TestForbiddenBand.mid_formulas``), in their order and on the same
+    operands; only the operands of a product or a sum are swapped, which
+    IEEE arithmetic does not see, so every value is the same bit for bit.
     """
     kp, km = _channel_slopes(a, b)
-    scale = a / (2.0 * b)
+    s = a / (2.0 * b)
+    n2 = a * s                                          # nu^2
     r = np.subtract(b, e)
     np.sqrt(r, out=r)                                   # r = sqrt(beta - E)
     q = np.add(b, e)
     np.sqrt(q, out=q)                                   # q = sqrt(beta + E)
-    u, v = np.multiply(r, scale), np.multiply(q, scale)
-    d, vv = np.subtract(1.0, u), np.multiply(v, v)
-    t = np.multiply(d, d)
-    t += vv
-    log_arg = np.multiply(u, 4.0)
-    log_arg /= t
-    np.log1p(log_arg, out=log_arg)                      # 4 Re artanh(u + iv)
-    u += 1.0
-    d *= u
-    d -= vv                                             # (1-u)(1+u) - v^2
-    angle = v
-    angle *= 2.0
-    np.arctan2(angle, d, out=angle)                     # 2 Im artanh(u + iv)
-    re_p = r
-    re_p *= 0.5
-    re_p += wp
-    log_arg *= 0.25 * kp
-    re_p -= log_arg                                     # (wp + r/2) - (kp/4) log_arg
-    half_q = q
-    half_q *= 0.5
-    im_p = np.multiply(angle, -0.5 * kp, out=t)
-    im_p -= half_q                                      # (-kp/2) angle - q/2
-    neg_im_m = angle
-    neg_im_m *= 0.5 * km
-    neg_im_m += half_q                                  # q/2 + (km/2) angle
-    out = np.divide(neg_im_m, im_p, out=im_p)
-    re_p *= re_p
-    re_p += np.multiply(neg_im_m, neg_im_m, out=half_q)
-    out *= re_p                          # neg_im_m/im_p (re_p^2 + neg_im_m^2)
+    t = np.multiply(r, 2.0 * s)
+    np.subtract(1.0 + n2, t, out=t)                     # (1-u)^2 + v^2
+    ln = np.multiply(r, 4.0 * s)
+    ln /= t
+    np.log1p(ln, out=ln)                                # 4 Re artanh(u + iv)
+    ang = np.multiply(q, 2.0 * s)
+    np.arctan2(ang, 1.0 - n2, out=ang)                  # 2 Im artanh(u + iv)
+    r *= 0.5
+    r += wp
+    ln *= 0.25 * kp
+    r -= ln                                             # re_p = (wp + r/2) - (kp/4) ln
+    q *= 0.5                                            # q/2
+    im_p = np.multiply(ang, -0.5 * kp, out=t)
+    im_p -= q                                           # (-kp/2) ang - q/2
+    ang *= 0.5 * km
+    ang += q                                            # -Im c_- = q/2 + (km/2) ang
+    out = np.divide(ang, im_p, out=im_p)
+    r *= r
+    r += np.multiply(ang, ang, out=q)
+    out *= r                                  # -Im c_-/Im c_+ (re_p^2 + Im c_-^2)
     return out
 
 
@@ -768,13 +798,22 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
       real-axis kernel ``_channel_factors`` on the artanh cut.  Each node
       there is formed as a Python float when the bisection reads it.
     - (-beta, beta): every node, taken from a fixed arange times h plus
-      start, in one array pass (``_gamma_required_mid``,
-      the one continuation kept apart from that kernel), with artanh at
-      alpha*xi = u + iv on the circle u^2 + v^2 = nu^2, where
-      (1-u)^2 + v^2 = 1 + nu^2 - 2u > 0 and (1-u)(1+u) - v^2 = 1 - nu^2.
-    A band narrower than 2 delta leaves no grid inside it: DomainError.  The
-    CaseC test is the regime rule of ``classify_regime`` (``model._regime``),
-    and Sigma is the one kept on ``params``: no ``RegimeInfo`` is built.
+      start, in one in-place pass on five work arrays
+      (``_gamma_required_mid``, the one continuation kept apart from that
+      kernel), with artanh at alpha*xi = u + iv = s (r + iq),
+      s = alpha/(2 beta), on the circle u^2 + v^2 = nu^2 = alpha s, where
+      (1-u)^2 + v^2 = 1 + nu^2 - 2 s r > 0 and (1-u)(1+u) - v^2 = 1 - nu^2.
+    A band narrower than 2 delta leaves no grid inside it: DomainError.  So
+    does a Gamma whose required gamma leaves the float range at every node,
+    as |omega_+| from about 1e154 on does.  The gamma is at most
+    -(Re c_+^2 + Im c_-^2), as |Im c_-| > |Im c_+|, so no step overflows at
+    a node whose gamma is finite, and the maximum is finite while one node's
+    is.  Below |omega_+| + alpha = 1e100 no value of the mid-band pass comes
+    near the float range (a node above -beta needs beta > delta/2, so
+    nu^2 < 4e6 there); above it the pass runs with numpy's overflow warning
+    off.  The CaseC test is the regime rule of ``classify_regime``
+    (``model._regime``), and Sigma is the one kept on ``params``: no
+    ``RegimeInfo`` is built.
     """
     a, b = params.alpha, params.beta
     if _regime(a, b)[0] is not Regime.CASE_C:
@@ -804,7 +843,15 @@ def forbidden_band_scan(params: SystemParams, eff: EffectiveCouplings) -> Forbid
         mid = _SCAN_STEPS[n:] * h
         mid += start
         mid[-1] = stop
-        worst = max(worst, float(_gamma_required_mid(a, b, wp, mid).max()))
+        if abs(wp) + a < _SCAN_IN_RANGE:
+            req = _gamma_required_mid(a, b, wp, mid)
+        else:
+            with np.errstate(over="ignore"):
+                req = _gamma_required_mid(a, b, wp, mid)
+        worst = max(worst, float(req.max()))
+    if not math.isfinite(worst):
+        raise DomainError(f"the required gamma leaves the float range on every node "
+                          f"of the band: Gamma is too large (omega_+ = {wp!r})")
     return ForbiddenBandReport(max_gamma_required=worst, band=(-sigma, b),
                                grid_size=_SCAN_NODES)
 

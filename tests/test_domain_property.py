@@ -6,7 +6,9 @@ complex z with |z| in [1e-300, 1e300]: floats at real E, and complex
 numbers off the axis except the squared norms, which are real.  Off the
 axis Q is conjugation-symmetric and has Im Q > 0 in the upper half-plane,
 to the rounding of the terms of Q.  Wherever the normalization is defined,
-Q_ss(+-i) = +-i to 1e-12.
+Q_ss(+-i) = +-i to 1e-12.  The same rule holds for U_nu, V_nu and E_nu down
+to x = 1e-300, and for the forbidden-band scan of CaseC points with
+|omega_+| up to 1e300, on bands with and without nodes above -beta.
 """
 
 import cmath
@@ -18,8 +20,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rashba_contact import (DomainError, EffectiveCouplings, SystemParams,  # noqa: E402
-                            g1_origin, g2ren_origin, gs_ren_origin, krein_q,
-                            normalization, phi_norm_sq, secular_function)
+                            e_nu, forbidden_band_scan, g1_origin, g2ren_origin,
+                            gs_ren_origin, krein_q, normalization, phi_norm_sq,
+                            secular_function, u_nu, v_nu)
 from rashba_contact.greens import FOUR_PI  # noqa: E402
 
 EFF = EffectiveCouplings(0.5, -0.25, 0.1)
@@ -114,3 +117,34 @@ def test_q_is_plus_minus_i_at_plus_minus_i(alpha, beta):
         q = krein_q(p, z)
         for s in (1, -1):
             assert abs(q.entry(s) - z) <= 1e-12, (alpha, beta, z, s, q)
+
+
+def _finite_or_domain_error(call) -> None:
+    try:
+        value = call()
+    except DomainError:
+        return
+    assert type(value) is float and math.isfinite(value), value
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_power(0.0, 8.0), _power(-300.0, 0.0), _power(-6.0, 3.0))
+def test_large_coupling_functions_are_finite_or_raise_domain_error(nu, x_frac, beta):
+    # x = x_frac nu in (0, nu]; U_nu ~ -1/x^2 leaves the float range below
+    # x ~ 1e-154 and E_nu ~ beta nu^2/(2 x^2) near it
+    x = x_frac * nu
+    _finite_or_domain_error(lambda: u_nu(nu, x))
+    _finite_or_domain_error(lambda: v_nu(nu, x))
+    _finite_or_domain_error(lambda: e_nu(beta, nu, x))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_power(0.0, 3.0), st.booleans(), _power(-8.0, 2.0),
+       st.sampled_from((-1.0, 1.0)), _power(-3.0, 300.0), st.floats(-3.0, 3.0))
+def test_forbidden_band_scan_is_finite_or_raises_domain_error(nu, mid, beta, sign, size, wm):
+    # beta below 5e-7 leaves no node above -beta (the margin 1e-6 exceeds
+    # 2 beta), so the maximum comes from the search below it alone
+    beta = beta if mid else min(beta, 4e-7)
+    p = SystemParams(nu * math.sqrt(2.0 * beta), beta)
+    _finite_or_domain_error(lambda: forbidden_band_scan(
+        p, EffectiveCouplings(sign * size, wm, 0.1)).max_gamma_required)

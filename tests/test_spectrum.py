@@ -882,6 +882,32 @@ class TestCaseCFunctions:
         with pytest.raises(DomainError):
             e_nu(0.0, 2.0, 1.0)
 
+    def test_values_beyond_the_float_range(self):
+        # U_nu ~ -1/x^2 and E_nu ~ beta nu^2/(2 x^2) leave the float range at
+        # small x: an overflow, -inf, and nan from x*x = 0 against U = -inf
+        with pytest.raises(DomainError, match="E_nu leaves the float range"):
+            e_nu(0.5, 2.0, 1e-200)
+        with pytest.raises(DomainError, match="U_nu leaves the float range"):
+            v_nu(2.0, 1e-200)
+        with pytest.raises(DomainError, match="U_nu leaves the float range"):
+            u_nu(2.0, 1e-310)
+
+    def test_v_nu_where_nu_squared_x_squared_overflows(self):
+        # (nu^2 - 1) x x U_nu overflows from nu ~ 1e77 on, while V_nu ~
+        # -2.5 nu^2 stays finite: the value against 50-digit mpmath, and a
+        # CaseC solve there with both omegas zero, which reads V_nu up to x = nu
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for nu, x in ((1e80, 3.8e79), (1e120, 1e100), (1e150, 1e150), (1e150, 2.0)):
+                n2, xm = mpmath.mpf(nu) ** 2, mpmath.mpf(x)
+                u = ((n2 + 1) / n2 * mpmath.atan(xm) - 1 / xm) / xm
+                want = n2 / (n2 + 1) * u * (2 - (n2 - 1) * xm * xm * u)
+                assert v_nu(nu, x) == pytest.approx(float(want), rel=1e-14)
+        b = 1e-200
+        p = SystemParams(1e80 * math.sqrt(2.0 * b), b)
+        with pytest.warns(UserWarning, match="extreme"):
+            assert embedded_large_alpha(p, EffectiveCouplings(0.0, 0.0, 0.5)) == ()
+
 
 class TestLargeCouplingContext:
     def test_nu_one(self):
@@ -1144,14 +1170,14 @@ class TestForbiddenBand:
 
     @staticmethod
     def mid_formulas(a, b, wp, e):
-        """The mid-band gamma as out-of-place array formulas."""
+        """The mid-band gamma as out-of-place array formulas, with artanh's
+        two denominators in their circle forms 1 + nu^2 - 2 s r and 1 - nu^2."""
         kp, km = spectrum._channel_slopes(a, b)
         r, q = np.sqrt(b - e), np.sqrt(b + e)
-        scale = a / (2.0 * b)
-        u, v = scale * r, scale * q
-        d, vv = 1.0 - u, v * v
-        log_arg = np.log1p(4.0 * u / (d * d + vv))
-        angle = np.arctan2(2.0 * v, d * (1.0 + u) - vv)
+        s = a / (2.0 * b)
+        n2 = a * s
+        log_arg = np.log1p(4.0 * s * r / (1.0 + n2 - 2.0 * s * r))
+        angle = np.arctan2(2.0 * s * q, 1.0 - n2)
         re_p = (wp + 0.5 * r) - (0.25 * kp) * log_arg
         half_q = 0.5 * q
         im_p = (-0.5 * kp) * angle - half_q
@@ -1238,10 +1264,11 @@ class TestForbiddenBand:
         # each kernel agrees node by node with the scalar route on its
         # sub-band: Re c_+ below -beta, the gamma above it.  nu = 1 gives
         # Sigma = beta and no node below -beta, nu near 1 puts small Im c_+
-        # next to -beta, and every grid holds -0.0 and +0.0, where the sign
-        # of Im xi switches, and -beta itself
+        # next to -beta, as nu = 1 + 1e-6 and 1 + 1e-3 put the smallest
+        # 1 + nu^2 - 2 s r there, and every grid holds -0.0 and +0.0, where
+        # the sign of Im xi switches, and -beta itself
         rng = np.random.default_rng(47)
-        for nu in (1.0, 1.0 + 1e-9, *rng.uniform(1.2, 6.0, 4),
+        for nu in (1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3, *rng.uniform(1.2, 6.0, 4),
                    *10.0 ** rng.uniform(1.0, 4.0, 3)):
             b = float(rng.uniform(0.05, 1.0))
             p = SystemParams(nu * math.sqrt(2.0 * b), b)
@@ -1351,6 +1378,22 @@ class TestForbiddenBand:
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
             forbidden_band_scan(SystemParams(0.1, 0.5), EffectiveCouplings(0, 0, 0))
+
+    def test_gamma_beyond_the_float_range(self):
+        # a valid Gamma whose required gamma overflows at every node, on a
+        # band with nodes above -beta and on one without (nu = 1e3,
+        # beta = 1e-7); one that stays finite at some node is reported
+        p = SystemParams(2.0, 0.5)
+        gamma = gamma_for_couplings(p, 1e200, 0.0, 0.0)
+        assert 7e199 < gamma.pp < 8e199
+        with pytest.raises(DomainError, match="float range"):
+            forbidden_band_scan(p, effective_couplings(p, gamma))
+        below_only = SystemParams(1e3 * math.sqrt(2e-7), 1e-7)
+        with pytest.raises(DomainError, match="float range"):
+            forbidden_band_scan(below_only, EffectiveCouplings(1e200, 0.0, 0.0))
+        for q, wp in ((p, -1e153), (below_only, 1e100)):
+            rep = forbidden_band_scan(q, EffectiveCouplings(wp, 0.0, 0.0))
+            assert -math.inf < rep.max_gamma_required < -wp * wp
 
 
 def _symmetric_roots(alpha: float, omega: float):
